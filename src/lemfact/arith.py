@@ -188,7 +188,8 @@ def primitive_root(q: int, e: int = 1) -> int:
     if q == 2 or not is_prime(q):
         raise ValueError(f"{q} is not an odd prime")
     order = q * (q - 1)
-    prime_divs = [pp.q for pp in factorize(order)]
+    # q is prime, so only q - 1 needs factoring
+    prime_divs = [q] + [pp.q for pp in factorize(q - 1)]
     g = 2
     while True:
         if all(pow(g, order // r, q * q) != 1 for r in prime_divs):

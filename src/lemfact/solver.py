@@ -10,6 +10,7 @@ restricted to tame odd ramification: every q must be coprime to
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from math import gcd, prod
@@ -32,6 +33,21 @@ logger = logging.getLogger("lemfact")
 DEFAULT_ASSIGNMENT_BOUND = 10**6
 
 
+def _entry_error(ext: CentralExtension, q: int, y: Elem) -> str | None:
+    """Why (q, y) cannot be an entry of an assignment, or None if it can."""
+    gab = ext.gab
+    if not is_prime(q) or gcd(q, 2 * gab.order * ext.a.order) != 1:
+        return f"prime {q} is not tame/odd for this extension"
+    if y not in ext.y_set():
+        return f"inertia image {y} is not in Y_E"
+    n = elem_order(gab, y)
+    if n == 1:
+        return f"prime {q} carries trivial inertia"
+    if (q - 1) % n != 0:
+        return f"order {n} of {y} does not divide {q}-1"
+    return None
+
+
 @dataclass(frozen=True)
 class RamAssignment:
     """Inertia data of a homomorphism: ramified prime -> element of Y_E."""
@@ -43,19 +59,10 @@ class RamAssignment:
         if not self.entries:
             raise ValueError("assignment needs at least one ramified prime")
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-        gab = self.ext.gab
-        wild = 2 * gab.order * self.ext.a.order
-        ye = self.ext.y_set()
         for q, y in self.entries:
-            if not is_prime(q) or gcd(q, wild) != 1:
-                raise ValueError(f"prime {q} is not tame/odd for this extension")
-            if y not in ye:
-                raise ValueError(f"inertia image {y} is not in Y_E")
-            n = elem_order(gab, y)
-            if n == 1:
-                raise ValueError(f"prime {q} carries trivial inertia")
-            if (q - 1) % n != 0:
-                raise ValueError(f"order {n} of {y} does not divide {q}-1")
+            error = _entry_error(self.ext, q, y)
+            if error is not None:
+                raise ValueError(error)
         if len({q for q, _ in self.entries}) != len(self.entries):
             raise ValueError("duplicate prime in assignment")
 
@@ -215,7 +222,8 @@ def has_unramified_lift(
     Returns (bool, failing_primes).  Decisions use the intrinsic
     (discrete-log) evaluation; a disagreement with the literal mod-exp(A)
     character sum is possible only for composite exponents and is logged,
-    never silently resolved.
+    never silently resolved.  classify decides with a compiled form of
+    this test; this per-assignment evaluation is its reference.
     """
     failing = []
     for p in assignment.primes:
@@ -282,6 +290,72 @@ def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
     return n
 
 
+def _assignment_space(
+    ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData, bound: int
+):
+    """The assignments compatible with the base field, as choices.
+
+    Returns (primes, candidates, choices): the ramified primes of kdata
+    sorted, per prime the sorted y in Y_E outside H, congruent to its
+    inertia image mod H, with |y| dividing q-1, and an iterator over the
+    choices (one candidate per prime, in lexicographic order) whose
+    images generate Gab.  candidates is empty when some prime has none.
+
+    The entry checks of RamAssignment run here once per (prime,
+    candidate); the first generating choice raises the error that its
+    RamAssignment would raise.  Whether a set of images generates Gab is
+    memoized on the extension.
+    """
+    kdata.validate(ext)
+    gab = ext.gab
+    ye = ext.y_set()
+    primes = sorted(kdata.primes)
+    candidates = []
+    for q, g in primes:
+        cands = sorted(
+            y
+            for y in ye
+            if y not in h_sub
+            and gab.sub(y, g) in h_sub
+            and (q - 1) % elem_order(gab, y) == 0
+        )
+        if not cands:
+            return primes, [], iter(())
+        candidates.append(cands)
+    total = prod(len(c) for c in candidates)
+    if total > bound:
+        raise ValueError(f"{total} candidate assignments exceed bound {bound}")
+
+    errors = {
+        (q, y): _entry_error(ext, q, y)
+        for (q, _), cands in zip(primes, candidates)
+        for y in cands
+    }
+    duplicated = len({q for q, _ in primes}) != len(primes)
+
+    def choices():
+        memo = ext._generates
+        checked = False
+        for choice in itertools.product(*candidates):
+            key = frozenset(choice)
+            ok = memo.get(key)
+            if ok is None:
+                ok = memo[key] = generates(gab, key)
+            if not ok:
+                continue
+            if not checked:
+                entries = sorted((q, y) for (q, _), y in zip(primes, choice))
+                for entry in entries:
+                    if errors[entry] is not None:
+                        raise ValueError(errors[entry])
+                if duplicated:
+                    raise ValueError("duplicate prime in assignment")
+                checked = True
+            yield choice
+
+    return primes, candidates, choices()
+
+
 def enumerate_assignments(
     ext: CentralExtension,
     h_sub: frozenset,
@@ -292,48 +366,108 @@ def enumerate_assignments(
     H, congruent to the given inertia image mod H, with the y_q jointly
     generating Gab.  Deterministic order (primes sorted, candidates in
     lexicographic order)."""
-    kdata.validate(ext)
-    gab = ext.gab
-    ye = ext.y_set()
-    candidates = []
-    prime_list = sorted(kdata.primes)
-    for q, g in prime_list:
-        cands = sorted(
-            y
-            for y in ye
-            if y not in h_sub
-            and gab.sub(y, g) in h_sub
-            and (q - 1) % elem_order(gab, y) == 0
-        )
-        if not cands:
-            return
-        candidates.append(cands)
-    total = prod(len(c) for c in candidates)
-    if total > bound:
-        raise ValueError(f"{total} candidate assignments exceed bound {bound}")
-    surjective_cache: dict[tuple, bool] = {}
-    import itertools
+    primes, _, choices = _assignment_space(ext, h_sub, kdata, bound)
+    for choice in choices:
+        yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
 
-    for choice in itertools.product(*candidates):
-        key = tuple(sorted(set(choice)))
-        ok = surjective_cache.get(key)
-        if ok is None:
-            ok = generates(gab, key)
-            surjective_cache[key] = ok
-        if ok:
-            yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(prime_list, choice)))
+
+def _compile_lift_test(ext: CentralExtension, primes, candidates):
+    """The Frobenius-sum test of has_unramified_lift for one base field,
+    as a function of a choice (one candidate per prime) that is true when
+    every sum vanishes.
+
+    The pairing is bilinear and k[p, q, |y_q|] depends only on the two
+    primes and the order, so every term k * <y_q, y_p> is read from a table
+    built here, and the sum at p is one integer addition per other prime
+    and coordinate of A.  The literal mod-exp(A) sum can differ from the
+    direct one only when exp(A) is composite: for a prime exponent the
+    pairing is killed by exp(A) and both characters agree modulo it.  Only
+    then is the literal table built, and each mismatch logged as
+    has_unramified_lift logs it.
+    """
+    gab, a = ext.gab, ext.a
+    moduli = a.moduli
+    qs = [q for q, _ in primes]
+    index = [{y: c for c, y in enumerate(cands)} for cands in candidates]
+    union = set().union(*candidates)
+    order = {y: elem_order(gab, y) for y in union}
+    pairing = {(y, z): ext.pairing(y, z) for y in union for z in union}
+
+    def table(char_modulus):
+        """w[i][b][t][j][c]: coordinate t of k * <y, z> with y the c-th
+        candidate of prime j, z the b-th candidate of prime i and k the
+        character of p_i at q_j^(|y|-1) mod char_modulus(|y|); zero at
+        j = i, where the pairing vanishes."""
+        w = []
+        for i, p in enumerate(qs):
+            k = [
+                [0] * len(cands)
+                if j == i
+                else [
+                    power_residue_char(p, PrimePower(q, order[y] - 1), char_modulus(order[y]))
+                    for y in cands
+                ]
+                for j, (q, cands) in enumerate(zip(qs, candidates))
+            ]
+            w.append(
+                [
+                    [
+                        [
+                            [kc * pairing[y, z][t] % m for kc, y in zip(kj, cands)]
+                            for kj, cands in zip(k, candidates)
+                        ]
+                        for t, m in enumerate(moduli)
+                    ]
+                    for z in candidates[i]
+                ]
+            )
+        return w
+
+    direct = table(lambda n: n)
+    exponent = a.exponent
+    if exponent > 1 and not is_prime(exponent):
+        literal = table(lambda n: exponent)
+
+        def sums(w, idx):
+            return [
+                tuple(sum(col[c] for col, c in zip(wt, idx)) % m for wt, m in zip(wi[b], moduli))
+                for wi, b in zip(w, idx)
+            ]
+
+        def passes_logged(choice):
+            idx = [pos[y] for pos, y in zip(index, choice)]
+            direct_sums = sums(direct, idx)
+            for p, lit, dsum in zip(qs, sums(literal, idx), direct_sums):
+                if lit != dsum:
+                    logger.warning(
+                        "character scaling mismatch at p=%d: literal %s vs direct %s",
+                        p,
+                        lit,
+                        dsum,
+                    )
+            return not any(any(v) for v in direct_sums)
+
+        return passes_logged
+
+    def passes(choice):
+        idx = [pos[y] for pos, y in zip(index, choice)]
+        for wi, b in zip(direct, idx):
+            for wt, m in zip(wi[b], moduli):
+                if sum(col[c] for col, c in zip(wt, idx)) % m:
+                    return False
+        return True
+
+    return passes
 
 
 def count_extensions(ext: CentralExtension, assignment: RamAssignment) -> int:
     """Number of unramified solutions per extension class for a witness
     assignment: prod_y #A[|y|]^omega(d_y) over the automorphism-stabilizer
-    order times #Hom(Gab, A).  Raises if the formula is not integral."""
+    order times #Hom(Gab, A).  omega(d_y) is the number of entries with
+    image y, so the numerator is prod over entries of #A[|y_q|].  Raises
+    if the formula is not integral."""
     gab, a = ext.gab, ext.a
-    fact = factorization_of(assignment)
-    numerator = 1
-    for y, d in fact.factors:
-        n_primes = len(factorize(abs(d)))
-        numerator *= torsion_count(a, elem_order(gab, y)) ** n_primes
+    numerator = prod(torsion_count(a, elem_order(gab, y)) for _, y in assignment.entries)
     denominator = aut_stabilizer_order(ext) * hom_count(gab, a)
     q, r = divmod(numerator, denominator)
     if r != 0 or q <= 0:
@@ -383,18 +517,30 @@ def classify(
     bound: int = DEFAULT_ASSIGNMENT_BOUND,
 ) -> Report:
     """Existence report: every enumerated assignment that passes the
-    unramified-lift test, with its factorization and counts."""
+    unramified-lift test, with its factorization and counts.
+
+    The lift test is compiled once per call (_compile_lift_test); it
+    decides exactly as has_unramified_lift, which stays as the reference.
+    Assignments, factorizations and counts are built for witnesses only.
+    """
+    primes, candidates, choices = _assignment_space(ext, h_sub, kdata, bound)
+    passes = None
+    classes = None
     witnesses = []
-    for assignment in enumerate_assignments(ext, h_sub, kdata, bound=bound):
-        ok, _ = has_unramified_lift(ext, assignment, check_infinity=check_infinity)
-        if ok:
-            witnesses.append(
-                Witness(
-                    assignment,
-                    factorization_of(assignment),
-                    count_extensions(ext, assignment),
-                    class_orbit_size(ext),
-                )
-            )
+    for choice in choices:
+        # compiled after the first generating choice has passed the entry
+        # checks: a duplicated prime would make its own character ramified
+        if passes is None:
+            passes = _compile_lift_test(ext, primes, candidates)
+        if not passes(choice):
+            continue
+        assignment = RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
+        fact = factorization_of(assignment)
+        if check_infinity and not infinite_place_ok(ext, fact):
+            continue
+        count = count_extensions(ext, assignment)
+        if classes is None:
+            classes = class_orbit_size(ext)
+        witnesses.append(Witness(assignment, fact, count, classes))
     witnesses.sort(key=lambda w: w.assignment.entries)
     return Report(bool(witnesses), tuple(witnesses))

@@ -24,11 +24,9 @@ from lemfact.oracle import class_group_structure, class_number, naive_form_count
 from lemfact.solver import (
     BaseFieldData,
     classify,
-    count_extensions,
     enumerate_assignments,
     frobenius_pairing_sum,
     frobenius_pairing_sum_direct,
-    has_unramified_lift,
 )
 
 SWEEP_LO, SWEEP_HI = -100000, -3
@@ -85,16 +83,13 @@ def test_criterion_04_heisenberg_duality():
             seen.add(triple)
             crit = heisenberg_criterion(ell, *triple)
             kdata = BaseFieldData(h, tuple((q, (0, 0, 1)) for q in triple))
-            witness = None
-            for asg in enumerate_assignments(ext, h, kdata):
-                ok, _ = has_unramified_lift(ext, asg)
-                if ok:
-                    witness = asg
-                    break
-            assert (witness is not None) == crit.exists, (ell, triple)
-            if witness is not None:
+            rep = classify(ext, h, kdata)
+            assert rep.exists == crit.exists, (ell, triple)
+            if rep.exists:
                 positives += 1
-                assert count_extensions(ext, witness) == 1
+            for w in rep.witnesses:
+                assert w.count_per_class == 1, (ell, triple)
+                assert w.classes == ell - 1, (ell, triple)
             checked[ell] += 1
     assert positives >= 1
     print(

@@ -117,6 +117,24 @@ def test_primitive_root_generates(q):
     assert len(seen) == q * (q - 1)
 
 
+def test_primitive_root_large_prime():
+    # q * (q - 1) exceeds the default discriminant bound for q > 3.04e9,
+    # so only q - 1 may be factored
+    q = 1000000000039
+    assert is_prime(q)
+    g = primitive_root(q)
+    divisors = [pp.q for pp in factorize(q - 1)]
+
+    def generates_mod_q2(x):
+        # x generates (Z/q^2)^x iff it generates mod q and x^(q-1) != 1 mod q^2
+        return all(pow(x, (q - 1) // r, q) != 1 for r in divisors) and pow(
+            x, q - 1, q * q
+        ) != 1
+
+    assert generates_mod_q2(g)
+    assert not any(generates_mod_q2(x) for x in range(2, g))
+
+
 @given(st.sampled_from(ODD_PRIMES), st.integers(1, 10**4))
 @settings(max_examples=200)
 def test_discrete_log_inverts_power(q, x):

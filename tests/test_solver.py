@@ -1,16 +1,20 @@
 import itertools
 import json
+import logging
 import random
+from math import prod
 
 import pytest
 
-from lemfact.abelian import elem_order
-from lemfact.arith import factorize
-from lemfact.cocycle import preset
+from lemfact.abelian import AbGroup, elem_order, hom_count, subgroup_generated, torsion_count
+from lemfact.arith import factorize, is_fundamental_discriminant, is_prime
+from lemfact.cocycle import CentralExtension, aut_stabilizer_order, class_orbit_size, preset
 from lemfact.solver import (
     BaseFieldData,
     DiscFactorization,
     RamAssignment,
+    Report,
+    Witness,
     assignment_from_factorization,
     classify,
     count_extensions,
@@ -259,3 +263,126 @@ def test_check_infinity_filters_negative_c4(d4):
     rep_plain = classify(ext, h, c4_kdata(ext, h, 21))
     rep_inf = classify(ext, h, c4_kdata(ext, h, 21), check_infinity=True)
     assert len(rep_inf.witnesses) <= len(rep_plain.witnesses)
+
+
+# --- classify against the reference path ----------------------------------
+
+
+def reference_report(ext, h, kdata, check_infinity=False) -> dict:
+    """classify rebuilt from enumerate_assignments and has_unramified_lift,
+    counting each witness by trial division of its discriminant factors:
+    prod_y #A[|y|]^omega(d_y) / (stabilizer order * #Hom(Gab, A))."""
+    gab, a = ext.gab, ext.a
+    witnesses = []
+    for asg in enumerate_assignments(ext, h, kdata):
+        if not has_unramified_lift(ext, asg, check_infinity=check_infinity)[0]:
+            continue
+        fact = factorization_of(asg)
+        numerator = prod(
+            torsion_count(a, elem_order(gab, y)) ** len(factorize(abs(d)))
+            for y, d in fact.factors
+        )
+        count, rest = divmod(numerator, aut_stabilizer_order(ext) * hom_count(gab, a))
+        assert rest == 0 and count > 0
+        witnesses.append(Witness(asg, fact, count, class_orbit_size(ext)))
+    witnesses.sort(key=lambda w: w.assignment.entries)
+    return Report(bool(witnesses), tuple(witnesses)).to_json()
+
+
+def assert_matches_reference(ext, h, kdata, check_infinity=False) -> dict:
+    got = classify(ext, h, kdata, check_infinity=check_infinity).to_json()
+    assert got == reference_report(ext, h, kdata, check_infinity), kdata.primes
+    return got
+
+
+def test_classify_matches_reference_heisenberg3(heis3):
+    ext, h = heis3
+    pool3 = [p for p in range(7, 500) if is_prime(p) and p % 3 == 1]
+    verdicts = set()
+    for triple in itertools.combinations(pool3[:6], 3):
+        verdicts.add(assert_matches_reference(ext, h, heis_kdata(h, triple))["exists"])
+    assert verdicts == {True, False}
+
+
+def test_classify_matches_reference_heisenberg5():
+    ext, h = preset("Heisenberg", 5)
+    pool5 = [p for p in range(11, 200) if is_prime(p) and p % 5 == 1]
+    verdicts = set()
+    for triple in itertools.islice(itertools.combinations(pool5[:6], 3), 10):
+        verdicts.add(assert_matches_reference(ext, h, heis_kdata(h, triple))["exists"])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("check_infinity", [False, True])
+def test_classify_matches_reference_c4(d4, check_infinity):
+    ext, h = d4
+    n = 0
+    for d in range(-1999, 2000, 2):
+        if d in (-1, 1) or not is_fundamental_discriminant(d):
+            continue
+        assert_matches_reference(ext, h, c4_kdata(ext, h, d), check_infinity)
+        n += 1
+    assert n > 500
+
+
+def test_classify_matches_reference_h8():
+    ext, h = preset("H8_pair", None)
+    g0 = next(g for g in sorted(ext.gab.elements()) if g not in h)
+    witnesses = 0
+    for d in (105, 165, 1105, 1365, 4305, 5005, 21945):
+        pps = factorize(d)
+        assert len(pps) >= 3 and is_fundamental_discriminant(d)
+        kdata = BaseFieldData(h, tuple((pp.q, g0) for pp in pps))
+        witnesses += len(assert_matches_reference(ext, h, kdata)["witnesses"])
+    assert witnesses > 0
+
+
+def composite_exponent_extension():
+    """Gab = C4 x C4, A = C4, c(g, h) = g_0 h_1: exp(A) = 4 is composite, so
+    the literal mod-4 characters can differ from the direct ones."""
+    gab, a = AbGroup((4, 4)), AbGroup((4,))
+    table = {
+        (g, h): (g[0] * h[1] % 4,)
+        for g in gab.elements()
+        for h in gab.elements()
+        if g[0] * h[1] % 4
+    }
+    ext = CentralExtension(gab, a, table)
+    ext.check_cocycle()
+    return ext, subgroup_generated(gab, [(2, 2)])
+
+
+@pytest.mark.parametrize(
+    "primes, mismatches",
+    [((293, 73, 59), True), ((277, 241, 211), False), ((157, 233, 311), True)],
+)
+def test_classify_matches_reference_composite_exponent(caplog, primes, mismatches):
+    ext, h = composite_exponent_extension()
+    # the prime 3 mod 4 carries an order-2 image: its literal character
+    # mod 4 is twice the quadratic one, the direct character is not
+    kdata = BaseFieldData(h, tuple(zip(primes, ((1, 0), (0, 1), (2, 0)))))
+    with caplog.at_level(logging.WARNING, logger="lemfact"):
+        got = classify(ext, h, kdata).to_json()
+        from_classify = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        assert got == reference_report(ext, h, kdata)
+        from_reference = [r.getMessage() for r in caplog.records]
+    assert from_classify == from_reference
+    assert bool(from_classify) == mismatches
+    assert all(m.startswith("character scaling mismatch at p=") for m in from_classify)
+
+
+def test_classify_raises_as_reference_on_bad_primes(heis3):
+    split, _ = preset("split", ((6,), (3,)))
+    # 3 divides |Gab| * |A|; its order-2 image passes the base-field checks
+    wild = BaseFieldData(frozenset({(0,)}), ((3, (3,)), (7, (2,))))
+    ext, h = heis3
+    dup = BaseFieldData(h, ((7, (0, 0, 1)), (7, (0, 0, 2)), (13, (0, 0, 1))))
+    cases = (
+        (split, wild.h_sub, wild, "prime 3 is not tame/odd"),
+        (ext, h, dup, "duplicate prime in assignment"),
+    )
+    for e, hs, kdata, message in cases:
+        for run in (classify, reference_report):
+            with pytest.raises(ValueError, match=message):
+                run(e, hs, kdata)
