@@ -140,6 +140,12 @@ def generated_subgroup_order(G: AbGroup, gens) -> int:
 
 
 def generates(G: AbGroup, gens) -> bool:
+    return _generates(G, frozenset(gens))
+
+
+@lru_cache(maxsize=1 << 16)
+def _generates(G: AbGroup, gens: frozenset) -> bool:
+    # memoised: the same image sets recur across base fields of one extension
     return generated_subgroup_order(G, gens) == G.order
 
 

@@ -35,8 +35,6 @@ class CentralExtension:
         self._ye = None
         self._commutator = None
         self._stab_order = None
-        # images -> whether they generate Gab, filled by the solver
-        self._generates: dict[frozenset, bool] = {}
 
     def c(self, g: Elem, h: Elem) -> Elem:
         v = self.table.get((g, h))

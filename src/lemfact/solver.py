@@ -33,21 +33,6 @@ logger = logging.getLogger("lemfact")
 DEFAULT_ASSIGNMENT_BOUND = 10**6
 
 
-def _entry_error(ext: CentralExtension, q: int, y: Elem) -> str | None:
-    """Why (q, y) cannot be an entry of an assignment, or None if it can."""
-    gab = ext.gab
-    if not is_prime(q) or gcd(q, 2 * gab.order * ext.a.order) != 1:
-        return f"prime {q} is not tame/odd for this extension"
-    if y not in ext.y_set():
-        return f"inertia image {y} is not in Y_E"
-    n = elem_order(gab, y)
-    if n == 1:
-        return f"prime {q} carries trivial inertia"
-    if (q - 1) % n != 0:
-        return f"order {n} of {y} does not divide {q}-1"
-    return None
-
-
 @dataclass(frozen=True)
 class RamAssignment:
     """Inertia data of a homomorphism: ramified prime -> element of Y_E."""
@@ -59,10 +44,19 @@ class RamAssignment:
         if not self.entries:
             raise ValueError("assignment needs at least one ramified prime")
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        gab = self.ext.gab
+        wild = 2 * gab.order * self.ext.a.order
+        ye = self.ext.y_set()
         for q, y in self.entries:
-            error = _entry_error(self.ext, q, y)
-            if error is not None:
-                raise ValueError(error)
+            if not is_prime(q) or gcd(q, wild) != 1:
+                raise ValueError(f"prime {q} is not tame/odd for this extension")
+            if y not in ye:
+                raise ValueError(f"inertia image {y} is not in Y_E")
+            n = elem_order(gab, y)
+            if n == 1:
+                raise ValueError(f"prime {q} carries trivial inertia")
+            if (q - 1) % n != 0:
+                raise ValueError(f"order {n} of {y} does not divide {q}-1")
         if len({q for q, _ in self.entries}) != len(self.entries):
             raise ValueError("duplicate prime in assignment")
 
@@ -300,11 +294,6 @@ def _assignment_space(
     inertia image mod H, with |y| dividing q-1, and an iterator over the
     choices (one candidate per prime, in lexicographic order) whose
     images generate Gab.  candidates is empty when some prime has none.
-
-    The entry checks of RamAssignment run here once per (prime,
-    candidate); the first generating choice raises the error that its
-    RamAssignment would raise.  Whether a set of images generates Gab is
-    memoized on the extension.
     """
     kdata.validate(ext)
     gab = ext.gab
@@ -325,35 +314,8 @@ def _assignment_space(
     total = prod(len(c) for c in candidates)
     if total > bound:
         raise ValueError(f"{total} candidate assignments exceed bound {bound}")
-
-    errors = {
-        (q, y): _entry_error(ext, q, y)
-        for (q, _), cands in zip(primes, candidates)
-        for y in cands
-    }
-    duplicated = len({q for q, _ in primes}) != len(primes)
-
-    def choices():
-        memo = ext._generates
-        checked = False
-        for choice in itertools.product(*candidates):
-            key = frozenset(choice)
-            ok = memo.get(key)
-            if ok is None:
-                ok = memo[key] = generates(gab, key)
-            if not ok:
-                continue
-            if not checked:
-                entries = sorted((q, y) for (q, _), y in zip(primes, choice))
-                for entry in entries:
-                    if errors[entry] is not None:
-                        raise ValueError(errors[entry])
-                if duplicated:
-                    raise ValueError("duplicate prime in assignment")
-                checked = True
-            yield choice
-
-    return primes, candidates, choices()
+    choices = (c for c in itertools.product(*candidates) if generates(gab, c))
+    return primes, candidates, choices
 
 
 def enumerate_assignments(
@@ -381,77 +343,51 @@ def _compile_lift_test(ext: CentralExtension, primes, candidates):
     built here, and the sum at p is one integer addition per other prime
     and coordinate of A.  The literal mod-exp(A) sum can differ from the
     direct one only when exp(A) is composite: for a prime exponent the
-    pairing is killed by exp(A) and both characters agree modulo it.  Only
-    then is the literal table built, and each mismatch logged as
-    has_unramified_lift logs it.
+    pairing is killed by exp(A) and both characters agree modulo it.  A
+    composite exponent is therefore left to has_unramified_lift, which
+    logs each mismatch.
     """
     gab, a = ext.gab, ext.a
-    moduli = a.moduli
     qs = [q for q, _ in primes]
+    if a.exponent > 1 and not is_prime(a.exponent):
+
+        def reference(choice):
+            return has_unramified_lift(ext, RamAssignment(ext, tuple(zip(qs, choice))))[0]
+
+        return reference
+
+    moduli = a.moduli
     index = [{y: c for c, y in enumerate(cands)} for cands in candidates]
     union = set().union(*candidates)
     order = {y: elem_order(gab, y) for y in union}
     pairing = {(y, z): ext.pairing(y, z) for y in union for z in union}
-
-    def table(char_modulus):
-        """w[i][b][t][j][c]: coordinate t of k * <y, z> with y the c-th
-        candidate of prime j, z the b-th candidate of prime i and k the
-        character of p_i at q_j^(|y|-1) mod char_modulus(|y|); zero at
-        j = i, where the pairing vanishes."""
-        w = []
-        for i, p in enumerate(qs):
-            k = [
-                [0] * len(cands)
-                if j == i
-                else [
-                    power_residue_char(p, PrimePower(q, order[y] - 1), char_modulus(order[y]))
-                    for y in cands
-                ]
-                for j, (q, cands) in enumerate(zip(qs, candidates))
-            ]
-            w.append(
+    # w[i][b][t][j][c]: coordinate t of k * <y, z> with y the c-th candidate
+    # of prime j, z the b-th candidate of prime i and k the character of p_i
+    # at q_j^(|y|-1) mod |y|; zero at j = i, where the pairing vanishes
+    w = []
+    for i, p in enumerate(qs):
+        k = [
+            [0] * len(cands)
+            if j == i
+            else [power_residue_char(p, PrimePower(q, order[y] - 1), order[y]) for y in cands]
+            for j, (q, cands) in enumerate(zip(qs, candidates))
+        ]
+        w.append(
+            [
                 [
                     [
-                        [
-                            [kc * pairing[y, z][t] % m for kc, y in zip(kj, cands)]
-                            for kj, cands in zip(k, candidates)
-                        ]
-                        for t, m in enumerate(moduli)
+                        [kc * pairing[y, z][t] % m for kc, y in zip(kj, cands)]
+                        for kj, cands in zip(k, candidates)
                     ]
-                    for z in candidates[i]
+                    for t, m in enumerate(moduli)
                 ]
-            )
-        return w
-
-    direct = table(lambda n: n)
-    exponent = a.exponent
-    if exponent > 1 and not is_prime(exponent):
-        literal = table(lambda n: exponent)
-
-        def sums(w, idx):
-            return [
-                tuple(sum(col[c] for col, c in zip(wt, idx)) % m for wt, m in zip(wi[b], moduli))
-                for wi, b in zip(w, idx)
+                for z in candidates[i]
             ]
-
-        def passes_logged(choice):
-            idx = [pos[y] for pos, y in zip(index, choice)]
-            direct_sums = sums(direct, idx)
-            for p, lit, dsum in zip(qs, sums(literal, idx), direct_sums):
-                if lit != dsum:
-                    logger.warning(
-                        "character scaling mismatch at p=%d: literal %s vs direct %s",
-                        p,
-                        lit,
-                        dsum,
-                    )
-            return not any(any(v) for v in direct_sums)
-
-        return passes_logged
+        )
 
     def passes(choice):
         idx = [pos[y] for pos, y in zip(index, choice)]
-        for wi, b in zip(direct, idx):
+        for wi, b in zip(w, idx):
             for wt, m in zip(wi[b], moduli):
                 if sum(col[c] for col, c in zip(wt, idx)) % m:
                     return False
@@ -527,14 +463,17 @@ def classify(
     passes = None
     classes = None
     witnesses = []
+    qs = [q for q, _ in primes]
     for choice in choices:
-        # compiled after the first generating choice has passed the entry
-        # checks: a duplicated prime would make its own character ramified
+        # the first generating choice raises the entry errors of
+        # RamAssignment before the tables are built: a duplicated prime
+        # would make its own character ramified
         if passes is None:
+            RamAssignment(ext, tuple(zip(qs, choice)))
             passes = _compile_lift_test(ext, primes, candidates)
         if not passes(choice):
             continue
-        assignment = RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
+        assignment = RamAssignment(ext, tuple(zip(qs, choice)))
         fact = factorization_of(assignment)
         if check_infinity and not infinite_place_ok(ext, fact):
             continue
