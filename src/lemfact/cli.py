@@ -122,7 +122,7 @@ _SURVEY_COLUMNS = (
 
 
 def _survey_row(task):
-    d, criterion, with_oracle = task
+    d, criterion, with_oracle, ranks = task
     crit = c4_criterion(d) if criterion == "c4" else h8_criterion(d)
     row = {
         "d": d,
@@ -138,8 +138,7 @@ def _survey_row(task):
     if with_oracle:
         row["redei_rank"] = oracle.redei_rank(d)
         if d < 0:
-            row["oracle_two_rank"] = oracle.two_rank(d)
-            row["oracle_four_rank"] = oracle.four_rank(d)
+            row["oracle_two_rank"], row["oracle_four_rank"] = ranks
     return row
 
 
@@ -153,11 +152,18 @@ def cmd_survey(args) -> int:
         raise ValueError(f"empty-or-reversed range {args.range!r}")
     if max(abs(lo), abs(hi)) > arith.max_disc():
         raise ValueError("range exceeds the discriminant bound")
-    discs = [
-        d for d in range(lo, hi + 1)
+    # one sweep for the negative part of the range, before any row: the
+    # oracle ranks ride along in the tasks, so --jobs parallelizes only
+    # the criterion rows, and the sweep's keys are the negative discs
+    ranks, sweep_hi = {}, lo
+    if args.oracle and lo < 0:
+        sweep_hi = min(hi, -1) + 1
+        ranks = oracle.rank_sweep(lo, sweep_hi)
+    discs = list(ranks) + [
+        d for d in range(sweep_hi, hi + 1)
         if d not in (0, 1) and is_fundamental_discriminant(d)
     ]
-    tasks = [(d, args.criterion, args.oracle) for d in discs]
+    tasks = [(d, args.criterion, args.oracle, ranks.get(d)) for d in discs]
     if args.jobs > 1 and tasks:
         with Pool(args.jobs) as pool:
             rows = pool.map(_survey_row, tasks, chunksize=64)

@@ -167,14 +167,27 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
     return result
 
 
+def _oracle_limit(bound: int | None = None) -> int:
+    return bound if bound is not None else min(10**6, max_disc())
+
+
 def _check_disc(d: int, bound: int | None = None):
     if d >= 0:
         raise ValueError(f"imaginary quadratic oracle needs d < 0, got {d}")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    limit = bound if bound is not None else min(10**6, max_disc())
+    limit = _oracle_limit(bound)
     if -d > limit:
         raise ValueError(f"|{d}| exceeds oracle bound {limit}")
+
+
+def _exact_log2(n: int, message: str) -> int:
+    """log2 of an ambiguous count, which genus theory makes a power of 2;
+    AssertionError(message) when it is not."""
+    r = n.bit_length() - 1
+    if 1 << r != n:
+        raise AssertionError(message)
+    return r
 
 
 def reduced_forms(d: int, bound: int | None = None) -> list[QuadForm]:
@@ -275,10 +288,7 @@ def class_group_structure(d: int, bound: int | None = None) -> tuple[AbGroup, in
 def two_rank(d: int, bound: int | None = None) -> int:
     """log2 of the number of ambiguous reduced forms."""
     n = sum(1 for f in reduced_forms(d, bound) if f.is_ambiguous())
-    r = n.bit_length() - 1
-    if 1 << r != n:
-        raise AssertionError(f"ambiguous form count {n} is not a power of 2")
-    return r
+    return _exact_log2(n, f"ambiguous form count {n} is not a power of 2")
 
 
 def four_rank(d: int, bound: int | None = None) -> int:
@@ -287,54 +297,58 @@ def four_rank(d: int, bound: int | None = None) -> int:
     forms = reduced_forms(d, bound)
     amb_squares = {g for g in (square(f) for f in forms) if g.is_ambiguous()}
     n = len(amb_squares)
-    r = n.bit_length() - 1
-    if 1 << r != n:
-        raise AssertionError(f"ambiguous square count {n} is not a power of 2")
-    return r
+    return _exact_log2(n, f"ambiguous square count {n} is not a power of 2")
 
 
 def rank_sweep(lo: int, hi: int):
     """two_rank and four_rank for every fundamental discriminant in
     [lo, hi), d < 0, via one global form enumeration.
 
-    Returns {d: (two_rank, four_rank)}.  The per-d work is identical to
-    two_rank/four_rank; the enumeration order is just transposed so the
-    whole range costs one pass over all (a, b, c).
+    Returns {d: (two_rank, four_rank)}, d ascending.  The enumeration order is
+    transposed, so the whole range costs one pass over all (a, b, c),
+    and only one form of each inverse pair is squared: a reduced form
+    with b < 0 is never ambiguous, and it is the inverse of the reduced
+    form (a, -b, c), whose square has the same ambiguous reduced form.
+    An ambiguous form squares to the principal form (a = 1), which is
+    added directly.  two_rank/four_rank square every form and stay the
+    reference.  Raises ValueError, before any enumeration, when the
+    range holds a fundamental discriminant past the oracle bound.
     """
     if lo >= hi or hi > 0:
         raise ValueError("need lo < hi <= 0")
-    fundamental = [
-        d for d in range(lo, hi) if d < 0 and is_fundamental_discriminant(d)
-    ]
-    amb_count = {d: 0 for d in fundamental}
+    limit = _oracle_limit()
+    for d in range(lo, min(hi, -limit)):
+        if is_fundamental_discriminant(d):
+            raise ValueError(f"|{d}| exceeds oracle bound {limit}")
+    fundamental = [d for d in range(lo, hi) if is_fundamental_discriminant(d)]
+    amb_count = dict.fromkeys(fundamental, 0)
     amb_squares = {d: set() for d in fundamental}
-    wanted = amb_count.keys()
     amax = isqrt(-lo // 3)
     for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
+        for b in range(a + 1):
             bb = b * b
             # smallest c with d = bb - 4ac < hi, but also c >= a
             cmin = max(a, (bb - hi) // (4 * a) + 1)
             cmax = (bb - lo) // (4 * a)
             for c in range(cmin, cmax + 1):
                 d = bb - 4 * a * c
-                if d < lo or d not in wanted:
+                if d not in amb_count:
                     continue
-                if a == c and b < 0:
-                    continue
-                f = QuadForm(a, b, c)
-                if f.is_ambiguous():
+                if b == 0 or b == a or a == c:
                     amb_count[d] += 1
-                g = square(f)
+                    if a == 1:
+                        amb_squares[d].add(QuadForm(a, b, c))
+                    continue
+                g = square(QuadForm(a, b, c))
                 if g.is_ambiguous():
                     amb_squares[d].add(g)
     out = {}
     for d in fundamental:
-        n2, n4 = amb_count[d], len(amb_squares[d])
-        r2, r4 = n2.bit_length() - 1, n4.bit_length() - 1
-        if 1 << r2 != n2 or 1 << r4 != n4:
-            raise AssertionError(f"non-power-of-2 ambiguous counts at {d}")
-        out[d] = (r2, r4)
+        message = f"non-power-of-2 ambiguous counts at {d}"
+        out[d] = (
+            _exact_log2(amb_count[d], message),
+            _exact_log2(len(amb_squares[d]), message),
+        )
     return out
 
 

@@ -13,9 +13,12 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, prod
 
 from .abelian import (
+    DESK_SUBGROUP_BOUND,
+    AbGroup,
     Elem,
     elem_order,
     generates,
@@ -249,12 +252,14 @@ class BaseFieldData:
 
     def validate(self, ext: CentralExtension):
         gab = ext.gab
-        if not is_subgroup(gab, self.h_sub):
+        if not _is_subgroup(gab, frozenset(self.h_sub)):
             raise ValueError("H is not a subgroup of Gab")
         if not self.primes:
             raise ValueError("base field data needs at least one ramified prime")
-        gens = list(self.h_sub) + [g for _, g in self.primes]
-        if len(subgroup_generated(gab, gens)) != gab.order:
+        if gab.order > DESK_SUBGROUP_BOUND:
+            # desk scale: the assignment space lists the elements of Gab
+            raise ValueError(f"group order {gab.order} exceeds bound {DESK_SUBGROUP_BOUND}")
+        if not generates(gab, [*self.h_sub, *(g for _, g in self.primes)]):
             raise ValueError("inertia images do not generate Gab/H: K is too small")
         for q, g in self.primes:
             if not is_prime(q) or q == 2:
@@ -272,6 +277,12 @@ class BaseFieldData:
         out = cls(h_sub, primes)
         out.validate(ext)
         return out
+
+
+@lru_cache(maxsize=1 << 10)
+def _is_subgroup(gab: AbGroup, h_sub: frozenset) -> bool:
+    # memoised: every classify call over one base field checks the same H
+    return is_subgroup(gab, h_sub)
 
 
 def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:

@@ -66,6 +66,17 @@ def test_criterion_03_genus_theory_two_rank(sweep):
     print(f"PASS criterion 3: two_rank = t - 1 on {len(sweep)} discriminants")
 
 
+def test_criterion_11_c4_count_is_redei_reichardt(sweep):
+    # Redei-Reichardt: d has exactly 2^{r4} - 1 C4 splittings
+    mismatches = sum(
+        1
+        for d, (_, r4) in sweep.items()
+        if len(c4_criterion(d).witnesses) != 2**r4 - 1
+    )
+    assert mismatches == 0
+    print(f"PASS criterion 11: #C4 splittings = 2^r4 - 1 on {len(sweep)} discriminants")
+
+
 def test_criterion_04_heisenberg_duality():
     rng = random.Random(20240501)
     checked = {3: 0, 5: 0}

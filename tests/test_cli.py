@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+from lemfact import cli, oracle
+from lemfact.arith import is_fundamental_discriminant, omega, prime_discriminants
 from lemfact.cli import main
+from lemfact.criteria import c4_criterion
 
 
 def run(capsys, *argv):
@@ -94,6 +98,68 @@ def test_survey_jobs_deterministic(capsys):
     _, seq, _ = run(capsys, "survey", "--range=-300..-3", "--criterion", "c4", "--oracle")
     _, par, _ = run(capsys, "--jobs", "3", "survey", "--range=-300..-3", "--criterion", "c4", "--oracle")
     assert seq == par
+
+
+def per_disc_survey_csv(lo, hi):
+    """The c4 --oracle survey CSV rebuilt row by row, with the oracle
+    columns from the per-d reference two_rank/four_rank/redei_rank."""
+    columns = (
+        "d", "omega", "t_prime_discs", "exists", "n_witnesses",
+        "count_per_witness", "oracle_two_rank", "oracle_four_rank", "redei_rank",
+    )
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer.writeheader()
+    for d in range(lo, hi + 1):
+        if d in (0, 1) or not is_fundamental_discriminant(d):
+            continue
+        crit = c4_criterion(d)
+        writer.writerow({
+            "d": d,
+            "omega": omega(d),
+            "t_prime_discs": len(prime_discriminants(d)),
+            "exists": crit.exists,
+            "n_witnesses": len(crit.witnesses),
+            "count_per_witness": crit.count_per_witness,
+            "oracle_two_rank": oracle.two_rank(d) if d < 0 else "",
+            "oracle_four_rank": oracle.four_rank(d) if d < 0 else "",
+            "redei_rank": oracle.redei_rank(d),
+        })
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("lo,hi", [(-3000, -2500), (-60, 60)])
+def test_survey_oracle_matches_per_disc_reference(capsys, lo, hi):
+    code, out, _ = run(capsys, "survey", f"--range={lo}..{hi}", "--criterion", "c4", "--oracle")
+    assert code == 0
+    assert out == per_disc_survey_csv(lo, hi)
+
+
+def test_survey_oracle_jobs_byte_identical(capsys):
+    argv = ("survey", "--range=-3000..-2500", "--criterion", "c4", "--oracle")
+    _, seq, _ = run(capsys, "--jobs", "1", *argv)
+    _, par, _ = run(capsys, "--jobs", "2", *argv)
+    assert seq == par
+
+
+def test_survey_oracle_bound_fails_before_rows(capsys, monkeypatch):
+    monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+
+    def no_rows(task):
+        raise AssertionError(f"row for {task[0]} computed past the oracle bound")
+
+    monkeypatch.setattr(cli, "_survey_row", no_rows)
+    lo, hi = -1000050, -3
+    first = next(d for d in range(lo, hi + 1) if is_fundamental_discriminant(d))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "--max-disc", "2000000",
+        "survey", f"--range={lo}..{hi}", "--criterion", "c4", "--oracle",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: |{first}| exceeds oracle bound 1000000\n"
 
 
 def test_survey_empty_range(capsys):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from lemfact.arith import is_fundamental_discriminant, kronecker, prime_discriminants
 from lemfact.criteria import c4_criterion, h8_criterion, heisenberg_criterion
+from lemfact.oracle import redei_rank
 
 
 def test_c4_known_positive():
@@ -51,6 +52,14 @@ def test_c4_witnesses_verify(d):
             assert kronecker(d2, p) == 1
     if rep.exists:
         assert rep.count_per_witness == 2 ** (len(parts) - 2)
+
+
+def test_c4_witness_count_is_redei_reichardt():
+    # Redei-Reichardt: the C4 splittings of d number 2^{r4} - 1
+    for d in range(-1999, 2000):
+        if d in (0, 1) or not is_fundamental_discriminant(d):
+            continue
+        assert len(c4_criterion(d).witnesses) == 2 ** redei_rank(d) - 1, d
 
 
 def test_h8_small_negatives():

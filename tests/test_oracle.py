@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from lemfact.arith import is_fundamental_discriminant, prime_discriminants
 from lemfact.oracle import (
     QuadForm,
+    _exact_log2,
     class_group_structure,
     class_number,
     compose,
@@ -126,6 +128,33 @@ def test_rank_sweep_matches_per_disc():
     assert set(sweep) == set(DISCS)
     for d in DISCS:
         assert sweep[d] == (two_rank(d), four_rank(d))
+
+
+def test_rank_sweep_matches_per_disc_large_window():
+    # rank_sweep squares only the non-ambiguous forms with b > 0; those
+    # are rare below |d| = 800, so compare on a window further out
+    lo, hi = -20000, -19700
+    discs = [d for d in range(lo, hi) if is_fundamental_discriminant(d)]
+    sweep = rank_sweep(lo, hi)
+    assert sorted(sweep) == discs
+    for d in discs:
+        assert sweep[d] == (two_rank(d), four_rank(d)), d
+
+
+def test_rank_sweep_enforces_oracle_bound(monkeypatch):
+    monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+    first = next(d for d in range(-(10**9), -3) if is_fundamental_discriminant(d))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^\|{first}\| exceeds oracle bound 1000000$"):
+        rank_sweep(-(10**9), -3)
+    assert time.perf_counter() - start < 1
+
+
+def test_exact_log2():
+    assert [_exact_log2(n, "unused") for n in (1, 2, 4, 1024)] == [0, 1, 2, 10]
+    for n in (3, 6, 12):
+        with pytest.raises(AssertionError, match=f"^count {n}$"):
+            _exact_log2(n, f"count {n}")
 
 
 def test_redei_matrix_rows_sum_to_zero():
