@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 DESK_SUBGROUP_BOUND = 2**16
@@ -88,25 +88,26 @@ def elem_order(G: AbGroup, x: Elem) -> int:
     return n
 
 
-def group_exponent(G: AbGroup) -> int:
-    return G.exponent
+def _closure(zero, gens, op) -> frozenset:
+    """All elements reachable from zero by repeatedly applying op(x, g)
+    with g in gens: the subgroup generated by gens in a finite group."""
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = op(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
 
 
 def subgroup_generated(G: AbGroup, gens, bound: int = DESK_SUBGROUP_BOUND) -> frozenset:
     """Explicit element set of <gens>; groups in scope are desk-scale."""
     if G.order > bound:
         raise ValueError(f"group order {G.order} exceeds bound {bound}")
-    seen = {G.zero()}
-    frontier = [G.zero()]
-    gens = [G.reduce(g) for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+    return _closure(G.zero(), [G.reduce(g) for g in gens], G.add)
 
 
 def is_subgroup(G: AbGroup, H) -> bool:
@@ -114,14 +115,6 @@ def is_subgroup(G: AbGroup, H) -> bool:
     if G.zero() not in H:
         return False
     return all(G.add(x, y) in H for x in H for y in H)
-
-
-def subgroup_index(G: AbGroup, H) -> int:
-    if not is_subgroup(G, H):
-        raise ValueError("H is not a subgroup")
-    q, r = divmod(G.order, len(H))
-    assert r == 0
-    return q
 
 
 def generated_subgroup_order(G: AbGroup, gens) -> int:
@@ -161,10 +154,6 @@ def torsion_count(A: AbGroup, n: int) -> int:
     return prod(gcd(m, n) for m in A.moduli)
 
 
-def torsion_subgroup(A: AbGroup, n: int) -> frozenset:
-    return frozenset(x for x in A.elements() if all((n * c) % m == 0 for c, m in zip(x, A.moduli)))
-
-
 def multiple_subgroup(A: AbGroup, n: int) -> frozenset:
     """The subgroup n*A = {n*a : a in A}."""
     return frozenset(A.smul(n, x) for x in A.elements())
@@ -194,28 +183,6 @@ class AbHom:
             sum(self.matrix[i][j] * x[j] for j in range(self.domain.rank)) % n
             for i, n in enumerate(self.codomain.moduli)
         )
-
-    def compose(self, other: "AbHom") -> "AbHom":
-        """self after other."""
-        if other.codomain != self.domain:
-            raise ValueError("composition mismatch")
-        rows = self.codomain.rank
-        cols = other.domain.rank
-        mid = self.domain.rank
-        mat = tuple(
-            tuple(
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(mid))
-                % self.codomain.moduli[i]
-                for j in range(cols)
-            )
-            for i in range(rows)
-        )
-        return AbHom(other.domain, self.codomain, mat)
-
-
-def identity_hom(A: AbGroup) -> AbHom:
-    n = A.rank
-    return AbHom(A, A, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def enumerate_automorphisms(A: AbGroup, bound: int = DESK_AUT_BOUND) -> list[AbHom]:

@@ -1,12 +1,12 @@
 """Exact elementary number theory: factorization, discriminants, Kronecker
-symbols, primitive roots, discrete logs, and power-residue characters."""
+symbols, primitive roots, and power-residue characters."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 _DEFAULT_MAX_DISC = 2**63
 
@@ -179,7 +179,7 @@ def underlying_prime(disc_factor: int) -> int:
 _proot_cache: dict[int, int] = {}
 
 
-def primitive_root(q: int, e: int = 1) -> int:
+def primitive_root(q: int) -> int:
     """Smallest positive generator of (Z/q^2)^x, which also generates
     (Z/q^e)^x for every e >= 1.  q must be an odd prime."""
     g = _proot_cache.get(q)
@@ -199,39 +199,14 @@ def primitive_root(q: int, e: int = 1) -> int:
 
 
 @lru_cache(maxsize=1 << 18)
-def discrete_log(g: int, x: int, modulus: int) -> int:
-    """Least k >= 0 with g^k = x mod modulus, baby-step giant-step."""
-    x %= modulus
-    if gcd(x, modulus) != 1:
-        raise ValueError(f"{x} is not a unit mod {modulus}")
-    if x == 1:
-        return 0
-    m = isqrt(modulus) + 1
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * g % modulus
-    # cur = g^m; giant steps multiply x by g^{-m}
-    ginv_m = pow(cur, -1, modulus)
-    y = x
-    for i in range(m):
-        j = table.get(y)
-        if j is not None:
-            k = i * m + j
-            if k > 0:
-                return k
-        y = y * ginv_m % modulus
-    raise ValueError(f"{x} is not a power of {g} mod {modulus}")
-
-
-@lru_cache(maxsize=1 << 18)
 def power_residue_char(p: int, qp: PrimePower, n: int) -> int:
     """Image of p in (Z/q^e)^x modulo n-th powers, as a residue in Z/nZ.
 
     With phi = q^(e-1)(q-1) and m = gcd(n, phi), p maps to its discrete
-    log (base the engine-wide smallest primitive root) reduced mod m, then
-    embedded into Z/nZ via multiplication by n/m.
+    log k (base the engine-wide smallest primitive root g) reduced mod m,
+    then embedded into Z/nZ via multiplication by n/m.  Only k mod m is
+    needed: p^(phi/m) = zeta^k with zeta = g^(phi/m) of order m, so a scan
+    of the m powers of zeta finds it in O(m) steps, m dividing n.
     """
     q, e = qp.q, qp.e
     if q == 2:
@@ -245,25 +220,11 @@ def power_residue_char(p: int, qp: PrimePower, n: int) -> int:
     if m == 1:
         return 0
     mod = q**e
-    g = primitive_root(q, e)
-    # dlog only needed mod m; when m | q-1 the residue mod q determines it
-    if (q - 1) % m == 0:
-        k = discrete_log(g, p % q, q)
-    else:
-        k = discrete_log(g, p % mod, mod)
-    return (n // m) * (k % m) % n
-
-
-def char_composite(p: int, a: int, n: int) -> int:
-    """Sum of power_residue_char over the prime-power divisors of |a|.
-
-    The sign of a is ignored; a must be odd and coprime to p.
-    """
-    a = abs(a)
-    if a % 2 == 0:
-        raise ValueError("composite character requires odd a")
-    if a == 1:
-        return 0
-    if gcd(p, a) != 1:
-        raise ValueError(f"{p} not coprime to {a}")
-    return sum(power_residue_char(p, pp, n) for pp in factorize(a)) % n
+    x = pow(p, phi // m, mod)
+    zeta = pow(primitive_root(q), phi // m, mod)
+    cur = 1
+    for k in range(m):
+        if cur == x:
+            return (n // m) * k % n
+        cur = cur * zeta % mod
+    raise AssertionError(f"{x} is not a power of {zeta} mod {mod}")

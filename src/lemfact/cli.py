@@ -15,7 +15,6 @@ import sys
 from multiprocessing import Pool
 
 from . import arith, oracle
-from .abelian import AbGroup, subgroup_generated
 from .arith import is_fundamental_discriminant, prime_discriminants
 from .cocycle import CentralExtension, preset
 from .criteria import c4_criterion, h8_criterion, heisenberg_criterion
@@ -55,20 +54,9 @@ def _parse_ext(spec: str):
     return preset(canon, int(param) if param else None)
 
 
-def cmd_c4(args) -> int:
-    rep = c4_criterion(args.d)
-    lines = [f"exists={str(rep.exists).lower()}"]
-    for w in rep.witnesses:
-        sym = " ".join(f"{s}={v}" for s, v in w.symbol_checks)
-        lines.append(f"witness {list(w.parts)}  {sym}")
-    if rep.exists:
-        lines.append(f"count_per_witness={rep.count_per_witness}")
-    _emit(rep.to_json(), lines, args.format)
-    return 0
-
-
-def cmd_h8(args) -> int:
-    rep = h8_criterion(args.d)
+def cmd_quadratic(args) -> int:
+    """The C4 or H8 criterion, whichever the subcommand set as args.criterion."""
+    rep = args.criterion(args.d)
     lines = [f"exists={str(rep.exists).lower()}"]
     for w in rep.witnesses:
         sym = " ".join(f"{s}={v}" for s, v in w.symbol_checks)
@@ -358,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c4", help="C4 criterion for a fundamental discriminant")
     p.add_argument("d", type=int)
-    p.set_defaults(func=cmd_c4)
+    p.set_defaults(func=cmd_quadratic, criterion=c4_criterion)
 
     p = sub.add_parser("h8", help="quaternion criterion for a fundamental discriminant")
     p.add_argument("d", type=int)
-    p.set_defaults(func=cmd_h8)
+    p.set_defaults(func=cmd_quadratic, criterion=h8_criterion)
 
     p = sub.add_parser("heisenberg", help="Heisenberg criterion for ell and three primes")
     p.add_argument("l", type=int)

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .abelian import (
     AbGroup,
     Elem,
+    _closure,
     elem_order,
     enumerate_automorphisms,
     is_subgroup,
@@ -33,7 +34,6 @@ class CentralExtension:
         self.a = a
         self.table = table
         self._ye = None
-        self._commutator = None
         self._stab_order = None
 
     def c(self, g: Elem, h: Elem) -> Elem:
@@ -93,13 +93,6 @@ class CentralExtension:
             self._ye = frozenset(out)
         return self._ye
 
-    def commutator_subgroup(self) -> frozenset:
-        """Subgroup of A generated by all pairing values; equals [E,E]."""
-        if self._commutator is None:
-            gens = {self.pairing(x, y) for x in self.gab.elements() for y in self.gab.elements()}
-            self._commutator = subgroup_generated(self.a, gens)
-        return self._commutator
-
     # --- total group -------------------------------------------------
 
     def ext_zero(self):
@@ -123,17 +116,7 @@ class CentralExtension:
         return n
 
     def ext_generated(self, gens) -> frozenset:
-        seen = {self.ext_zero()}
-        frontier = [self.ext_zero()]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.ext_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        return _closure(self.ext_zero(), list(gens), self.ext_mul)
 
     # --- serialization ----------------------------------------------
 
@@ -259,17 +242,6 @@ def is_coboundary(gab: AbGroup, a: AbGroup, table: Cocycle):
     for g in els:
         witness[g] = tuple(cols_per_elem[coord][index[g]] for coord in range(a.rank))
     return True, witness
-
-
-def coboundary_table(gab: AbGroup, a: AbGroup, phi: dict) -> Cocycle:
-    """The 2-coboundary of a 1-cochain phi (with phi(0) = 0)."""
-    table = {}
-    for g in gab.elements():
-        for h in gab.elements():
-            v = a.sub(a.add(phi[g], phi[h]), phi[gab.add(g, h)])
-            if v != a.zero():
-                table[(g, h)] = v
-    return table
 
 
 def cohomologous(e1: CentralExtension, e2: CentralExtension) -> bool:

@@ -25,7 +25,6 @@ from .abelian import (
     hom_count,
     is_subgroup,
     subgroup_generated,
-    subgroup_index,
     torsion_count,
 )
 from .arith import PrimePower, factorize, is_prime, power_residue_char, prime_star
@@ -73,9 +72,6 @@ class RamAssignment:
                 return y
         raise KeyError(p)
 
-    def image_subgroup(self) -> frozenset:
-        return subgroup_generated(self.ext.gab, [y for _, y in self.entries])
-
 
 @dataclass(frozen=True)
 class DiscFactorization:
@@ -103,22 +99,6 @@ class DiscFactorization:
             if yy == y:
                 return d
         return 1
-
-    def support(self):
-        return [y for y, _ in self.factors]
-
-    def image_subgroup(self) -> frozenset:
-        return subgroup_generated(self.ext.gab, self.support())
-
-    def disc(self) -> int:
-        """disc(f) = prod |d_y| ^ [Im : <y>]."""
-        gab = self.ext.gab
-        im = self.image_subgroup()
-        out = 1
-        for y, d in self.factors:
-            idx = len(im) // len(subgroup_generated(gab, [y]))
-            out *= abs(d) ** idx
-        return out
 
 
 def factorization_of(assignment: RamAssignment) -> DiscFactorization:
@@ -256,6 +236,8 @@ class BaseFieldData:
             raise ValueError("H is not a subgroup of Gab")
         if not self.primes:
             raise ValueError("base field data needs at least one ramified prime")
+        for _, g in self.primes:
+            gab.check_elem(g)
         if gab.order > DESK_SUBGROUP_BOUND:
             # desk scale: the assignment space lists the elements of Gab
             raise ValueError(f"group order {gab.order} exceeds bound {DESK_SUBGROUP_BOUND}")
@@ -272,7 +254,10 @@ class BaseFieldData:
 
     @classmethod
     def from_json(cls, data: dict, ext: CentralExtension) -> "BaseFieldData":
-        h_sub = subgroup_generated(ext.gab, [tuple(g) for g in data["H"]])
+        gens = [tuple(g) for g in data["H"]]
+        for g in gens:
+            ext.gab.check_elem(g)
+        h_sub = subgroup_generated(ext.gab, gens)
         primes = tuple((int(e["q"]), tuple(e["image"])) for e in data["primes"])
         out = cls(h_sub, primes)
         out.validate(ext)

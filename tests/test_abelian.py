@@ -13,15 +13,12 @@ from lemfact.abelian import (
     generated_subgroup_order,
     generates,
     hom_count,
-    identity_hom,
     is_subgroup,
     multiple_subgroup,
     smith_normal_form,
     solve_modular_linear,
     subgroup_generated,
-    subgroup_index,
     torsion_count,
-    torsion_subgroup,
 )
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -116,7 +113,6 @@ def test_subgroup_machinery():
     h = subgroup_generated(g, [(1, 0, 0), (0, 1, 0)])
     assert len(h) == 4
     assert is_subgroup(g, h)
-    assert subgroup_index(g, h) == 2
     assert generated_subgroup_order(g, [(1, 1, 0), (0, 1, 1)]) == 4
     assert generates(g, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert not generates(g, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
@@ -136,7 +132,8 @@ def test_generated_order_matches_element_set(moduli, data):
 def test_torsion_and_multiples():
     a = AbGroup((4, 6))
     assert torsion_count(a, 2) == 4
-    assert torsion_subgroup(a, 2) == {(0, 0), (2, 0), (0, 3), (2, 3)}
+    killed_by_2 = {x for x in a.elements() if a.smul(2, x) == a.zero()}
+    assert killed_by_2 == {(0, 0), (2, 0), (0, 3), (2, 3)}
     assert multiple_subgroup(a, 2) == {
         (x, y) for x in (0, 2) for y in (0, 2, 4)
     }
@@ -162,8 +159,8 @@ def test_hom_call_and_compose():
     g = AbGroup((4,))
     dbl = AbHom(g, g, ((2,),))
     assert dbl((3,)) == (2,)
-    assert dbl.compose(dbl)((1,)) == (0,)
-    assert identity_hom(g)((3,)) == (3,)
+    assert dbl(dbl((1,))) == (0,)
+    assert AbHom(g, g, ((1,),))((3,)) == (3,)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,23 @@ def test_c4_text_and_exit_code(capsys):
     assert "exists=false" in out
 
 
+def test_c4_h8_text_output_is_pinned(capsys):
+    assert run(capsys, "c4", "205") == (
+        0,
+        "exists=true\n"
+        "witness [5, 41]  (5/41)=1 (41/5)=1\n"
+        "count_per_witness=1\n",
+        "",
+    )
+    assert run(capsys, "h8", "-420") == (
+        0,
+        "exists=true\n"
+        "witness [-4, 5, 21]  (-20/3)=1 (-20/7)=1 (105/2)=1 (-84/5)=1\n"
+        "count_per_witness=2\n",
+        "",
+    )
+
+
 def test_invalid_discriminant_exits_2(capsys):
     code, _, err = run(capsys, "c4", "45")
     assert code == 2
@@ -263,6 +280,28 @@ def test_classify_bad_ext_exits_2(tmp_path, capsys):
     kdata.write_text(json.dumps({"H": [[1, 0]], "primes": []}))
     code, _, err = run(capsys, "classify", "--ext", "nosuch", "--kdata", str(kdata))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "h_gens,image,bad",
+    [
+        ([[1, 0]], [0], "(0,)"),  # too short: used to raise IndexError
+        ([[1, 0]], [0, 1, 1], "(0, 1, 1)"),  # too long: used to be truncated
+        ([[1]], [0, 1], "(1,)"),  # too-short generator of H
+    ],
+    ids=["short-image", "long-image", "short-h-generator"],
+)
+def test_classify_wrong_length_element_exits_2(tmp_path, capsys, h_gens, image, bad):
+    kdata = tmp_path / "k.json"
+    kdata.write_text(
+        json.dumps(
+            {"H": h_gens, "primes": [{"q": 5, "image": image}, {"q": 41, "image": [0, 1]}]}
+        )
+    )
+    code, out, err = run(capsys, "classify", "--ext", "C4_D4", "--kdata", str(kdata))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: element {bad} has wrong length for moduli (2, 2)\n"
 
 
 def test_max_disc_flag(capsys, monkeypatch):

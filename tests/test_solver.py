@@ -67,7 +67,6 @@ def test_factorization_round_trip(d4):
     fact = factorization_of(asg)
     assert fact.factor_of((0, 1)) == 65
     assert fact.factor_of((1, 1)) == 41
-    assert fact.disc() == (65 * 41) ** 2
     back = assignment_from_factorization(ext, fact)
     assert back.entries == asg.entries
 
@@ -164,7 +163,8 @@ def test_enumerate_assignments_deterministic(heis3):
 def test_assignments_generate_gab(heis3):
     ext, h = heis3
     for asg in enumerate_assignments(ext, h, heis_kdata(h, (7, 13, 43))):
-        assert len(asg.image_subgroup()) == ext.gab.order
+        images = [y for _, y in asg.entries]
+        assert len(subgroup_generated(ext.gab, images)) == ext.gab.order
 
 
 def test_count_extensions_formula(d4, heis3):
