@@ -6,7 +6,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt, prod
 
 _DEFAULT_MAX_DISC = 2**63
 
@@ -169,6 +170,74 @@ def prime_discriminants(d: int) -> list[int]:
             raise AssertionError(f"bad 2-part {rest} of {d}")
         parts.append(rest)
     return sorted(parts, key=abs)
+
+
+_SIEVE_BLOCK = 1 << 14
+
+
+def _odd_primes(limit: int):
+    """The odd primes <= limit, ascending.  Sieved block by block with the
+    odd primes <= isqrt(limit), so memory stays within one block."""
+    small = list(_odd_primes(isqrt(limit))) if limit >= 9 else []
+    for a in range(3, limit + 1, _SIEVE_BLOCK):  # a stays odd
+        b = min(a + _SIEVE_BLOCK, limit + 1)
+        marks = bytearray(b"\x01") * (b - a)
+        for p in small:
+            if p * p >= b:
+                break
+            s = max(p * p, -(-a // p) * p) - a
+            marks[s::p] = bytes(len(range(s, b - a, p)))
+        yield from compress(range(a, b, 2), marks[::2])
+
+
+def fundamental_discriminants(lo: int, hi: int):
+    """(d, prime_discriminants(d)) for every fundamental d not in {0, 1}
+    with lo <= d < hi, d ascending, from one segmented sieve.
+
+    d is fundamental iff d = 1 mod 4, d = 8 mod 16 or d = 12 mod 16, and
+    the odd part of d is squarefree.  Each block of _SIEVE_BLOCK values
+    is sieved by the odd primes <= isqrt(max |d| in the block): they give
+    the squarefree test and every odd prime factor but at most one, the
+    cofactor.  The bound is checked once, before any sieving.
+    """
+    top = max(abs(lo), abs(hi - 1)) if lo < hi else 0
+    if top > max_disc():
+        raise ValueError(f"{top} exceeds discriminant bound {max_disc()}")
+    a = lo
+    while a < hi:
+        b = min(hi, (a // _SIEVE_BLOCK + 1) * _SIEVE_BLOCK)
+        size = b - a
+        square = bytearray(size)
+        factors = [[] for _ in range(size)]
+        for p in _odd_primes(isqrt(max(abs(a), abs(b - 1)))):
+            for i in range(-a % p, size, p):
+                factors[i].append(p)
+            s = -a % (p * p)
+            square[s::p * p] = b"\x01" * len(range(s, size, p * p))
+        for i in range(size):
+            d = a + i
+            if square[i] or d == 1:
+                continue
+            if d % 4 == 1:
+                two = None
+                u = d
+            elif d % 16 == 12:
+                two = -4
+                u = d >> 2
+            elif d % 16 == 8:
+                u = d >> 3
+                two = 8 if u % 4 == 1 else -8
+            else:
+                continue
+            primes = factors[i]
+            rest = abs(u) // prod(primes)
+            parts = [p if p % 4 == 1 else -p for p in primes]
+            if rest > 1:
+                parts.append(rest if rest % 4 == 1 else -rest)
+            if two is not None:
+                parts.append(two)
+            yield d, sorted(parts, key=abs)
+        a = b
 
 
 def underlying_prime(disc_factor: int) -> int:

@@ -17,7 +17,13 @@ from multiprocessing import Pool
 from . import arith, oracle
 from .arith import is_fundamental_discriminant, prime_discriminants
 from .cocycle import CentralExtension, preset
-from .criteria import c4_criterion, h8_criterion, heisenberg_criterion
+from .criteria import (
+    c4_criterion,
+    c4_from_parts,
+    h8_criterion,
+    h8_from_parts,
+    heisenberg_criterion,
+)
 from .solver import BaseFieldData, classify
 
 
@@ -110,12 +116,13 @@ _SURVEY_COLUMNS = (
 
 
 def _survey_row(task):
-    d, criterion, with_oracle, ranks = task
-    crit = c4_criterion(d) if criterion == "c4" else h8_criterion(d)
+    d, parts, criterion, with_oracle, ranks = task
+    crit = c4_from_parts(parts) if criterion == "c4" else h8_from_parts(parts)
+    # for a fundamental d, omega(d) is the number of prime discriminants
     row = {
         "d": d,
-        "omega": arith.omega(d),
-        "t_prime_discs": len(prime_discriminants(d)),
+        "omega": len(parts),
+        "t_prime_discs": len(parts),
         "exists": crit.exists,
         "n_witnesses": len(crit.witnesses),
         "count_per_witness": crit.count_per_witness,
@@ -140,18 +147,17 @@ def cmd_survey(args) -> int:
         raise ValueError(f"empty-or-reversed range {args.range!r}")
     if max(abs(lo), abs(hi)) > arith.max_disc():
         raise ValueError("range exceeds the discriminant bound")
-    # one sweep for the negative part of the range, before any row: the
-    # oracle ranks ride along in the tasks, so --jobs parallelizes only
-    # the criterion rows, and the sweep's keys are the negative discs
-    ranks, sweep_hi = {}, lo
+    # one oracle sweep for the negative part of the range, before any
+    # row (its bound error comes first), then one sieve for the whole
+    # range: the ranks and prime discriminants ride along in the tasks,
+    # so --jobs parallelizes only the criterion rows
+    ranks = {}
     if args.oracle and lo < 0:
-        sweep_hi = min(hi, -1) + 1
-        ranks = oracle.rank_sweep(lo, sweep_hi)
-    discs = list(ranks) + [
-        d for d in range(sweep_hi, hi + 1)
-        if d not in (0, 1) and is_fundamental_discriminant(d)
+        ranks = oracle.rank_sweep(lo, min(hi, -1) + 1)
+    tasks = [
+        (d, parts, args.criterion, args.oracle, ranks.get(d))
+        for d, parts in arith.fundamental_discriminants(lo, hi + 1)
     ]
-    tasks = [(d, args.criterion, args.oracle, ranks.get(d)) for d in discs]
     if args.jobs > 1 and tasks:
         with Pool(args.jobs) as pool:
             rows = pool.map(_survey_row, tasks, chunksize=64)

@@ -52,22 +52,16 @@ class CriterionReport:
         }
 
 
-def _splits(parts, k):
-    """Unordered partitions of the prime-discriminant list into k
-    nonempty blocks, as tuples of products."""
-    n = len(parts)
+def _splits(n, k):
+    """Unordered partitions of range(n) into k nonempty blocks, as tuples
+    of index tuples, each block ascending."""
     if k == 2:
-        out = []
         for r in range(1, n):
             for idx in itertools.combinations(range(n), r):
                 if 0 in idx:  # fix part 0 in the first block: unordered
-                    rest = [i for i in range(n) if i not in idx]
-                    out.append(
-                        (prod(parts[i] for i in idx), prod(parts[i] for i in rest))
-                    )
-        return out
+                    yield idx, tuple(i for i in range(n) if i not in idx)
+        return
     assert k == 3
-    out = []
     for ra in range(1, n - 1):
         for ia in itertools.combinations(range(1, n), ra):
             block_a = (0,) + ia
@@ -75,41 +69,38 @@ def _splits(parts, k):
             for rb in range(1, len(rest)):
                 for ib in itertools.combinations(rest[1:], rb - 1):
                     block_b = (rest[0],) + ib
-                    block_c = [i for i in rest if i not in block_b]
-                    out.append(
-                        (
-                            prod(parts[i] for i in block_a),
-                            prod(parts[i] for i in block_b),
-                            prod(parts[i] for i in block_c),
-                        )
-                    )
-    return out
+                    yield block_a, block_b, tuple(i for i in rest if i not in block_b)
 
 
-def _cross_checks(d1: int, d2: int):
-    """Symbols (d1 / p) for p | d2 and (d2 / p) for p | d1."""
-    checks = []
-    for p in sorted({underlying_prime(f) for f in prime_discriminants(d2)}):
-        checks.append((f"({d1}/{p})", kronecker(d1, p)))
-    for p in sorted({underlying_prime(f) for f in prime_discriminants(d1)}):
-        checks.append((f"({d2}/{p})", kronecker(d2, p)))
-    return checks
+def _check_field(d: int) -> list[int]:
+    if not is_fundamental_discriminant(d) or d == 1:
+        raise ValueError(f"{d} is not a fundamental discriminant of a field")
+    return prime_discriminants(d)
 
 
 def c4_criterion(d: int) -> CriterionReport:
     """Existence of an unramified cyclic quartic extension of the
     quadratic field of discriminant d: some coprime factorization
     d = d1*d2 with (d1/p) = 1 for all p | d2 and vice versa."""
-    if not is_fundamental_discriminant(d) or d == 1:
-        raise ValueError(f"{d} is not a fundamental discriminant of a field")
-    parts = prime_discriminants(d)
-    omega = len(parts)
+    return c4_from_parts(_check_field(d))
+
+
+def c4_from_parts(parts: list[int]) -> CriterionReport:
+    """c4_criterion on the prime discriminants of d, sorted by |.|."""
+    primes = [underlying_prime(f) for f in parts]
     witnesses = []
-    for d1, d2 in _splits(parts, 2):
-        checks = _cross_checks(d1, d2)
+    for b1, b2 in _splits(len(parts), 2):
+        d1 = prod(parts[i] for i in b1)
+        d2 = prod(parts[i] for i in b2)
+        # symbols (d1 / p) for p | d2, then (d2 / p) for p | d1
+        checks = [
+            (f"({x}/{p})", kronecker(x, p))
+            for x, block in ((d1, b2), (d2, b1))
+            for p in sorted(primes[i] for i in block)
+        ]
         if all(v == 1 for _, v in checks):
             witnesses.append(FactorizationWitness(tuple(sorted((d1, d2))), tuple(checks)))
-    count = 2 ** (omega - 2) if witnesses else 0
+    count = 2 ** (len(parts) - 2) if witnesses else 0
     return CriterionReport(bool(witnesses), tuple(witnesses), count)
 
 
@@ -117,32 +108,30 @@ def h8_criterion(d: int) -> CriterionReport:
     """Existence of an unramified quaternion extension normal over Q:
     some coprime factorization d = d1*d2*d3, at most one part negative,
     with (d_i d_j / p) = 1 for all p | d_k, all three rotations."""
-    if not is_fundamental_discriminant(d) or d == 1:
-        raise ValueError(f"{d} is not a fundamental discriminant of a field")
-    parts = prime_discriminants(d)
-    omega = len(parts)
+    return h8_from_parts(_check_field(d))
+
+
+def h8_from_parts(parts: list[int]) -> CriterionReport:
+    """h8_criterion on the prime discriminants of d, sorted by |.|."""
+    primes = [underlying_prime(f) for f in parts]
     witnesses = []
-    if omega >= 3:
-        for triple in _splits(parts, 3):
-            if sum(1 for t in triple if t < 0) > 1:
-                continue
-            checks = []
-            ok = True
-            for k in range(3):
-                i, j = [t for t in range(3) if t != k]
-                dij = triple[i] * triple[j]
-                for p in sorted(
-                    {underlying_prime(f) for f in prime_discriminants(triple[k])}
-                ):
-                    v = kronecker(dij, p)
-                    checks.append((f"({dij}/{p})", v))
-                    if v != 1:
-                        ok = False
-            if ok:
-                witnesses.append(
-                    FactorizationWitness(tuple(sorted(triple)), tuple(checks))
-                )
-    count = 2 ** (omega - 3) if witnesses else 0
+    for blocks in _splits(len(parts), 3):
+        triple = [prod(parts[i] for i in block) for block in blocks]
+        if sum(1 for t in triple if t < 0) > 1:
+            continue
+        checks = []
+        ok = True
+        for k in range(3):
+            i, j = [t for t in range(3) if t != k]
+            dij = triple[i] * triple[j]
+            for p in sorted(primes[m] for m in blocks[k]):
+                v = kronecker(dij, p)
+                checks.append((f"({dij}/{p})", v))
+                if v != 1:
+                    ok = False
+        if ok:
+            witnesses.append(FactorizationWitness(tuple(sorted(triple)), tuple(checks)))
+    count = 2 ** (len(parts) - 3) if witnesses else 0
     return CriterionReport(bool(witnesses), tuple(witnesses), count)
 
 

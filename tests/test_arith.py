@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemfact import arith
 from lemfact.arith import (
     PrimePower,
     factorize,
+    fundamental_discriminants,
     is_fundamental_discriminant,
     is_prime,
     is_squarefree,
@@ -102,6 +104,62 @@ def test_prime_discriminant_factorization(d):
         prod *= v
     assert prod == d
     assert len({underlying_prime(v) for v in parts}) == len(parts)
+
+
+def per_disc_parts(lo, hi):
+    return {
+        d: prime_discriminants(d)
+        for d in range(lo, hi)
+        if d not in (0, 1) and is_fundamental_discriminant(d)
+    }
+
+
+BLOCK = arith._SIEVE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (-5000, 5000),  # crosses 0
+        (-2, -1),
+        (1, 2),
+        (10**10, 10**10 + 300),
+        (BLOCK - 150, BLOCK + 150),  # crosses a block boundary
+        (-BLOCK - 150, -BLOCK + 150),
+        (2 * BLOCK + 7, 3 * BLOCK - 5),  # starts and ends inside one block
+        (5 * BLOCK + 100, 7 * BLOCK + 33),  # spans a whole block
+    ],
+)
+def test_sieve_matches_per_disc_reference(lo, hi):
+    got = list(fundamental_discriminants(lo, hi))
+    ds = [d for d, _ in got]
+    assert ds == sorted(set(ds))
+    assert dict(got) == per_disc_parts(lo, hi)
+
+
+def test_sieve_small_blocks(monkeypatch):
+    # many short blocks, one of them split by 0, and ranges cut mid-block
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", 64)
+    for lo, hi in ((-1000, 1000), (-37, 29), (101, 1000), (-1000, -101)):
+        assert dict(fundamental_discriminants(lo, hi)) == per_disc_parts(lo, hi)
+
+
+def test_sieve_covers_even_discriminants():
+    got = dict(fundamental_discriminants(-5000, 5000))
+    assert {d % 16 for d in got} == {1, 5, 9, 13, 8, 12}
+    two_parts = {v for parts in got.values() for v in parts if v % 2 == 0}
+    assert two_parts == {8, -8, -4}
+    assert got[8] == [8] and got[-8] == [-8] and got[-4] == [-4]
+    assert got[-24] == [-3, 8] and got[24] == [-3, -8] and got[-84] == [-3, -4, -7]
+
+
+def test_sieve_checks_bound_before_work(monkeypatch):
+    monkeypatch.setenv("LEMFACT_MAX_DISC", "1000")
+    with pytest.raises(ValueError, match="^1001 exceeds discriminant bound 1000$"):
+        next(fundamental_discriminants(-1001, 3))
+    assert len(list(fundamental_discriminants(-1000, 1001))) == len(
+        per_disc_parts(-1000, 1001)
+    )
 
 
 @pytest.mark.parametrize("q", ODD_PRIMES)

@@ -8,7 +8,7 @@ import pytest
 from lemfact import cli, oracle
 from lemfact.arith import is_fundamental_discriminant, omega, prime_discriminants
 from lemfact.cli import main
-from lemfact.criteria import c4_criterion
+from lemfact.criteria import c4_criterion, h8_criterion
 
 
 def run(capsys, *argv):
@@ -117,9 +117,10 @@ def test_survey_jobs_deterministic(capsys):
     assert seq == par
 
 
-def per_disc_survey_csv(lo, hi):
-    """The c4 --oracle survey CSV rebuilt row by row, with the oracle
-    columns from the per-d reference two_rank/four_rank/redei_rank."""
+def per_disc_survey_csv(lo, hi, criterion="c4", with_oracle=True):
+    """The survey CSV rebuilt row by row from the per-d references:
+    omega, prime_discriminants, the criterion, and with the oracle the
+    per-d two_rank/four_rank/redei_rank."""
     columns = (
         "d", "omega", "t_prime_discs", "exists", "n_witnesses",
         "count_per_witness", "oracle_two_rank", "oracle_four_rank", "redei_rank",
@@ -130,7 +131,7 @@ def per_disc_survey_csv(lo, hi):
     for d in range(lo, hi + 1):
         if d in (0, 1) or not is_fundamental_discriminant(d):
             continue
-        crit = c4_criterion(d)
+        crit = c4_criterion(d) if criterion == "c4" else h8_criterion(d)
         writer.writerow({
             "d": d,
             "omega": omega(d),
@@ -138,9 +139,9 @@ def per_disc_survey_csv(lo, hi):
             "exists": crit.exists,
             "n_witnesses": len(crit.witnesses),
             "count_per_witness": crit.count_per_witness,
-            "oracle_two_rank": oracle.two_rank(d) if d < 0 else "",
-            "oracle_four_rank": oracle.four_rank(d) if d < 0 else "",
-            "redei_rank": oracle.redei_rank(d),
+            "oracle_two_rank": oracle.two_rank(d) if with_oracle and d < 0 else "",
+            "oracle_four_rank": oracle.four_rank(d) if with_oracle and d < 0 else "",
+            "redei_rank": oracle.redei_rank(d) if with_oracle else "",
         })
     return buf.getvalue()
 
@@ -150,6 +151,22 @@ def test_survey_oracle_matches_per_disc_reference(capsys, lo, hi):
     code, out, _ = run(capsys, "survey", f"--range={lo}..{hi}", "--criterion", "c4", "--oracle")
     assert code == 0
     assert out == per_disc_survey_csv(lo, hi)
+
+
+@pytest.mark.parametrize("criterion,lo,hi", [("h8", -3000, 3000), ("c4", 1, 4000)])
+def test_survey_matches_per_disc_reference(capsys, criterion, lo, hi):
+    code, out, _ = run(capsys, "survey", f"--range={lo}..{hi}", "--criterion", criterion)
+    assert code == 0
+    assert out == per_disc_survey_csv(lo, hi, criterion, with_oracle=False)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and all(r["omega"] == r["t_prime_discs"] for r in rows)
+
+
+def test_survey_h8_jobs_byte_identical(capsys):
+    argv = ("survey", "--range=-3000..3000", "--criterion", "h8")
+    _, seq, _ = run(capsys, "--jobs", "1", *argv)
+    _, par, _ = run(capsys, "--jobs", "2", *argv)
+    assert seq == par
 
 
 def test_survey_oracle_jobs_byte_identical(capsys):
@@ -177,6 +194,19 @@ def test_survey_oracle_bound_fails_before_rows(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == f"error: |{first}| exceeds oracle bound 1000000\n"
+
+
+def test_survey_bound_fails_before_rows(capsys, monkeypatch):
+    monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+
+    def no_rows(task):
+        raise AssertionError(f"row for {task[0]} computed past the bound")
+
+    monkeypatch.setattr(cli, "_survey_row", no_rows)
+    code, out, err = run(
+        capsys, "--max-disc", "1000", "survey", "--range=3..2000", "--criterion", "h8"
+    )
+    assert (code, out, err) == (2, "", "error: range exceeds the discriminant bound\n")
 
 
 def test_survey_empty_range(capsys):

@@ -1,8 +1,16 @@
+import itertools
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemfact.arith import is_fundamental_discriminant, kronecker, prime_discriminants
+from lemfact.arith import (
+    is_fundamental_discriminant,
+    kronecker,
+    prime_discriminants,
+    underlying_prime,
+)
 from lemfact.criteria import c4_criterion, h8_criterion, heisenberg_criterion
 from lemfact.oracle import redei_rank
 
@@ -60,6 +68,92 @@ def test_c4_witness_count_is_redei_reichardt():
         if d in (0, 1) or not is_fundamental_discriminant(d):
             continue
         assert len(c4_criterion(d).witnesses) == 2 ** redei_rank(d) - 1, d
+
+
+# Reference: the criteria as they were written before they took the
+# prime discriminants of d, refactoring the product of every block.
+
+def ref_splits(parts, k):
+    n = len(parts)
+    if k == 2:
+        out = []
+        for r in range(1, n):
+            for idx in itertools.combinations(range(n), r):
+                if 0 in idx:
+                    rest = [i for i in range(n) if i not in idx]
+                    out.append(
+                        (prod(parts[i] for i in idx), prod(parts[i] for i in rest))
+                    )
+        return out
+    out = []
+    for ra in range(1, n - 1):
+        for ia in itertools.combinations(range(1, n), ra):
+            block_a = (0,) + ia
+            rest = [i for i in range(n) if i not in block_a]
+            for rb in range(1, len(rest)):
+                for ib in itertools.combinations(rest[1:], rb - 1):
+                    block_b = (rest[0],) + ib
+                    block_c = [i for i in rest if i not in block_b]
+                    out.append(
+                        (
+                            prod(parts[i] for i in block_a),
+                            prod(parts[i] for i in block_b),
+                            prod(parts[i] for i in block_c),
+                        )
+                    )
+    return out
+
+
+def ref_block_primes(block):
+    return sorted({underlying_prime(f) for f in prime_discriminants(block)})
+
+
+def ref_c4_json(d):
+    parts = prime_discriminants(d)
+    witnesses = []
+    for d1, d2 in ref_splits(parts, 2):
+        checks = [[f"({d1}/{p})", kronecker(d1, p)] for p in ref_block_primes(d2)]
+        checks += [[f"({d2}/{p})", kronecker(d2, p)] for p in ref_block_primes(d1)]
+        if all(v == 1 for _, v in checks):
+            witnesses.append({"parts": sorted((d1, d2)), "symbol_checks": checks})
+    count = 2 ** (len(parts) - 2) if witnesses else 0
+    return {"exists": bool(witnesses), "witnesses": witnesses, "count_per_witness": count}
+
+
+def ref_h8_json(d):
+    parts = prime_discriminants(d)
+    witnesses = []
+    for triple in ref_splits(parts, 3):
+        if sum(1 for t in triple if t < 0) > 1:
+            continue
+        checks = []
+        for k in range(3):
+            i, j = [t for t in range(3) if t != k]
+            dij = triple[i] * triple[j]
+            checks += [[f"({dij}/{p})", kronecker(dij, p)] for p in ref_block_primes(triple[k])]
+        if all(v == 1 for _, v in checks):
+            witnesses.append({"parts": sorted(triple), "symbol_checks": checks})
+    count = 2 ** (len(parts) - 3) if witnesses else 0
+    return {"exists": bool(witnesses), "witnesses": witnesses, "count_per_witness": count}
+
+
+def test_criteria_match_block_refactoring_reference():
+    seen = 0
+    for d in range(-2999, 3000):
+        if d in (0, 1) or not is_fundamental_discriminant(d):
+            continue
+        assert c4_criterion(d).to_json() == ref_c4_json(d), d
+        assert h8_criterion(d).to_json() == ref_h8_json(d), d
+        seen += 1
+    assert seen > 1800
+
+
+@pytest.mark.parametrize("d", [5 * 13 * 17 * 29 * 37 * 41 * 53, 60060])
+def test_criteria_match_reference_at_large_omega(d):
+    # omega 7 (all parts positive) and omega 6 with the 2-part -4
+    assert len(prime_discriminants(d)) >= 6
+    assert h8_criterion(d).to_json() == ref_h8_json(d)
+    assert c4_criterion(d).to_json() == ref_c4_json(d)
 
 
 def test_h8_small_negatives():
