@@ -14,7 +14,8 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 DESK_SUBGROUP_BOUND = 2**16
-DESK_AUT_BOUND = 256
+# candidate matrices of enumerate_automorphisms: C2^3 has 512, C2^4 65536
+DESK_AUT_BOUND = 2**10
 
 Elem = tuple[int, ...]
 
@@ -103,10 +104,10 @@ def _closure(zero, gens, op) -> frozenset:
     return frozenset(seen)
 
 
-def subgroup_generated(G: AbGroup, gens, bound: int = DESK_SUBGROUP_BOUND) -> frozenset:
+def subgroup_generated(G: AbGroup, gens) -> frozenset:
     """Explicit element set of <gens>; groups in scope are desk-scale."""
-    if G.order > bound:
-        raise ValueError(f"group order {G.order} exceeds bound {bound}")
+    if G.order > DESK_SUBGROUP_BOUND:
+        raise ValueError(f"group order {G.order} exceeds bound {DESK_SUBGROUP_BOUND}")
     return _closure(G.zero(), [G.reduce(g) for g in gens], G.add)
 
 
@@ -185,10 +186,12 @@ class AbHom:
         )
 
 
-def enumerate_automorphisms(A: AbGroup, bound: int = DESK_AUT_BOUND) -> list[AbHom]:
-    """All invertible endomorphisms of A, by brute force at desk scale."""
-    if A.order > bound:
-        raise ValueError(f"group order {A.order} exceeds bound {bound}")
+def enumerate_automorphisms(A: AbGroup) -> list[AbHom]:
+    """All invertible endomorphisms of A, by brute force over the
+    #Hom(A, A) candidate matrices, at most DESK_AUT_BOUND of them."""
+    n = hom_count(A, A)
+    if n > DESK_AUT_BOUND:
+        raise ValueError(f"{n} candidate automorphisms exceed bound {DESK_AUT_BOUND}")
     elements = list(A.elements())
     full = set(elements)
     # candidate image of generator j: any element killed by moduli[j]

@@ -19,6 +19,13 @@ def max_disc() -> int:
     return int(os.environ.get("LEMFACT_MAX_DISC", _DEFAULT_MAX_DISC))
 
 
+def check_disc_bound(n: int):
+    """Raise ValueError when n exceeds max_disc(); reads it once."""
+    limit = max_disc()
+    if n > limit:
+        raise ValueError(f"{n} exceeds discriminant bound {limit}")
+
+
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -64,8 +71,7 @@ def factorize(n: int) -> list[PrimePower]:
     """Trial-division factorization, primes ascending; [] for n = 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > max_disc():
-        raise ValueError(f"{n} exceeds discriminant bound {max_disc()}")
+    check_disc_bound(n)
     out = []
     for p in (2, 3):
         if n % p == 0:
@@ -200,9 +206,7 @@ def fundamental_discriminants(lo: int, hi: int):
     the squarefree test and every odd prime factor but at most one, the
     cofactor.  The bound is checked once, before any sieving.
     """
-    top = max(abs(lo), abs(hi - 1)) if lo < hi else 0
-    if top > max_disc():
-        raise ValueError(f"{top} exceeds discriminant bound {max_disc()}")
+    check_disc_bound(max(abs(lo), abs(hi - 1)) if lo < hi else 0)
     a = lo
     while a < hi:
         b = min(hi, (a // _SIEVE_BLOCK + 1) * _SIEVE_BLOCK)

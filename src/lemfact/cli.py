@@ -24,7 +24,7 @@ from .criteria import (
     h8_from_parts,
     heisenberg_criterion,
 )
-from .solver import BaseFieldData, classify
+from .solver import BaseFieldData, classify, primes_from_json
 
 
 def _canonical(obj) -> str:
@@ -88,15 +88,14 @@ def cmd_classify(args) -> int:
     ext, h_default = _parse_ext(args.ext)
     with open(args.kdata) as fh:
         kjson = json.load(fh)
-    if "H" in kjson:
+    if isinstance(kjson, dict) and "H" in kjson:
         kdata = BaseFieldData.from_json(kjson, ext)
         h_sub = kdata.h_sub
     else:
         if h_default is None:
             raise ValueError("kdata file lacks H and the extension has no default")
         h_sub = h_default
-        primes = tuple((int(e["q"]), tuple(e["image"])) for e in kjson["primes"])
-        kdata = BaseFieldData(h_sub, primes)
+        kdata = BaseFieldData(h_sub, primes_from_json(kjson))
     rep = classify(ext, h_sub, kdata, check_infinity=args.check_infinity)
     lines = [f"exists={str(rep.exists).lower()}"]
     for w in rep.witnesses:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import lru_cache
+from math import gcd, prod
 
 from .abelian import (
     AbGroup,
@@ -23,6 +24,7 @@ from .abelian import (
     multiple_subgroup,
     solve_modular_linear,
     subgroup_generated,
+    torsion_count,
 )
 
 Cocycle = dict[tuple[Elem, Elem], Elem]
@@ -130,10 +132,10 @@ class CentralExtension:
 
     @classmethod
     def from_json(cls, data: dict) -> "CentralExtension":
-        gab = AbGroup(tuple(data["Gab"]))
-        a = AbGroup(tuple(data["A"]))
+        gab = AbGroup(tuple(json_field(data, "Gab", list, "extension JSON")))
+        a = AbGroup(tuple(json_field(data, "A", list, "extension JSON")))
         els = list(gab.elements())
-        rows = data["cocycle"]
+        rows = json_field(data, "cocycle", list, "extension JSON")
         if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
             raise ValueError("cocycle array has wrong shape")
         table = {}
@@ -150,6 +152,19 @@ class CentralExtension:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def json_field(data, key: str, kind: type, what: str):
+    """data[key] from parsed JSON; a ValueError naming the missing key or
+    the wrong type otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what} lacks key {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"{what} key {key!r} must be a {kind.__name__}, "
+                         f"not {type(data[key]).__name__}")
+    return data[key]
 
 
 # --- table arithmetic ----------------------------------------------------
@@ -308,7 +323,9 @@ def is_admissible_pair(ext: CentralExtension, h_sub: frozenset):
 
 # --- enumeration of H^2 --------------------------------------------------
 
-DESK_H2_BOUND = 2**20
+# candidate cocycles of enumerate_central_extensions: the H8 search over
+# (C2^3, C2) has 64, (C2^4, C2) 1024; each is compared with every class kept
+DESK_H2_BOUND = 2**7
 
 
 def _carry_table(gab: AbGroup, a: AbGroup, i: int, av: Elem) -> Cocycle:
@@ -342,7 +359,7 @@ def _bilinear_table(gab: AbGroup, a: AbGroup, i: int, j: int, bv: Elem) -> Cocyc
     return table
 
 
-def enumerate_central_extensions(gab: AbGroup, a: AbGroup, bound: int = DESK_H2_BOUND):
+def enumerate_central_extensions(gab: AbGroup, a: AbGroup):
     """One normalized-cocycle representative per class of H^2(Gab, A).
 
     Candidate tables are sums of inflated cyclic-extension cocycles (one
@@ -350,17 +367,22 @@ def enumerate_central_extensions(gab: AbGroup, a: AbGroup, bound: int = DESK_H2_
     duplicates are filtered with is_coboundary against previously kept
     representatives.  Deterministic: representatives are kept in candidate
     order, candidates in lexicographic order of their defining data.
+    Raises ValueError, before any work, past DESK_H2_BOUND candidates:
+    |A|^k * prod_{i<j} #A[gcd(m_i, m_j)] for Gab = C_{m_1} x ... x C_{m_k}.
     """
-    if gab.order**2 * a.order > bound:
-        raise ValueError("H^2 enumeration exceeds desk-scale bound")
     k = gab.rank
+    n = a.order**k * prod(
+        torsion_count(a, gcd(gab.moduli[i], gab.moduli[j]))
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+    if n > DESK_H2_BOUND:
+        raise ValueError(f"{n} candidate cocycles exceed bound {DESK_H2_BOUND}")
     a_els = list(a.elements())
-    from math import gcd as _gcd
-
     pair_choices = []
     for i in range(k):
         for j in range(i + 1, k):
-            g = _gcd(gab.moduli[i], gab.moduli[j])
+            g = gcd(gab.moduli[i], gab.moduli[j])
             pair_choices.append(
                 (i, j, [x for x in a_els if all((g * c) % m == 0 for c, m in zip(x, a.moduli))])
             )
@@ -485,7 +507,7 @@ def quaternion_pair_class_count() -> int:
     hits = quaternion_pair_hits()
     gab = AbGroup((2, 2, 2))
     a = AbGroup((2,))
-    auts = enumerate_automorphisms(gab, bound=512)
+    auts = enumerate_automorphisms(gab)
     reps = []
     for ext, h_sub in hits:
         matched = False

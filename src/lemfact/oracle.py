@@ -167,16 +167,16 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
     return result
 
 
-def _oracle_limit(bound: int | None = None) -> int:
-    return bound if bound is not None else min(10**6, max_disc())
+def _oracle_limit() -> int:
+    return min(10**6, max_disc())
 
 
-def _check_disc(d: int, bound: int | None = None):
+def _check_disc(d: int):
     if d >= 0:
         raise ValueError(f"imaginary quadratic oracle needs d < 0, got {d}")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    limit = _oracle_limit(bound)
+    limit = _oracle_limit()
     if -d > limit:
         raise ValueError(f"|{d}| exceeds oracle bound {limit}")
 
@@ -190,9 +190,9 @@ def _exact_log2(n: int, message: str) -> int:
     return r
 
 
-def reduced_forms(d: int, bound: int | None = None) -> list[QuadForm]:
+def reduced_forms(d: int) -> list[QuadForm]:
     """All reduced forms of discriminant d, lexicographic in (a, b)."""
-    _check_disc(d, bound)
+    _check_disc(d)
     out = []
     amax = isqrt(-d // 3)
     for a in range(1, amax + 1):
@@ -207,8 +207,8 @@ def reduced_forms(d: int, bound: int | None = None) -> list[QuadForm]:
     return out
 
 
-def class_number(d: int, bound: int | None = None) -> int:
-    return len(reduced_forms(d, bound))
+def class_number(d: int) -> int:
+    return len(reduced_forms(d))
 
 
 def naive_form_count(d: int) -> int:
@@ -232,10 +232,10 @@ def naive_form_count(d: int) -> int:
     return count
 
 
-def class_group_structure(d: int, bound: int | None = None) -> tuple[AbGroup, int]:
+def class_group_structure(d: int) -> tuple[AbGroup, int]:
     """Invariant factors and order of the form class group, built from
     element orders of the reduced forms."""
-    forms = reduced_forms(d, bound)
+    forms = reduced_forms(d)
     h = len(forms)
     e = principal_form(d)
     orders = []
@@ -285,16 +285,16 @@ def class_group_structure(d: int, bound: int | None = None) -> tuple[AbGroup, in
     return AbGroup(tuple(invariants)), h
 
 
-def two_rank(d: int, bound: int | None = None) -> int:
+def two_rank(d: int) -> int:
     """log2 of the number of ambiguous reduced forms."""
-    n = sum(1 for f in reduced_forms(d, bound) if f.is_ambiguous())
+    n = sum(1 for f in reduced_forms(d) if f.is_ambiguous())
     return _exact_log2(n, f"ambiguous form count {n} is not a power of 2")
 
 
-def four_rank(d: int, bound: int | None = None) -> int:
+def four_rank(d: int) -> int:
     """Dimension of Cl[2] intersected with the squares, by squaring
     every reduced form."""
-    forms = reduced_forms(d, bound)
+    forms = reduced_forms(d)
     amb_squares = {g for g in (square(f) for f in forms) if g.is_ambiguous()}
     n = len(amb_squares)
     return _exact_log2(n, f"ambiguous square count {n} is not a power of 2")

@@ -28,7 +28,7 @@ from .abelian import (
     torsion_count,
 )
 from .arith import PrimePower, factorize, is_prime, power_residue_char, prime_star
-from .cocycle import CentralExtension, aut_stabilizer_order, class_orbit_size
+from .cocycle import CentralExtension, aut_stabilizer_order, class_orbit_size, json_field
 
 logger = logging.getLogger("lemfact")
 
@@ -254,14 +254,23 @@ class BaseFieldData:
 
     @classmethod
     def from_json(cls, data: dict, ext: CentralExtension) -> "BaseFieldData":
-        gens = [tuple(g) for g in data["H"]]
+        gens = [tuple(g) for g in json_field(data, "H", list, "base field data")]
         for g in gens:
             ext.gab.check_elem(g)
         h_sub = subgroup_generated(ext.gab, gens)
-        primes = tuple((int(e["q"]), tuple(e["image"])) for e in data["primes"])
-        out = cls(h_sub, primes)
+        out = cls(h_sub, primes_from_json(data))
         out.validate(ext)
         return out
+
+
+def primes_from_json(data) -> tuple[tuple[int, Elem], ...]:
+    """The (q, inertia image) pairs of the "primes" list of base field
+    JSON, {"primes": [{"q": 5, "image": [0, 1]}, ...]}."""
+    return tuple(
+        (int(json_field(e, "q", object, "prime entry")),
+         tuple(json_field(e, "image", list, "prime entry")))
+        for e in json_field(data, "primes", list, "base field data")
+    )
 
 
 @lru_cache(maxsize=1 << 10)
@@ -280,9 +289,7 @@ def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
     return n
 
 
-def _assignment_space(
-    ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData, bound: int
-):
+def _assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
     """The assignments compatible with the base field, as choices.
 
     Returns (primes, candidates, choices): the ramified primes of kdata
@@ -308,23 +315,18 @@ def _assignment_space(
             return primes, [], iter(())
         candidates.append(cands)
     total = prod(len(c) for c in candidates)
-    if total > bound:
-        raise ValueError(f"{total} candidate assignments exceed bound {bound}")
+    if total > DEFAULT_ASSIGNMENT_BOUND:
+        raise ValueError(f"{total} candidate assignments exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
     choices = (c for c in itertools.product(*candidates) if generates(gab, c))
     return primes, candidates, choices
 
 
-def enumerate_assignments(
-    ext: CentralExtension,
-    h_sub: frozenset,
-    kdata: BaseFieldData,
-    bound: int = DEFAULT_ASSIGNMENT_BOUND,
-):
+def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
     """All assignments compatible with the base field: y_q in Y_E outside
     H, congruent to the given inertia image mod H, with the y_q jointly
     generating Gab.  Deterministic order (primes sorted, candidates in
     lexicographic order)."""
-    primes, _, choices = _assignment_space(ext, h_sub, kdata, bound)
+    primes, _, choices = _assignment_space(ext, h_sub, kdata)
     for choice in choices:
         yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
 
@@ -446,7 +448,6 @@ def classify(
     h_sub: frozenset,
     kdata: BaseFieldData,
     check_infinity: bool = False,
-    bound: int = DEFAULT_ASSIGNMENT_BOUND,
 ) -> Report:
     """Existence report: every enumerated assignment that passes the
     unramified-lift test, with its factorization and counts.
@@ -455,7 +456,7 @@ def classify(
     decides exactly as has_unramified_lift, which stays as the reference.
     Assignments, factorizations and counts are built for witnesses only.
     """
-    primes, candidates, choices = _assignment_space(ext, h_sub, kdata, bound)
+    primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
     passes = None
     classes = None
     witnesses = []

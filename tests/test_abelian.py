@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -169,3 +170,23 @@ def test_hom_call_and_compose():
 )
 def test_automorphism_counts(moduli, count):
     assert len(enumerate_automorphisms(AbGroup(moduli))) == count
+
+
+@pytest.mark.parametrize(
+    "f,message",
+    [
+        (lambda: enumerate_automorphisms(AbGroup((2,) * 5)),
+         "33554432 candidate automorphisms exceed bound 1024"),
+        (lambda: enumerate_automorphisms(AbGroup((2,) * 4)),
+         "65536 candidate automorphisms exceed bound 1024"),
+        (lambda: subgroup_generated(AbGroup((257, 256)), [(1, 0)]),
+         "group order 65792 exceeds bound 65536"),
+    ],
+    ids=["aut-c2^5", "aut-c2^4", "subgroup"],
+)
+def test_bounds_raise_before_work(f, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        f()
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == message

@@ -230,7 +230,8 @@ def test_survey_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows and all(r["d"] for r in rows)
 
 
@@ -332,6 +333,46 @@ def test_classify_wrong_length_element_exits_2(tmp_path, capsys, h_gens, image, 
     assert code == 2
     assert out == ""
     assert err == f"error: element {bad} has wrong length for moduli (2, 2)\n"
+
+
+@pytest.mark.parametrize(
+    "ext,kdata,message",
+    [
+        ("C4_D4", {"primes": [{"q": 5}]}, "prime entry lacks key 'image'"),
+        ("C4_D4", {"H": [[1, 0]]}, "base field data lacks key 'primes'"),
+        (
+            "C4_D4",
+            {"H": [[1, 0]], "primes": [{"q": 5, "image": 3}, {"q": 41, "image": [0, 1]}]},
+            "prime entry key 'image' must be a list, not int",
+        ),
+        ("C4_D4", [1, 2], "base field data must be a JSON object, not list"),
+        ({"Gab": [2]}, {"H": [[1]], "primes": [{"q": 3, "image": [1]}]},
+         "extension JSON lacks key 'A'"),
+    ],
+    ids=["no-image", "no-primes", "int-image", "list-kdata", "ext-no-A"],
+)
+def test_classify_malformed_json_exits_2(tmp_path, capsys, ext, kdata, message):
+    if isinstance(ext, dict):
+        ext_file = tmp_path / "ext.json"
+        ext_file.write_text(json.dumps(ext))
+        ext = str(ext_file)
+    kdata_file = tmp_path / "k.json"
+    kdata_file.write_text(json.dumps(kdata))
+    code, out, err = run(capsys, "classify", "--ext", ext, "--kdata", str(kdata_file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_classify_aut_bound_exits_2(tmp_path, capsys):
+    # the split extension's counting enumerates Aut(C2^5): 2^25 candidates
+    kdata = tmp_path / "k.json"
+    kdata.write_text(json.dumps({"H": [], "primes": [{"q": 7, "image": [1]}]}))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "classify", "--ext", "split:3/2,2,2,2,2", "--kdata", str(kdata)
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: 33554432 candidate automorphisms exceed bound 1024\n"
 
 
 def test_max_disc_flag(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from math import gcd
 
 import pytest
@@ -285,6 +286,16 @@ def test_enumerate_central_extensions_class_counts(gab_moduli, a_moduli, classes
     assert len(got) == classes
     for e1, e2 in itertools.combinations(got, 2):
         assert not cohomologous(e1, e2)
+
+
+def test_enumerate_central_extensions_bound_counts_candidates():
+    # (C2^4, C2) has 1024 candidate cocycles, each compared with every
+    # class kept so far: it raises before the first one
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        enumerate_central_extensions(AbGroup((2,) * 4), AbGroup((2,)))
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "1024 candidate cocycles exceed bound 128"
 
 
 def test_lemma_32_pullback_pairing_is_coordinatewise():

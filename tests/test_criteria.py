@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemfact import arith, criteria
 from lemfact.arith import (
     is_fundamental_discriminant,
     kronecker,
@@ -34,6 +35,47 @@ def test_c4_rejects_non_fundamental():
     for d in (12 * 4, 45, 0, 1, -12):
         with pytest.raises(ValueError):
             c4_criterion(d)
+
+
+def ref_check_field(d):
+    """The field check as the per-d reference functions make it."""
+    if not is_fundamental_discriminant(d) or d == 1:
+        raise ValueError(f"{d} is not a fundamental discriminant of a field")
+    return prime_discriminants(d)
+
+
+def outcome(f, d):
+    try:
+        return f(d)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("limit", [None, 10, 20, 30, 100])
+def test_check_field_matches_reference(monkeypatch, limit):
+    # a limit between |d|/4 and |d| reaches the bound check on |d| after
+    # factoring |d/4|: its error must still come, with the same message
+    monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+    if limit is not None:
+        monkeypatch.setenv("LEMFACT_MAX_DISC", str(limit))
+    for d in range(-400, 400):
+        assert outcome(criteria._check_field, d) == outcome(ref_check_field, d), d
+
+
+@pytest.mark.parametrize("criterion", [c4_criterion, h8_criterion])
+@pytest.mark.parametrize("d", [205, -420, -56, 3000116000561])
+def test_criterion_factors_once(monkeypatch, criterion, d):
+    calls = []
+    factorize = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    monkeypatch.setattr(criteria, "factorize", counting)
+    criterion(d)
+    assert len(calls) == 1
 
 
 def test_c4_count_grows_with_omega():

@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import random
+import time
 from math import prod
 
 import pytest
@@ -386,3 +387,19 @@ def test_classify_raises_as_reference_on_bad_primes(heis3):
         for run in (classify, reference_report):
             with pytest.raises(ValueError, match=message):
                 run(e, hs, kdata)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [classify, lambda ext, h, kdata: list(enumerate_assignments(ext, h, kdata))],
+    ids=["classify", "enumerate_assignments"],
+)
+def test_assignment_bound_raises_before_work(run):
+    # 25 candidates for each of five primes: 25^5 choices
+    ext, h = preset("Heisenberg", 5)
+    kdata = heis_kdata(h, (11, 31, 41, 61, 71))
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        run(ext, h, kdata)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "9765625 candidate assignments exceed bound 1000000"
