@@ -118,29 +118,56 @@ def is_subgroup(G: AbGroup, H) -> bool:
     return all(G.add(x, y) in H for x in H for y in H)
 
 
-def generated_subgroup_order(G: AbGroup, gens) -> int:
-    """Order of <gens> without materializing elements (Smith form)."""
-    k = len(G.moduli)
-    if k == 0:
-        return 1
-    rows = [list(g) for g in gens] + [
-        [G.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)
-    ]
-    d, _, _ = smith_normal_form(rows)
-    # lattice L with Z^k >= L >= M (M = diag lattice); index of L in Z^k
-    # is the product of the nonzero Smith invariants
-    idx = prod(d[i][i] for i in range(min(len(rows), k)) if d[i][i] != 0)
-    return G.order // idx
-
-
 def generates(G: AbGroup, gens) -> bool:
     return _generates(G, frozenset(gens))
 
 
 @lru_cache(maxsize=1 << 16)
 def _generates(G: AbGroup, gens: frozenset) -> bool:
-    # memoised: the same image sets recur across base fields of one extension
-    return generated_subgroup_order(G, gens) == G.order
+    # memoised: the same image sets recur across base fields of one extension.
+    # gens generates G iff it generates every G/pG with p prime: a proper
+    # subgroup lies in a maximal one, of some prime index p, which contains
+    # pG.  G/pG is F_p on the coordinates i with p | m_i.
+    return all(
+        _rank_mod([[g[i] % p for i in coords] for g in gens], p) == len(coords)
+        for p, coords in _prime_layers(G)
+    )
+
+
+@lru_cache(maxsize=1 << 10)
+def _prime_layers(G: AbGroup) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(p, the coordinates i with p | m_i) for each prime p dividing |G|."""
+    primes = set()
+    for m in G.moduli:
+        p = 2
+        while p * p <= m:
+            if m % p == 0:
+                primes.add(p)
+                while m % p == 0:
+                    m //= p
+            p += 1
+        if m > 1:
+            primes.add(m)
+    return tuple(
+        (p, tuple(i for i, m in enumerate(G.moduli) if m % p == 0)) for p in sorted(primes)
+    )
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank over F_p of a matrix of residues mod p, as a list of rows."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        top = next((r for r in rows if r[col]), None)
+        if top is None:
+            continue
+        rows.remove(top)
+        inv = pow(top[col], -1, p)
+        rows = [
+            [(x - f * y) % p for x, y in zip(r, top)] if (f := r[col] * inv % p) else r
+            for r in rows
+        ]
+        rank += 1
+    return rank
 
 
 def hom_count(G: AbGroup, A: AbGroup) -> int:
@@ -249,19 +276,16 @@ def smith_normal_form(M):
 
     t = 0
     while t < min(rows, cols):
-        # find a nonzero pivot
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        # pivot on the smallest nonzero |entry| of the remaining block: the
+        # first nonzero one lets the entries grow without bound
+        pivot = min(
+            ((abs(D[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if D[i][j]),
+            default=None,
+        )
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        swap_rows(t, pivot[1])
+        swap_cols(t, pivot[2])
         while True:
             # clear column t
             for i in range(t + 1, rows):

@@ -154,17 +154,25 @@ class CentralExtension:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def json_field(data, key: str, kind: type, what: str):
-    """data[key] from parsed JSON; a ValueError naming the missing key or
-    the wrong type otherwise."""
+def json_field(data, key: str, kind: type, what: str, items: type | None = None):
+    """data[key] from parsed JSON, checked to be a kind (and, when items is
+    given, a list of items); a ValueError naming the missing key or the
+    wrong type otherwise."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
     if key not in data:
         raise ValueError(f"{what} lacks key {key!r}")
-    if not isinstance(data[key], kind):
-        raise ValueError(f"{what} key {key!r} must be a {kind.__name__}, "
-                         f"not {type(data[key]).__name__}")
-    return data[key]
+    value = data[key]
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "aeiou" else "a"
+        raise ValueError(f"{what} key {key!r} must be {article} {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    if items is not None:
+        for x in value:
+            if not isinstance(x, items):
+                raise ValueError(f"{what} key {key!r} must hold {items.__name__}s, "
+                                 f"not {type(x).__name__}")
+    return value
 
 
 # --- table arithmetic ----------------------------------------------------

@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
+from operator import getitem
 
 from .abelian import (
     DESK_SUBGROUP_BOUND,
@@ -27,7 +28,7 @@ from .abelian import (
     subgroup_generated,
     torsion_count,
 )
-from .arith import PrimePower, factorize, is_prime, power_residue_char, prime_star
+from .arith import PrimePower, is_prime, power_residue_char, prime_star
 from .cocycle import CentralExtension, aut_stabilizer_order, class_orbit_size, json_field
 
 logger = logging.getLogger("lemfact")
@@ -94,12 +95,6 @@ class DiscFactorization:
             if d % 4 not in (0, 1):
                 raise ValueError(f"factor {d} is not a discriminant")
 
-    def factor_of(self, y: Elem) -> int:
-        for yy, d in self.factors:
-            if yy == y:
-                return d
-        return 1
-
 
 def factorization_of(assignment: RamAssignment) -> DiscFactorization:
     """Group the prime discriminants by inertia image:
@@ -110,32 +105,6 @@ def factorization_of(assignment: RamAssignment) -> DiscFactorization:
         n = elem_order(gab, y)
         by_y[y] = by_y.get(y, 1) * prime_star(q) ** (n - 1)
     return DiscFactorization(assignment.ext, tuple(by_y.items()))
-
-
-def assignment_from_factorization(
-    ext: CentralExtension, fact: DiscFactorization
-) -> RamAssignment:
-    """Inverse of factorization_of: each prime dividing d_y gets inertia
-    image y.  Validates the order-divisibility and shape conditions."""
-    gab = ext.gab
-    entries = []
-    for y, d in fact.factors:
-        n = elem_order(gab, y)
-        sign = 1
-        for pp in factorize(abs(d)):
-            if pp.q == 2:
-                raise ValueError("general engine requires odd discriminant factors")
-            if pp.e != n - 1:
-                raise ValueError(
-                    f"prime {pp.q} appears to the power {pp.e}, expected |y|-1 = {n - 1}"
-                )
-            if (pp.q - 1) % n != 0:
-                raise ValueError(f"prime {pp.q} incompatible with order {n}")
-            sign *= (1 if pp.q % 4 == 1 else -1) ** (n - 1)
-            entries.append((pp.q, y))
-        if sign != (1 if d > 0 else -1):
-            raise ValueError(f"sign of {d} does not match its prime stars")
-    return RamAssignment(ext, tuple(entries))
 
 
 def infinite_place_ok(ext: CentralExtension, fact: DiscFactorization) -> bool:
@@ -254,7 +223,7 @@ class BaseFieldData:
 
     @classmethod
     def from_json(cls, data: dict, ext: CentralExtension) -> "BaseFieldData":
-        gens = [tuple(g) for g in json_field(data, "H", list, "base field data")]
+        gens = [tuple(g) for g in json_field(data, "H", list, "base field data", list)]
         for g in gens:
             ext.gab.check_elem(g)
         h_sub = subgroup_generated(ext.gab, gens)
@@ -267,7 +236,7 @@ def primes_from_json(data) -> tuple[tuple[int, Elem], ...]:
     """The (q, inertia image) pairs of the "primes" list of base field
     JSON, {"primes": [{"q": 5, "image": [0, 1]}, ...]}."""
     return tuple(
-        (int(json_field(e, "q", object, "prime entry")),
+        (int(json_field(e, "q", int, "prime entry")),
          tuple(json_field(e, "image", list, "prime entry")))
         for e in json_field(data, "primes", list, "base field data")
     )
@@ -331,37 +300,43 @@ def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFi
         yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
 
 
-def _compile_lift_test(ext: CentralExtension, primes, candidates):
-    """The Frobenius-sum test of has_unramified_lift for one base field,
-    as a function of a choice (one candidate per prime) that is true when
-    every sum vanishes.
+def _lift_solutions(ext: CentralExtension, qs, candidates):
+    """The choices (one candidate per prime, in lexicographic order) that
+    pass the Frobenius-sum test of has_unramified_lift, for a prime
+    exp(A).
 
     The pairing is bilinear and k[p, q, |y_q|] depends only on the two
     primes and the order, so every term k * <y_q, y_p> is read from a table
-    built here, and the sum at p is one integer addition per other prime
-    and coordinate of A.  The literal mod-exp(A) sum can differ from the
-    direct one only when exp(A) is composite: for a prime exponent the
-    pairing is killed by exp(A) and both characters agree modulo it.  A
-    composite exponent is therefore left to has_unramified_lift, which
-    logs each mismatch.
+    built here.  The literal mod-exp(A) sum equals the direct one: for a
+    prime exponent the pairing is killed by exp(A) and both characters
+    agree modulo it.  The test is solved for the last prime: once y_1 ..
+    y_{n-1} are fixed, the sum at p_i (i < n) vanishes exactly when its
+    last term k * <y_n, y_i> cancels the fixed ones.  So each prefix looks
+    up, per i < n, the last prime's candidates giving that term, and tests
+    the sum at p_n on the few left.
     """
     gab, a = ext.gab, ext.a
-    qs = [q for q, _ in primes]
-    if a.exponent > 1 and not is_prime(a.exponent):
-
-        def reference(choice):
-            return has_unramified_lift(ext, RamAssignment(ext, tuple(zip(qs, choice))))[0]
-
-        return reference
-
-    moduli = a.moduli
-    index = [{y: c for c, y in enumerate(cands)} for cands in candidates]
+    n = len(qs)
     union = set().union(*candidates)
     order = {y: elem_order(gab, y) for y in union}
-    pairing = {(y, z): ext.pairing(y, z) for y in union for z in union}
-    # w[i][b][t][j][c]: coordinate t of k * <y, z> with y the c-th candidate
-    # of prime j, z the b-th candidate of prime i and k the character of p_i
-    # at q_j^(|y|-1) mod |y|; zero at j = i, where the pairing vanishes
+    # an element of A as one integer, coordinate t in bits [t*width, ...),
+    # wide enough that no sum of n terms k * <y, z> with k < |y| carries
+    width = (n * max(order.values()) * a.exponent).bit_length()
+    fields = [(t * width, m) for t, m in enumerate(a.moduli)]
+    low = (1 << width) - 1
+
+    def residue(v, sign):
+        """v with each coordinate times sign, reduced mod its modulus."""
+        return sum((sign * ((v >> s) & low) % m) << s for s, m in fields)
+
+    pairing = {
+        (y, z): sum(c << s for c, (s, _) in zip(ext.pairing(y, z), fields))
+        for y in union
+        for z in union
+    }
+    # w[i][b][j][c]: k * <y, z>, unreduced, with y the c-th candidate of
+    # prime j, z the b-th candidate of prime i and k the character of p_i at
+    # q_j^(|y|-1) mod |y|; zero at j = i, where the pairing vanishes
     w = []
     for i, p in enumerate(qs):
         k = [
@@ -372,26 +347,39 @@ def _compile_lift_test(ext: CentralExtension, primes, candidates):
         ]
         w.append(
             [
-                [
-                    [
-                        [kc * pairing[y, z][t] % m for kc, y in zip(kj, cands)]
-                        for kj, cands in zip(k, candidates)
-                    ]
-                    for t, m in enumerate(moduli)
-                ]
+                [[kc * pairing[y, z] for kc, y in zip(kj, cands)] for kj, cands in zip(k, candidates)]
                 for z in candidates[i]
             ]
         )
-
-    def passes(choice):
-        idx = [pos[y] for pos, y in zip(index, choice)]
-        for wi, b in zip(w, idx):
-            for wt, m in zip(wi[b], moduli):
-                if sum(col[c] for col, c in zip(wt, idx)) % m:
-                    return False
-        return True
-
-    return passes
+    last = n - 1
+    # hits[i][b]: the last prime's term at p_i, reduced -> bitmask of the
+    # last prime's candidates giving it, for the b-th candidate of p_i
+    hits = [[{} for _ in wi] for wi in w[:last]]
+    for hi, wi in zip(hits, w):
+        for table, wb in zip(hi, wi):
+            for c, x in enumerate(wb[last]):
+                key = residue(x, 1)
+                table[key] = table.get(key, 0) | 1 << c
+    cancel = {}  # a sum of terms -> the reduced term that cancels it
+    every = (1 << len(candidates[last])) - 1
+    for idx in itertools.product(*(range(len(cands)) for cands in candidates[:last])):
+        mask = every
+        for wi, hi, b in zip(w, hits, idx):
+            # map stops before the last prime: the terms fixed by the prefix
+            s = sum(map(getitem, wi[b], idx))
+            if s not in cancel:
+                cancel[s] = residue(s, -1)
+            mask &= hi[b].get(cancel[s], 0)
+            if not mask:
+                break
+        while mask:
+            c = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            s = sum(map(getitem, w[last][c], idx))
+            if s not in cancel:
+                cancel[s] = residue(s, -1)
+            if not cancel[s]:
+                yield tuple(map(getitem, candidates, (*idx, c)))
 
 
 def count_extensions(ext: CentralExtension, assignment: RamAssignment) -> int:
@@ -452,29 +440,48 @@ def classify(
     """Existence report: every enumerated assignment that passes the
     unramified-lift test, with its factorization and counts.
 
-    The lift test is compiled once per call (_compile_lift_test); it
-    decides exactly as has_unramified_lift, which stays as the reference.
-    Assignments, factorizations and counts are built for witnesses only.
+    For a prime exp(A) the lift test is solved for the last prime
+    (_lift_solutions), and only its solutions are tested for generating
+    Gab; it decides exactly as has_unramified_lift, which stays as the
+    reference and decides a composite exp(A).  Assignments,
+    factorizations and counts are built for witnesses only.
     """
     primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
-    passes = None
-    classes = None
-    witnesses = []
     qs = [q for q, _ in primes]
-    for choice in choices:
-        # the first generating choice raises the entry errors of
-        # RamAssignment before the tables are built: a duplicated prime
-        # would make its own character ramified
-        if passes is None:
+    gab = ext.gab
+    wild = 2 * gab.order * ext.a.order
+    if len(set(qs)) != len(qs) or any(gcd(q, wild) != 1 for q in qs):
+        # RamAssignment rejects every choice with an error that depends on
+        # the primes alone, raised iff some choice generates Gab; the
+        # tables are never built, as a duplicated prime would make its own
+        # character ramified
+        for choice in choices:
             RamAssignment(ext, tuple(zip(qs, choice)))
-            passes = _compile_lift_test(ext, primes, candidates)
-        if not passes(choice):
-            continue
+        return Report(False)
+    if not candidates:
+        return Report(False)
+    if ext.a.exponent > 1 and not is_prime(ext.a.exponent):
+        # the literal and direct characters can differ: has_unramified_lift
+        # decides and logs each mismatch, on generating choices only
+        survivors = (
+            choice
+            for choice in choices
+            if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(qs, choice))))[0]
+        )
+    else:
+        survivors = (c for c in _lift_solutions(ext, qs, candidates) if generates(gab, c))
+    classes = None
+    counts = {}  # the count depends on the orders of the images alone
+    witnesses = []
+    for choice in survivors:
         assignment = RamAssignment(ext, tuple(zip(qs, choice)))
         fact = factorization_of(assignment)
         if check_infinity and not infinite_place_ok(ext, fact):
             continue
-        count = count_extensions(ext, assignment)
+        orders = tuple(sorted(elem_order(gab, y) for y in choice))
+        if orders not in counts:
+            counts[orders] = count_extensions(ext, assignment)
+        count = counts[orders]
         if classes is None:
             classes = class_orbit_size(ext)
         witnesses.append(Witness(assignment, fact, count, classes))

@@ -1,5 +1,7 @@
 import itertools
+import random
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from lemfact.abelian import (
     cyclic,
     elem_order,
     enumerate_automorphisms,
-    generated_subgroup_order,
     generates,
     hom_count,
     is_subgroup,
@@ -72,6 +73,56 @@ def test_smith_transforms_are_unimodular(m):
     assert det(v) in (1, -1)
 
 
+def bareiss_det(m):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(r) for r in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def test_smith_form_on_random_matrices():
+    # up to 9 x 9, beyond what the cofactor determinant above can check
+    rng = random.Random(20)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        d, u, v = smith_normal_form(m)
+        assert matmul(matmul(u, m), v) == d
+        assert bareiss_det(u) in (1, -1)
+        assert bareiss_det(v) in (1, -1)
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        assert all(d[i][i] >= 0 for i in range(min(rows, cols)))
+
+
+def test_smith_form_of_a_coboundary_system_is_quick():
+    # the carry cocycle of (C7, C3) gives a 36 x 42 system that spun for good
+    # when the pivot was the first nonzero entry instead of the smallest
+    from lemfact.cocycle import _carry_table, is_coboundary
+
+    gab, a = AbGroup((7,)), AbGroup((3,))
+    table = _carry_table(gab, a, 0, (1,))
+    start = time.perf_counter()
+    ok, phi = is_coboundary(gab, a, table)
+    assert time.perf_counter() - start < 1
+    # H^2(C7, C3) = 0: phi is a witness, c(g, h) = phi(g) + phi(h) - phi(g + h)
+    assert ok
+    for g in gab.elements():
+        for h in gab.elements():
+            want = a.sub(a.add(phi[g], phi[h]), phi[gab.add(g, h)])
+            assert table.get((g, h), a.zero()) == want
+
+
 @given(
     st.integers(1, 3),
     st.integers(1, 2),
@@ -114,9 +165,23 @@ def test_subgroup_machinery():
     h = subgroup_generated(g, [(1, 0, 0), (0, 1, 0)])
     assert len(h) == 4
     assert is_subgroup(g, h)
-    assert generated_subgroup_order(g, [(1, 1, 0), (0, 1, 1)]) == 4
+    assert smith_subgroup_order(g, [(1, 1, 0), (0, 1, 1)]) == 4
     assert generates(g, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert not generates(g, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+
+
+def smith_subgroup_order(G, gens) -> int:
+    """Order of <gens> from the Smith form of the lattice spanned by gens
+    and the moduli: the reference for generates."""
+    k = len(G.moduli)
+    if k == 0:
+        return 1
+    rows = [list(g) for g in gens] + [
+        [G.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)
+    ]
+    d, _, _ = smith_normal_form(rows)
+    # the index of the lattice in Z^k is the product of the nonzero invariants
+    return G.order // prod(d[i][i] for i in range(k) if d[i][i] != 0)
 
 
 @given(st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=3), st.data())
@@ -127,7 +192,24 @@ def test_generated_order_matches_element_set(moduli, data):
     gens = [
         tuple(data.draw(st.integers(0, m - 1)) for m in moduli) for _ in range(k)
     ]
-    assert generated_subgroup_order(g, gens) == len(subgroup_generated(g, gens))
+    assert smith_subgroup_order(g, gens) == len(subgroup_generated(g, gens))
+
+
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]), min_size=0, max_size=3),
+    st.data(),
+)
+@settings(max_examples=400)
+def test_generates_matches_element_set_and_smith_form(moduli, data):
+    # generates tests the rank of gens mod each prime p dividing |G|
+    g = AbGroup(tuple(moduli))
+    k = data.draw(st.integers(0, 4))
+    gens = [
+        tuple(data.draw(st.integers(-20, 20)) for _ in moduli) for _ in range(k)
+    ]
+    expected = len(subgroup_generated(g, gens)) == g.order
+    assert generates(g, gens) == expected
+    assert (smith_subgroup_order(g, gens) == g.order) == expected
 
 
 def test_torsion_and_multiples():

@@ -348,8 +348,19 @@ def test_classify_wrong_length_element_exits_2(tmp_path, capsys, h_gens, image, 
         ("C4_D4", [1, 2], "base field data must be a JSON object, not list"),
         ({"Gab": [2]}, {"H": [[1]], "primes": [{"q": 3, "image": [1]}]},
          "extension JSON lacks key 'A'"),
+        (
+            "C4_D4",
+            {"H": [1, 0], "primes": [{"q": 5, "image": [0, 1]}]},
+            "base field data key 'H' must hold lists, not int",
+        ),
+        (
+            "C4_D4",
+            {"H": [[1, 0]], "primes": [{"q": [5], "image": [0, 1]}]},
+            "prime entry key 'q' must be an int, not list",
+        ),
     ],
-    ids=["no-image", "no-primes", "int-image", "list-kdata", "ext-no-A"],
+    ids=["no-image", "no-primes", "int-image", "list-kdata", "ext-no-A", "int-h-generator",
+         "list-q"],
 )
 def test_classify_malformed_json_exits_2(tmp_path, capsys, ext, kdata, message):
     if isinstance(ext, dict):

@@ -288,6 +288,15 @@ def test_enumerate_central_extensions_class_counts(gab_moduli, a_moduli, classes
         assert not cohomologous(e1, e2)
 
 
+def test_enumerate_central_extensions_coprime_orders_is_quick():
+    # H^2(C7, C3) = 0; deciding that the carry cocycles are coboundaries
+    # used to spin in the Smith form
+    start = time.perf_counter()
+    got = enumerate_central_extensions(AbGroup((7,)), AbGroup((3,)))
+    assert time.perf_counter() - start < 1
+    assert len(got) == 1
+
+
 def test_enumerate_central_extensions_bound_counts_candidates():
     # (C2^4, C2) has 1024 candidate cocycles, each compared with every
     # class kept so far: it raises before the first one

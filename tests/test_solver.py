@@ -7,7 +7,14 @@ from math import prod
 
 import pytest
 
-from lemfact.abelian import AbGroup, elem_order, hom_count, subgroup_generated, torsion_count
+from lemfact.abelian import (
+    AbGroup,
+    elem_order,
+    generates,
+    hom_count,
+    subgroup_generated,
+    torsion_count,
+)
 from lemfact.arith import factorize, is_fundamental_discriminant, is_prime
 from lemfact.cocycle import CentralExtension, aut_stabilizer_order, class_orbit_size, preset
 from lemfact.solver import (
@@ -16,7 +23,8 @@ from lemfact.solver import (
     RamAssignment,
     Report,
     Witness,
-    assignment_from_factorization,
+    _assignment_space,
+    _lift_solutions,
     classify,
     count_extensions,
     enumerate_assignments,
@@ -36,6 +44,35 @@ def d4():
 @pytest.fixture(scope="module")
 def heis3():
     return preset("Heisenberg", 3)
+
+
+def factor_of(fact: DiscFactorization, y) -> int:
+    """d_y of a factorization; 1 for an image it does not list."""
+    return dict(fact.factors).get(y, 1)
+
+
+def assignment_from_factorization(ext, fact: DiscFactorization) -> RamAssignment:
+    """Inverse of factorization_of: each prime dividing d_y gets inertia
+    image y.  Validates the order-divisibility and shape conditions."""
+    gab = ext.gab
+    entries = []
+    for y, d in fact.factors:
+        n = elem_order(gab, y)
+        sign = 1
+        for pp in factorize(abs(d)):
+            if pp.q == 2:
+                raise ValueError("general engine requires odd discriminant factors")
+            if pp.e != n - 1:
+                raise ValueError(
+                    f"prime {pp.q} appears to the power {pp.e}, expected |y|-1 = {n - 1}"
+                )
+            if (pp.q - 1) % n != 0:
+                raise ValueError(f"prime {pp.q} incompatible with order {n}")
+            sign *= (1 if pp.q % 4 == 1 else -1) ** (n - 1)
+            entries.append((pp.q, y))
+        if sign != (1 if d > 0 else -1):
+            raise ValueError(f"sign of {d} does not match its prime stars")
+    return RamAssignment(ext, tuple(entries))
 
 
 def c4_kdata(ext, h, d):
@@ -66,8 +103,8 @@ def test_factorization_round_trip(d4):
     ext, _ = d4
     asg = RamAssignment(ext, ((5, (0, 1)), (41, (1, 1)), (13, (0, 1))))
     fact = factorization_of(asg)
-    assert fact.factor_of((0, 1)) == 65
-    assert fact.factor_of((1, 1)) == 41
+    assert factor_of(fact, (0, 1)) == 65
+    assert factor_of(fact, (1, 1)) == 41
     back = assignment_from_factorization(ext, fact)
     assert back.entries == asg.entries
 
@@ -76,8 +113,8 @@ def test_factorization_signs(d4):
     ext, _ = d4
     asg = RamAssignment(ext, ((3, (0, 1)), (7, (1, 1))))
     fact = factorization_of(asg)
-    assert fact.factor_of((0, 1)) == -3
-    assert fact.factor_of((1, 1)) == -7
+    assert factor_of(fact, (0, 1)) == -3
+    assert factor_of(fact, (1, 1)) == -7
     assert assignment_from_factorization(ext, fact).entries == asg.entries
 
 
@@ -109,7 +146,7 @@ def test_infinite_place(d4):
     # odd-order images force positive factors, so nothing to check there
     hext, _ = preset("Heisenberg", 3)
     hfact = factorization_of(RamAssignment(hext, ((7, (0, 0, 1)),)))
-    assert hfact.factor_of((0, 0, 1)) == 49
+    assert factor_of(hfact, (0, 0, 1)) == 49
     assert infinite_place_ok(hext, hfact)
 
 
@@ -279,15 +316,19 @@ def reference_report(ext, h, kdata, check_infinity=False) -> dict:
         if not has_unramified_lift(ext, asg, check_infinity=check_infinity)[0]:
             continue
         fact = factorization_of(asg)
-        numerator = prod(
-            torsion_count(a, elem_order(gab, y)) ** len(factorize(abs(d)))
-            for y, d in fact.factors
-        )
-        count, rest = divmod(numerator, aut_stabilizer_order(ext) * hom_count(gab, a))
-        assert rest == 0 and count > 0
-        witnesses.append(Witness(asg, fact, count, class_orbit_size(ext)))
+        witnesses.append(Witness(asg, fact, reference_count(ext, fact), class_orbit_size(ext)))
     witnesses.sort(key=lambda w: w.assignment.entries)
     return Report(bool(witnesses), tuple(witnesses)).to_json()
+
+
+def reference_count(ext, fact) -> int:
+    gab, a = ext.gab, ext.a
+    numerator = prod(
+        torsion_count(a, elem_order(gab, y)) ** len(factorize(abs(d))) for y, d in fact.factors
+    )
+    count, rest = divmod(numerator, aut_stabilizer_order(ext) * hom_count(gab, a))
+    assert rest == 0 and count > 0
+    return count
 
 
 def assert_matches_reference(ext, h, kdata, check_infinity=False) -> dict:
@@ -387,6 +428,92 @@ def test_classify_raises_as_reference_on_bad_primes(heis3):
         for run in (classify, reference_report):
             with pytest.raises(ValueError, match=message):
                 run(e, hs, kdata)
+
+
+def test_classify_without_generating_choice_ignores_bad_primes(heis3):
+    # no choice generates Gab, so no RamAssignment is built: no error,
+    # no witness, as in the reference
+    split, _ = preset("split", ((2, 2), (7,)))
+    # 7 divides |A|; one image cannot generate C2 x C2
+    wild = BaseFieldData(frozenset({(0, 0), (1, 0)}), ((7, (0, 1)),))
+    ext, h = heis3
+    dup = BaseFieldData(h, ((7, (0, 0, 1)), (7, (0, 0, 2))))
+    for e, hs, kdata in ((split, wild.h_sub, wild), (ext, h, dup)):
+        assert classify(e, hs, kdata).to_json() == {"exists": False, "witnesses": []}
+        assert reference_report(e, hs, kdata) == {"exists": False, "witnesses": []}
+
+
+# four primes = 1 mod 3 and their number of classify witnesses
+HEIS3_QUADRUPLES = {(7, 13, 19, 31): 96, (7, 13, 31, 61): 0, (7, 13, 43, 61): 192}
+
+
+@pytest.mark.parametrize("primes", HEIS3_QUADRUPLES)
+def test_classify_matches_reference_heisenberg3_four_primes(heis3, primes):
+    ext, h = heis3
+    got = assert_matches_reference(ext, h, heis_kdata(h, primes))
+    assert len(got["witnesses"]) == HEIS3_QUADRUPLES[primes]
+    # the counting formula gives ell^(4-3) solutions per class
+    assert all(w["count_per_class"] == 3 and w["classes"] == 2 for w in got["witnesses"])
+
+
+@pytest.mark.parametrize("primes", HEIS3_QUADRUPLES)
+def test_lift_solutions_match_reference_on_every_choice(heis3, primes):
+    # every choice, generating or not: 9^4 of them
+    ext, h = heis3
+    candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+    choices = list(itertools.product(*candidates))
+    assert len(choices) == 9**4
+    expected = [
+        c for c in choices if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
+    ]
+    assert expected
+    assert list(_lift_solutions(ext, primes, candidates)) == expected
+
+
+def test_lift_solutions_two_coordinate_a_with_order_9_images():
+    # A = C3 x C3 packs two coordinates into one integer; the images have
+    # order 9 > exp(A), so the characters are taken mod 9
+    from lemfact.cocycle import _bilinear_table
+
+    gab, a = AbGroup((9, 9)), AbGroup((3, 3))
+    ext = CentralExtension(gab, a, _bilinear_table(gab, a, 0, 1, (1, 2)))
+    h = subgroup_generated(gab, [(1, 0)])
+    passing = 0
+    for primes in ((19, 37, 73), (37, 109, 199), (73, 163, 271)):
+        kdata = BaseFieldData(h, tuple((q, (0, 1)) for q in primes))
+        candidates = _assignment_space(ext, h, kdata)[1]
+        expected = [
+            c
+            for c in itertools.product(*candidates)
+            if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
+        ]
+        assert list(_lift_solutions(ext, primes, candidates)) == expected
+        passing += len(expected)
+    assert 0 < passing < 3 * 9**3
+
+
+def test_classify_heisenberg5_four_primes():
+    # 25^4 = 390,625 choices, solved as 25^3 prefixes
+    ext, h = preset("Heisenberg", 5)
+    primes = (11, 31, 41, 61)
+    start = time.perf_counter()
+    rep = classify(ext, h, heis_kdata(h, primes))
+    assert time.perf_counter() - start < 2
+    assert len(rep.witnesses) == 960
+    for w in rep.witnesses:
+        # the counting formula gives ell^(4-3) solutions per class
+        assert w.count_per_class == 5 == reference_count(ext, w.factorization)
+        assert w.classes == 4
+        assert has_unramified_lift(ext, w.assignment)[0]
+    found = {tuple(y for _, y in w.assignment.entries) for w in rep.witnesses}
+    candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+    rng = random.Random(5)
+    for _ in range(2000):
+        choice = tuple(rng.choice(c) for c in candidates)
+        expected = generates(ext.gab, choice) and has_unramified_lift(
+            ext, RamAssignment(ext, tuple(zip(primes, choice)))
+        )[0]
+        assert (choice in found) == expected
 
 
 @pytest.mark.parametrize(
