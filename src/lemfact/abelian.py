@@ -182,11 +182,6 @@ def torsion_count(A: AbGroup, n: int) -> int:
     return prod(gcd(m, n) for m in A.moduli)
 
 
-def multiple_subgroup(A: AbGroup, n: int) -> frozenset:
-    """The subgroup n*A = {n*a : a in A}."""
-    return frozenset(A.smul(n, x) for x in A.elements())
-
-
 @dataclass(frozen=True)
 class AbHom:
     """Homomorphism given by an integer matrix; column j is the image of

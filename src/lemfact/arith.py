@@ -96,11 +96,6 @@ def factorize(n: int) -> list[PrimePower]:
     return out
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors of |n| (0 for units)."""
-    return len(factorize(abs(n))) if abs(n) != 1 else 0
-
-
 def is_squarefree(n: int) -> bool:
     return all(pp.e == 1 for pp in factorize(abs(n)))
 

@@ -3,8 +3,9 @@
 An extension of Gab by A is stored as an explicit table c(g,h) in A with
 c(0,g) = c(g,0) = 0.  The total group E is the set A x Gab with
 (a1,g1)*(a2,g2) = (a1+a2+c(g1,g2), g1+g2); it is materialized on demand.
-All class-level questions (pairing, lift orders, coboundary equivalence)
-are cocycle computations.
+Each class of H^2(Gab, A) is named by its universal-coefficient
+coordinates (see _class_key); class equality, the Aut(A) stabilizer, the
+H^2 enumeration and Y_E read those coordinates instead of whole tables.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .abelian import (
     elem_order,
     enumerate_automorphisms,
     is_subgroup,
-    multiple_subgroup,
     solve_modular_linear,
     subgroup_generated,
     torsion_count,
@@ -84,15 +84,11 @@ class CentralExtension:
         """Y_E: elements whose cyclic restriction class vanishes, i.e.
         power_class(y) lies in |y|*A."""
         if self._ye is None:
-            by_order: dict[int, frozenset] = {}
-            out = []
-            for y in self.gab.elements():
-                n = elem_order(self.gab, y)
-                if n not in by_order:
-                    by_order[n] = multiple_subgroup(self.a, n)
-                if self.power_class(y) in by_order[n]:
-                    out.append(y)
-            self._ye = frozenset(out)
+            zero = self.a.zero()
+            self._ye = frozenset(
+                y for y in self.gab.elements()
+                if _mod_multiples(self.a, elem_order(self.gab, y), self.power_class(y)) == zero
+            )
         return self._ye
 
     # --- total group -------------------------------------------------
@@ -132,16 +128,16 @@ class CentralExtension:
 
     @classmethod
     def from_json(cls, data: dict) -> "CentralExtension":
-        gab = AbGroup(tuple(json_field(data, "Gab", list, "extension JSON")))
-        a = AbGroup(tuple(json_field(data, "A", list, "extension JSON")))
+        gab = AbGroup(tuple(json_field(data, "Gab", list, "extension JSON", int)))
+        a = AbGroup(tuple(json_field(data, "A", list, "extension JSON", int)))
         els = list(gab.elements())
-        rows = json_field(data, "cocycle", list, "extension JSON")
+        rows = json_field(data, "cocycle", list, "extension JSON", list)
         if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
             raise ValueError("cocycle array has wrong shape")
         table = {}
         for i, g in enumerate(els):
             for j, h in enumerate(els):
-                v = tuple(rows[i][j])
+                v = _json_ints(rows[i][j], "cocycle entry")
                 if not a.contains(v):
                     raise ValueError(f"entry {v} not reduced in A")
                 if v != a.zero():
@@ -175,6 +171,14 @@ def json_field(data, key: str, kind: type, what: str, items: type | None = None)
     return value
 
 
+def _json_ints(value, what: str) -> Elem:
+    """A group element from parsed JSON: a list of ints, as a tuple; a
+    ValueError naming what otherwise."""
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise ValueError(f"{what} must be a list of ints, not {json.dumps(value)}")
+    return tuple(value)
+
+
 # --- table arithmetic ----------------------------------------------------
 
 def add_tables(a: AbGroup, t1: Cocycle, t2: Cocycle) -> Cocycle:
@@ -188,57 +192,50 @@ def add_tables(a: AbGroup, t1: Cocycle, t2: Cocycle) -> Cocycle:
     return out
 
 
-def sub_tables(a: AbGroup, t1: Cocycle, t2: Cocycle) -> Cocycle:
-    neg = {k: a.neg(v) for k, v in t2.items()}
-    return add_tables(a, t1, neg)
+# --- class key ------------------------------------------------------------
+
+def _mod_multiples(a: AbGroup, m: int, x: Elem) -> Elem:
+    """Canonical representative of x + m*A: m*C_n = gcd(m, n)*C_n, so each
+    coordinate is read mod gcd(m, n)."""
+    return tuple(c % gcd(m, n) for c, n in zip(x, a.moduli))
 
 
-def map_table(alpha, t: Cocycle) -> Cocycle:
-    """Push a table forward along an endomorphism of A."""
-    return {k: alpha(v) for k, v in t.items()}
+def _class_key(ext: CentralExtension):
+    """Coordinates of [c] under universal coefficients, H^2(Gab, A) =
+    (+)_i A/m_i*A (+) (+)_{i<j} A[gcd(m_i, m_j)] for Gab = C_{m_1} x ... x
+    C_{m_k}: the commutator pairing on each basis pair i < j, and each basis
+    lift power read mod m_i*A.  Both are additive in the table and vanish
+    on coboundaries, so two cocycles are cohomologous iff their keys are
+    equal."""
+    gab = ext.gab
+    k = gab.rank
+    basis = [tuple(int(t == i) for t in range(k)) for i in range(k)]
+    pairs = tuple(ext.pairing(basis[i], basis[j]) for i in range(k) for j in range(i + 1, k))
+    powers = tuple(
+        _mod_multiples(ext.a, m, ext.power_class(e)) for m, e in zip(gab.moduli, basis)
+    )
+    return pairs, powers
 
 
 # --- coboundary decision -------------------------------------------------
-
-def _class_invariants(gab: AbGroup, a: AbGroup, table: Cocycle):
-    """Cohomology invariants of a cocycle class: the commutator pairing on
-    the standard basis and the lift-power sums of the basis vectors (the
-    latter read modulo m_i*A).  Both vanish on coboundaries."""
-    ext = CentralExtension(gab, a, table)
-    k = gab.rank
-    basis = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
-    betas = tuple(ext.pairing(basis[i], basis[j]) for i in range(k) for j in range(i + 1, k))
-    sums = []
-    for i in range(k):
-        acc = a.zero()
-        cur = basis[i]
-        for _ in range(gab.moduli[i] - 1):
-            acc = a.add(acc, ext.c(cur, basis[i]))
-            cur = gab.add(cur, basis[i])
-        sums.append(acc)
-    return betas, tuple(sums)
-
 
 def is_coboundary(gab: AbGroup, a: AbGroup, table: Cocycle):
     """Decide whether c(g,h) = phi(g) + phi(h) - phi(g+h) for some
     1-cochain phi with phi(0) = 0.
 
-    Returns (True, phi) with phi a dict Gab -> A, or (False, None).
-    The final decision runs through solve_modular_linear; a vanishing
-    check of the class invariants screens out the bulk of the negatives
-    without building the linear system.
+    Returns (True, phi) with phi a dict Gab -> A, or (False, None).  For
+    a cocycle the class key decides: it is zero exactly on coboundaries.
+    A nonzero key rules phi out for any table; solve_modular_linear only
+    builds phi, and decides a table that is not a cocycle.
     """
     zero_a = a.zero()
     if not table or all(v == zero_a for v in table.values()):
         return True, {g: zero_a for g in gab.elements()}
-    betas, sums = _class_invariants(gab, a, table)
-    if any(b != zero_a for b in betas):
-        return False, None
-    for i, s in enumerate(sums):
-        if s not in multiple_subgroup(a, gab.moduli[i]):
-            return False, None
-
     ext = CentralExtension(gab, a, table)
+    pairs, powers = _class_key(ext)
+    if any(v != zero_a for v in pairs + powers):
+        return False, None
+
     els = [g for g in gab.elements() if g != gab.zero()]
     index = {g: i for i, g in enumerate(els)}
     n_unknown = len(els)
@@ -270,25 +267,26 @@ def is_coboundary(gab: AbGroup, a: AbGroup, table: Cocycle):
 def cohomologous(e1: CentralExtension, e2: CentralExtension) -> bool:
     if e1.gab != e2.gab or e1.a != e2.a:
         raise ValueError("extensions live over different groups")
-    ok, _ = is_coboundary(e1.gab, e1.a, sub_tables(e1.a, e1.table, e2.table))
-    return ok
+    return _class_key(e1) == _class_key(e2)
 
 
 # --- automorphism action -------------------------------------------------
 
 def aut_stabilizer_order(ext: CentralExtension) -> int:
     """Number of automorphisms of A fixing the class [c] (i.e. alpha∘c
-    cohomologous to c)."""
-    if ext._stab_order is not None:
-        return ext._stab_order
-    count = 0
-    for alpha in enumerate_automorphisms(ext.a):
-        moved = map_table(alpha, ext.table)
-        ok, _ = is_coboundary(ext.gab, ext.a, sub_tables(ext.a, moved, ext.table))
-        if ok:
-            count += 1
-    ext._stab_order = count
-    return count
+    cohomologous to c).  alpha is additive, so it moves the class key
+    coordinate by coordinate and maps x + m*A into alpha(x) + m*A."""
+    if ext._stab_order is None:
+        pairs, powers = key = _class_key(ext)
+        moduli = ext.gab.moduli
+        ext._stab_order = sum(
+            (
+                tuple(map(alpha, pairs)),
+                tuple(_mod_multiples(ext.a, m, alpha(x)) for m, x in zip(moduli, powers)),
+            ) == key
+            for alpha in enumerate_automorphisms(ext.a)
+        )
+    return ext._stab_order
 
 
 def class_orbit_size(ext: CentralExtension) -> int:
@@ -332,7 +330,8 @@ def is_admissible_pair(ext: CentralExtension, h_sub: frozenset):
 # --- enumeration of H^2 --------------------------------------------------
 
 # candidate cocycles of enumerate_central_extensions: the H8 search over
-# (C2^3, C2) has 64, (C2^4, C2) 1024; each is compared with every class kept
+# (C2^3, C2) has 64, (C2^4, C2) 1024; each is a |Gab|^2-entry table to
+# build and key
 DESK_H2_BOUND = 2**7
 
 
@@ -372,9 +371,9 @@ def enumerate_central_extensions(gab: AbGroup, a: AbGroup):
 
     Candidate tables are sums of inflated cyclic-extension cocycles (one
     per factor of Gab) and basis bilinear cocycles (one per factor pair);
-    duplicates are filtered with is_coboundary against previously kept
-    representatives.  Deterministic: representatives are kept in candidate
-    order, candidates in lexicographic order of their defining data.
+    the first candidate of each class key is kept.  Deterministic:
+    representatives are kept in candidate order, candidates in
+    lexicographic order of their defining data.
     Raises ValueError, before any work, past DESK_H2_BOUND candidates:
     |A|^k * prod_{i<j} #A[gcd(m_i, m_j)] for Gab = C_{m_1} x ... x C_{m_k}.
     """
@@ -394,7 +393,7 @@ def enumerate_central_extensions(gab: AbGroup, a: AbGroup):
             pair_choices.append(
                 (i, j, [x for x in a_els if all((g * c) % m == 0 for c, m in zip(x, a.moduli))])
             )
-    kept: list[CentralExtension] = []
+    kept: dict = {}
     for carries in itertools.product(a_els, repeat=k):
         base = {}
         for i, av in enumerate(carries):
@@ -404,9 +403,8 @@ def enumerate_central_extensions(gab: AbGroup, a: AbGroup):
             for (i, j, _), bv in zip(pair_choices, bils):
                 table = add_tables(a, table, _bilinear_table(gab, a, i, j, bv))
             cand = CentralExtension(gab, a, table)
-            if not any(cohomologous(cand, e) for e in kept):
-                kept.append(cand)
-    return kept
+            kept.setdefault(_class_key(cand), cand)
+    return list(kept.values())
 
 
 # --- presets -------------------------------------------------------------
@@ -518,18 +516,13 @@ def quaternion_pair_class_count() -> int:
     auts = enumerate_automorphisms(gab)
     reps = []
     for ext, h_sub in hits:
-        matched = False
-        for rext, rh in reps:
-            for phi in auts:
-                if frozenset(phi(x) for x in h_sub) != rh:
-                    continue
-                diff = sub_tables(a, _pullback_table(rext, phi), ext.table)
-                if is_coboundary(gab, a, diff)[0]:
-                    matched = True
-                    break
-            if matched:
-                break
-        if not matched:
+        key = _class_key(ext)
+        if not any(
+            frozenset(phi(x) for x in h_sub) == rh
+            and _class_key(CentralExtension(gab, a, _pullback_table(rext, phi))) == key
+            for rext, rh in reps
+            for phi in auts
+        ):
             reps.append((ext, h_sub))
     return len(reps)
 

@@ -40,12 +40,6 @@ class QuadForm:
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not -a < b <= a <= c:
-            return False
-        return b >= 0 if a == c else True
-
     def is_ambiguous(self) -> bool:
         """Order at most 2 in the class group (for reduced forms)."""
         return self.b == 0 or self.a == self.b or self.a == self.c

@@ -29,7 +29,13 @@ from .abelian import (
     torsion_count,
 )
 from .arith import PrimePower, is_prime, power_residue_char, prime_star
-from .cocycle import CentralExtension, aut_stabilizer_order, class_orbit_size, json_field
+from .cocycle import (
+    CentralExtension,
+    _json_ints,
+    aut_stabilizer_order,
+    class_orbit_size,
+    json_field,
+)
 
 logger = logging.getLogger("lemfact")
 
@@ -223,7 +229,8 @@ class BaseFieldData:
 
     @classmethod
     def from_json(cls, data: dict, ext: CentralExtension) -> "BaseFieldData":
-        gens = [tuple(g) for g in json_field(data, "H", list, "base field data", list)]
+        gens = [_json_ints(g, "H generator")
+                for g in json_field(data, "H", list, "base field data", list)]
         for g in gens:
             ext.gab.check_elem(g)
         h_sub = subgroup_generated(ext.gab, gens)
@@ -236,8 +243,8 @@ def primes_from_json(data) -> tuple[tuple[int, Elem], ...]:
     """The (q, inertia image) pairs of the "primes" list of base field
     JSON, {"primes": [{"q": 5, "image": [0, 1]}, ...]}."""
     return tuple(
-        (int(json_field(e, "q", int, "prime entry")),
-         tuple(json_field(e, "image", list, "prime entry")))
+        (json_field(e, "q", int, "prime entry"),
+         tuple(json_field(e, "image", list, "prime entry", int)))
         for e in json_field(data, "primes", list, "base field data")
     )
 

@@ -16,12 +16,17 @@ from lemfact.abelian import (
     generates,
     hom_count,
     is_subgroup,
-    multiple_subgroup,
     smith_normal_form,
     solve_modular_linear,
     subgroup_generated,
     torsion_count,
 )
+
+
+def multiple_subgroup(A, n):
+    """The subgroup n*A = {n*a : a in A}, element by element."""
+    return frozenset(A.smul(n, x) for x in A.elements())
+
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda rows: st.integers(1, 4).flatmap(
@@ -221,6 +226,20 @@ def test_torsion_and_multiples():
         (x, y) for x in (0, 2) for y in (0, 2, 4)
     }
     assert torsion_count(a, 12) == 24
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.integers(1, 24), st.data())
+@settings(max_examples=200)
+def test_mod_multiples_names_the_cosets_of_multiples(moduli, m, data):
+    # the class key reads x + m*A as x mod gcd(m, n) in each C_n
+    from lemfact.cocycle import _mod_multiples
+
+    a = AbGroup(tuple(moduli))
+    mult = multiple_subgroup(a, m)
+    x = tuple(data.draw(st.integers(0, n - 1)) for n in moduli)
+    y = tuple(data.draw(st.integers(0, n - 1)) for n in moduli)
+    assert (_mod_multiples(a, m, x) == a.zero()) == (x in mult)
+    assert (_mod_multiples(a, m, x) == _mod_multiples(a, m, y)) == (a.sub(x, y) in mult)
 
 
 def test_hom_count_matches_brute_force():

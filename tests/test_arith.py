@@ -14,13 +14,18 @@ from lemfact.arith import (
     is_squarefree,
     kronecker,
     max_disc,
-    omega,
     power_residue_char,
     prime_discriminants,
     prime_star,
     primitive_root,
     underlying_prime,
 )
+
+
+def omega(n):
+    """Number of distinct prime divisors of |n| (0 for units)."""
+    return len(factorize(abs(n))) if abs(n) != 1 else 0
+
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

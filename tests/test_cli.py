@@ -6,7 +6,7 @@ import time
 import pytest
 
 from lemfact import cli, oracle
-from lemfact.arith import is_fundamental_discriminant, omega, prime_discriminants
+from lemfact.arith import factorize, is_fundamental_discriminant, prime_discriminants
 from lemfact.cli import main
 from lemfact.criteria import c4_criterion, h8_criterion
 
@@ -119,7 +119,7 @@ def test_survey_jobs_deterministic(capsys):
 
 def per_disc_survey_csv(lo, hi, criterion="c4", with_oracle=True):
     """The survey CSV rebuilt row by row from the per-d references:
-    omega, prime_discriminants, the criterion, and with the oracle the
+    the distinct primes of d, prime_discriminants, the criterion, and with the oracle the
     per-d two_rank/four_rank/redei_rank."""
     columns = (
         "d", "omega", "t_prime_discs", "exists", "n_witnesses",
@@ -134,7 +134,7 @@ def per_disc_survey_csv(lo, hi, criterion="c4", with_oracle=True):
         crit = c4_criterion(d) if criterion == "c4" else h8_criterion(d)
         writer.writerow({
             "d": d,
-            "omega": omega(d),
+            "omega": len(factorize(abs(d))),
             "t_prime_discs": len(prime_discriminants(d)),
             "exists": crit.exists,
             "n_witnesses": len(crit.witnesses),
@@ -358,9 +358,37 @@ def test_classify_wrong_length_element_exits_2(tmp_path, capsys, h_gens, image, 
             {"H": [[1, 0]], "primes": [{"q": [5], "image": [0, 1]}]},
             "prime entry key 'q' must be an int, not list",
         ),
+        # coordinates that are not ints: a str used to raise TypeError (exit 1),
+        # a float image was accepted
+        (
+            "C4_D4",
+            {"H": [[1, 0]], "primes": [{"q": 5, "image": ["a", 1]}, {"q": 41, "image": [0, 1]}]},
+            "prime entry key 'image' must hold ints, not str",
+        ),
+        (
+            "C4_D4",
+            {"H": [[1, 0]], "primes": [{"q": 5, "image": [0.5, 1]}, {"q": 41, "image": [0, 1]}]},
+            "prime entry key 'image' must hold ints, not float",
+        ),
+        (
+            "C4_D4",
+            {"H": [["x", 0]], "primes": [{"q": 5, "image": [0, 1]}, {"q": 41, "image": [0, 1]}]},
+            'H generator must be a list of ints, not ["x", 0]',
+        ),
+        ({"Gab": ["a"], "A": [2], "cocycle": [[[0]]]}, {"H": [[1]], "primes": []},
+         "extension JSON key 'Gab' must hold ints, not str"),
+        ({"Gab": [2.0], "A": [2], "cocycle": [[[0]]]}, {"H": [[1]], "primes": []},
+         "extension JSON key 'Gab' must hold ints, not float"),
+        ({"Gab": [2], "A": [2.0], "cocycle": [[[0]]]}, {"H": [[1]], "primes": []},
+         "extension JSON key 'A' must hold ints, not float"),
+        ({"Gab": [2], "A": [2], "cocycle": [[[0], [0]], [[0], ["1"]]]},
+         {"H": [[1]], "primes": []}, 'cocycle entry must be a list of ints, not ["1"]'),
+        ({"Gab": [2], "A": [2], "cocycle": [[[0], [0]], [[0], 1]]},
+         {"H": [[1]], "primes": []}, "cocycle entry must be a list of ints, not 1"),
     ],
     ids=["no-image", "no-primes", "int-image", "list-kdata", "ext-no-A", "int-h-generator",
-         "list-q"],
+         "list-q", "str-image", "float-image", "str-h-generator", "str-gab", "float-gab",
+         "float-a", "str-cocycle-entry", "int-cocycle-entry"],
 )
 def test_classify_malformed_json_exits_2(tmp_path, capsys, ext, kdata, message):
     if isinstance(ext, dict):

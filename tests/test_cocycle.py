@@ -23,13 +23,11 @@ from lemfact.cocycle import (
     enumerate_central_extensions,
     is_admissible_pair,
     is_coboundary,
-    map_table,
     order_preserving_lifts,
     preset,
     quaternion_pair_class_count,
     quaternion_pair_hits,
     split_extension,
-    sub_tables,
 )
 
 
@@ -47,6 +45,16 @@ def coboundary_table(gab, a, phi):
             if v != a.zero():
                 table[(g, h)] = v
     return table
+
+
+def sub_tables(a, t1, t2):
+    """Entrywise difference of two tables."""
+    return add_tables(a, t1, {k: a.neg(v) for k, v in t2.items()})
+
+
+def map_table(alpha, t):
+    """Push a table forward along an endomorphism of A."""
+    return {k: alpha(v) for k, v in t.items()}
 
 
 def commutator_subgroup(ext):
@@ -276,16 +284,116 @@ def test_orbit_times_stabilizer(rng):
             assert class_orbit_size(ext) * aut_stabilizer_order(ext) == n_aut
 
 
-@pytest.mark.parametrize(
-    "gab_moduli,a_moduli,classes",
-    [((2,), (2,), 2), ((2, 2), (2,), 8), ((3,), (3,), 3), ((2,), (4,), 2), ((4,), (2,), 2), ((2, 3), (6,), 6)],
-)
+CLASS_COUNTS = [
+    ((2,), (2,), 2), ((2, 2), (2,), 8), ((3,), (3,), 3), ((2,), (4,), 2), ((4,), (2,), 2),
+    ((2, 3), (6,), 6),
+]
+
+
+@pytest.mark.parametrize("gab_moduli,a_moduli,classes", CLASS_COUNTS)
 def test_enumerate_central_extensions_class_counts(gab_moduli, a_moduli, classes):
     # |H^2(Gab, A)| = prod |A/m_i A| * prod_{i<j} |A[gcd(m_i, m_j)]|
     got = enumerate_central_extensions(AbGroup(gab_moduli), AbGroup(a_moduli))
     assert len(got) == classes
     for e1, e2 in itertools.combinations(got, 2):
         assert not cohomologous(e1, e2)
+
+
+# --- table-based references for the class key ------------------------------
+
+def reference_h2(gab, a):
+    """The table-based H^2 enumeration: the same candidates in the same
+    order, each kept unless is_coboundary finds its difference with a class
+    kept before to be a coboundary."""
+    k = gab.rank
+    a_els = list(a.elements())
+    pair_choices = [
+        (i, j, sorted(torsion_subgroup(a, gcd(gab.moduli[i], gab.moduli[j]))))
+        for i in range(k)
+        for j in range(i + 1, k)
+    ]
+    kept = []
+    for carries in itertools.product(a_els, repeat=k):
+        base = {}
+        for i, av in enumerate(carries):
+            base = add_tables(a, base, _carry_table(gab, a, i, av))
+        for bils in itertools.product(*(choices for _, _, choices in pair_choices)):
+            table = base
+            for (i, j, _), bv in zip(pair_choices, bils):
+                table = add_tables(a, table, _bilinear_table(gab, a, i, j, bv))
+            if not any(is_coboundary(gab, a, sub_tables(a, table, t))[0] for t in kept):
+                kept.append(table)
+    return [CentralExtension(gab, a, t).dumps() for t in kept]
+
+
+def reference_stabilizer_order(ext):
+    """Automorphisms alpha of A with alpha∘c - c a coboundary, table by table."""
+    t = ext.table
+    return sum(
+        is_coboundary(ext.gab, ext.a, sub_tables(ext.a, map_table(alpha, t), t))[0]
+        for alpha in enumerate_automorphisms(ext.a)
+    )
+
+
+H2_PAIRS = list(dict.fromkeys(SMALL_PAIRS + [(AbGroup(g), AbGroup(a)) for g, a, _ in CLASS_COUNTS]))
+
+
+@pytest.mark.parametrize("gab,a", H2_PAIRS, ids=lambda g: "x".join(map(str, g.moduli)))
+def test_enumerate_central_extensions_matches_table_reference(gab, a):
+    assert [e.dumps() for e in enumerate_central_extensions(gab, a)] == reference_h2(gab, a)
+
+
+def test_aut_stabilizer_order_matches_table_reference():
+    # A with a nontrivial Aut(A) that is not cyclic of prime order
+    rng = random.Random(8)
+    seen = set()
+    for a_moduli in ((4,), (2, 2), (2, 4), (3,)):
+        a = AbGroup(a_moduli)
+        for gab in (AbGroup((2,)), AbGroup((4,)), AbGroup((2, 2)), AbGroup((2, 4))):
+            for _ in range(4):
+                ext = CentralExtension(gab, a, random_cocycle(gab, a, rng))
+                order = aut_stabilizer_order(ext)
+                assert order == reference_stabilizer_order(ext)
+                seen.add((a_moduli, order))
+    # every stabilizer order a class can have: for C2 x C2, the span of its
+    # key values is 0, a line or the whole plane
+    assert {(2, 2): {1, 2, 6}, (2, 4): {1, 2, 4, 8}} == {
+        am: {o for m, o in seen if m == am} for am in ((2, 2), (2, 4))
+    }
+
+
+def test_cohomologous_matches_brute_force(rng):
+    verdicts = []
+    for gab, a in (
+        (AbGroup((2,)), AbGroup((2,))),
+        (AbGroup((2, 2)), AbGroup((2,))),
+        (AbGroup((4,)), AbGroup((2,))),
+        (AbGroup((3,)), AbGroup((3,))),
+        (AbGroup((2,)), AbGroup((4,))),
+        (AbGroup((2, 2)), AbGroup((2, 2))),
+    ):
+        for _ in range(30):
+            t1, t2 = random_cocycle(gab, a, rng), random_cocycle(gab, a, rng)
+            got = cohomologous(CentralExtension(gab, a, t1), CentralExtension(gab, a, t2))
+            assert got == brute_force_coboundary(gab, a, sub_tables(a, t1, t2))
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_y_set_matches_element_set_definition(rng):
+    # Y_E = {y : power_class(y) in |y|*A}, with |y|*A listed element by element
+    exts = [preset(name, p)[0] for name, p in (("C4_D4", None), ("H8_pair", None),
+                                                ("Heisenberg", 3))]
+    for gab, a in SMALL_PAIRS:
+        exts += [CentralExtension(gab, a, random_cocycle(gab, a, rng)) for _ in range(5)]
+    for ext in exts:
+        gab, a = ext.gab, ext.a
+        expected = {
+            y
+            for y in gab.elements()
+            if ext.power_class(y) in {a.smul(elem_order(gab, y), x) for x in a.elements()}
+        }
+        assert ext.y_set() == expected
 
 
 def test_enumerate_central_extensions_coprime_orders_is_quick():
@@ -298,8 +406,8 @@ def test_enumerate_central_extensions_coprime_orders_is_quick():
 
 
 def test_enumerate_central_extensions_bound_counts_candidates():
-    # (C2^4, C2) has 1024 candidate cocycles, each compared with every
-    # class kept so far: it raises before the first one
+    # (C2^4, C2) has 1024 candidate cocycles, each a 256-entry table to
+    # build and key: it raises before the first one
     start = time.perf_counter()
     with pytest.raises(ValueError) as exc:
         enumerate_central_extensions(AbGroup((2,) * 4), AbGroup((2,)))
