@@ -150,6 +150,12 @@ class CentralExtension:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+def _json_is(value, kind: type) -> bool:
+    """isinstance(value, kind) for parsed JSON, where true and false are
+    not ints (bool subclasses int)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def json_field(data, key: str, kind: type, what: str, items: type | None = None):
     """data[key] from parsed JSON, checked to be a kind (and, when items is
     given, a list of items); a ValueError naming the missing key or the
@@ -159,13 +165,13 @@ def json_field(data, key: str, kind: type, what: str, items: type | None = None)
     if key not in data:
         raise ValueError(f"{what} lacks key {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
+    if not _json_is(value, kind):
         article = "an" if kind.__name__[0] in "aeiou" else "a"
         raise ValueError(f"{what} key {key!r} must be {article} {kind.__name__}, "
                          f"not {type(value).__name__}")
     if items is not None:
         for x in value:
-            if not isinstance(x, items):
+            if not _json_is(x, items):
                 raise ValueError(f"{what} key {key!r} must hold {items.__name__}s, "
                                  f"not {type(x).__name__}")
     return value
@@ -174,7 +180,7 @@ def json_field(data, key: str, kind: type, what: str, items: type | None = None)
 def _json_ints(value, what: str) -> Elem:
     """A group element from parsed JSON: a list of ints, as a tuple; a
     ValueError naming what otherwise."""
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(_json_is(x, int) for x in value):
         raise ValueError(f"{what} must be a list of ints, not {json.dumps(value)}")
     return tuple(value)
 

@@ -3,8 +3,15 @@ quadratic forms, Gauss composition via ideal multiplication, 2- and
 4-ranks, and the Redei matrix.
 
 This is the ground truth the classical criteria are checked against, so
-it deliberately shares no code path with them beyond the Kronecker
-symbol (which the Redei matrix needs by definition).
+it shares no code path with them beyond the Kronecker symbol (which the
+Redei matrix needs by definition) and the discriminant bound check.  It
+factors by its own trial division (`_factor`, `_prime_discs`).  It
+squares a form by the duplication formula (Cohen, GTM 138, Alg. 5.4.7
+with f1 = f2) on plain (a, b, c) triples, with the lattice composition
+`compose` as its independent reference.  `rank_sweep` takes
+fundamentality from primitivity: d is fundamental exactly when every
+reduced form of discriminant d is primitive, since g (a, b, c) has
+discriminant g^2 disc(a, b, c).
 """
 
 from __future__ import annotations
@@ -14,14 +21,7 @@ from functools import reduce
 from math import gcd, isqrt, prod
 
 from .abelian import AbGroup
-from .arith import (
-    factorize,
-    is_fundamental_discriminant,
-    kronecker,
-    max_disc,
-    prime_discriminants,
-    underlying_prime,
-)
+from .arith import check_disc_bound, kronecker, max_disc
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,25 @@ class QuadForm:
         return self.b == 0 or self.a == self.b or self.a == self.c
 
 
-def reduce_form(f: QuadForm) -> QuadForm:
-    a, b, c = f.a, f.b, f.c
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced form of the class of the positive definite form
+    (a, b, c): -a < b <= a <= c, and b >= 0 when a = c."""
     while True:
-        if a > c:
-            a, b, c = c, -b, a
-            continue
         if b > a or b <= -a:
             # translate b into (-a, a]
             k = (a - b) // (2 * a)
-            b2 = b + 2 * k * a
-            c = c + k * (b + k * a)
-            b = b2
-            continue
-        break
+            c += k * (b + k * a)
+            b += 2 * k * a
+        if a <= c:
+            break
+        a, b, c = c, -b, a
     if a == c and b < 0:
         b = -b
-    return QuadForm(a, b, c)
+    return a, b, c
+
+
+def reduce_form(f: QuadForm) -> QuadForm:
+    return QuadForm(*_reduce(f.a, f.b, f.c))
 
 
 def principal_form(d: int) -> QuadForm:
@@ -139,13 +141,23 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(h.a, -h.b, h.c))
 
 
+def _square(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced square of the primitive form (a, b, c), by duplication
+    (Cohen, GTM 138, Alg. 5.4.7 with f1 = f2): with g = gcd(a, b) =
+    s b + t a, m = a / g and r = -s c mod m, the square is the class of
+    (m^2, b + 2 m r, .).  s is needed only mod m, where it is the inverse
+    of b / g."""
+    g = gcd(a, b)
+    m = a // g
+    r = -c * pow(b // g, -1, m) % m
+    a2 = m * m
+    b2 = b + 2 * m * r
+    return _reduce(a2, b2, (b2 * b2 - b * b + 4 * a * c) // (4 * a2))
+
+
 def square(f: QuadForm) -> QuadForm:
-    """compose(f, f), with the three-generator shortcut."""
-    d = f.disc
-    a, b = f.a, -f.b
-    gens = ((2 * a * a, 0), (a * b, a), ((b * b + d) // 2, b))
-    h = _module_to_form(gens, d)
-    return reduce_form(QuadForm(h.a, -h.b, h.c))
+    """compose(f, f) for a primitive f, by duplication (_square)."""
+    return QuadForm(*_square(f.a, f.b, f.c))
 
 
 def form_pow(f: QuadForm, n: int) -> QuadForm:
@@ -165,10 +177,53 @@ def _oracle_limit() -> int:
     return min(10**6, max_disc())
 
 
+def _factor(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p
+    ascending, by trial division; the discriminant bound is checked on n
+    first."""
+    check_disc_bound(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _prime_discs(d: int) -> list[int] | None:
+    """The prime discriminants of d (p* = +-p = 1 mod 4 for odd p; -4, 8
+    or -8 at 2), ascending in absolute value, or None when d is not a
+    fundamental discriminant.  Factors |d| when d = 1 mod 4 and |d/4| when
+    d = 8, 12 mod 16, so the bound check names that number."""
+    if d == 1:
+        return []
+    if d % 4 == 1:
+        n = d
+    elif d % 16 in (8, 12):
+        n = d // 4
+    else:
+        return None
+    factors = _factor(abs(n))
+    if any(e > 1 for _, e in factors):
+        return None
+    parts = [p if p % 4 == 1 else -p for p, _ in factors if p != 2]
+    two = d // prod(parts)
+    if two != 1:
+        parts.append(two)
+    return sorted(parts, key=abs)
+
+
 def _check_disc(d: int):
     if d >= 0:
         raise ValueError(f"imaginary quadratic oracle needs d < 0, got {d}")
-    if not is_fundamental_discriminant(d):
+    if _prime_discs(d) is None:
         raise ValueError(f"{d} is not a fundamental discriminant")
     limit = _oracle_limit()
     if -d > limit:
@@ -233,13 +288,13 @@ def class_group_structure(d: int) -> tuple[AbGroup, int]:
     h = len(forms)
     e = principal_form(d)
     orders = []
-    h_factors = factorize(h)
+    h_factors = _factor(h)
     for f in forms:
         n = h
-        for pp in h_factors:
-            for _ in range(pp.e):
-                if n % pp.q == 0 and form_pow(f, n // pp.q) == e:
-                    n //= pp.q
+        for p, k in h_factors:
+            for _ in range(k):
+                if n % p == 0 and form_pow(f, n // p) == e:
+                    n //= p
                 else:
                     break
         orders.append(n)
@@ -247,10 +302,9 @@ def class_group_structure(d: int) -> tuple[AbGroup, int]:
     # exactly when its order divides p^j, so #ker(p^j) = p^t_j and
     # t_j - t_{j-1} counts the cyclic factors of order >= p^j
     factors_by_prime: dict[int, list[int]] = {}
-    for pp in h_factors:
-        p = pp.q
+    for p, k in h_factors:
         t = [0]
-        for j in range(1, pp.e + 1):
+        for j in range(1, k + 1):
             ker = sum(1 for n in orders if p**j % n == 0)
             lg = 0
             while p**lg < ker:
@@ -258,7 +312,7 @@ def class_group_structure(d: int) -> tuple[AbGroup, int]:
             if p**lg != ker:
                 raise AssertionError(f"kernel size {ker} is not a power of {p}")
             t.append(lg)
-        counts = [t[j] - t[j - 1] for j in range(1, pp.e + 1)]
+        counts = [t[j] - t[j - 1] for j in range(1, k + 1)]
         facs = []
         for j, cnt in enumerate(counts, start=1):
             while len(facs) < cnt:
@@ -294,6 +348,11 @@ def four_rank(d: int) -> int:
     return _exact_log2(n, f"ambiguous square count {n} is not a power of 2")
 
 
+def _c_bounds(a: int, bb: int, lo: int, hi: int) -> tuple[int, int]:
+    """The least and the greatest c >= a with lo <= bb - 4ac < hi."""
+    return max(a, (bb - hi) // (4 * a) + 1), (bb - lo) // (4 * a)
+
+
 def rank_sweep(lo: int, hi: int):
     """two_rank and four_rank for every fundamental discriminant in
     [lo, hi), d < 0, via one global form enumeration.
@@ -305,25 +364,41 @@ def rank_sweep(lo: int, hi: int):
     form (a, -b, c), whose square has the same ambiguous reduced form.
     An ambiguous form squares to the principal form (a = 1), which is
     added directly.  two_rank/four_rank square every form and stay the
-    reference.  Raises ValueError, before any enumeration, when the
-    range holds a fundamental discriminant past the oracle bound.
+    reference.
+
+    A first pass marks each d with an imprimitive reduced form k (a, b, c),
+    k >= 2; every d = 0, 1 mod 4 left unmarked is fundamental, so no form
+    of a non-fundamental d is squared.  Raises ValueError, before any
+    enumeration, when the range holds a fundamental discriminant past the
+    oracle bound.
     """
     if lo >= hi or hi > 0:
         raise ValueError("need lo < hi <= 0")
     limit = _oracle_limit()
     for d in range(lo, min(hi, -limit)):
-        if is_fundamental_discriminant(d):
+        if _prime_discs(d) is not None:
             raise ValueError(f"|{d}| exceeds oracle bound {limit}")
-    fundamental = [d for d in range(lo, hi) if is_fundamental_discriminant(d)]
+    amax = isqrt(-lo // 3)
+    imprimitive = bytearray(hi - lo)  # index d - lo
+    for k in range(2, amax + 1):
+        for a in range(k, amax + 1, k):
+            for b in range(0, a + 1, k):
+                bb = b * b
+                cmin, cmax = _c_bounds(a, bb, lo, hi)
+                # the c in [cmin, cmax] divisible by k, from the largest
+                # (the least index d - lo) down, d rising by 4ak per step
+                cmax -= cmax % k
+                if cmin <= cmax:
+                    first = bb - 4 * a * cmax - lo
+                    last = first + 4 * a * (cmax - cmin)
+                    imprimitive[first:last + 1:4 * a * k] = b"\x01" * ((cmax - cmin) // k + 1)
+    fundamental = [d for d in range(lo, hi) if d % 4 < 2 and not imprimitive[d - lo]]
     amb_count = dict.fromkeys(fundamental, 0)
     amb_squares = {d: set() for d in fundamental}
-    amax = isqrt(-lo // 3)
     for a in range(1, amax + 1):
         for b in range(a + 1):
             bb = b * b
-            # smallest c with d = bb - 4ac < hi, but also c >= a
-            cmin = max(a, (bb - hi) // (4 * a) + 1)
-            cmax = (bb - lo) // (4 * a)
+            cmin, cmax = _c_bounds(a, bb, lo, hi)
             for c in range(cmin, cmax + 1):
                 d = bb - 4 * a * c
                 if d not in amb_count:
@@ -331,11 +406,11 @@ def rank_sweep(lo: int, hi: int):
                 if b == 0 or b == a or a == c:
                     amb_count[d] += 1
                     if a == 1:
-                        amb_squares[d].add(QuadForm(a, b, c))
+                        amb_squares[d].add((a, b, c))
                     continue
-                g = square(QuadForm(a, b, c))
-                if g.is_ambiguous():
-                    amb_squares[d].add(g)
+                sa, sb, sc = _square(a, b, c)
+                if sb == 0 or sa == sb or sa == sc:
+                    amb_squares[d].add((sa, sb, sc))
     out = {}
     for d in fundamental:
         message = f"non-power-of-2 ambiguous counts at {d}"
@@ -349,18 +424,20 @@ def rank_sweep(lo: int, hi: int):
 def redei_matrix(d: int):
     """Matrix over F2 indexed by the prime discriminant factors of d;
     rows as bitmasks, bit j set when the symbol is -1."""
-    if not is_fundamental_discriminant(d) or d == 1:
+    parts = _prime_discs(d)
+    if parts is None or d == 1:
         raise ValueError(f"{d} is not a fundamental discriminant of a field")
-    parts = prime_discriminants(d)
+    check_disc_bound(abs(d))  # not only the |d/4| that _prime_discs factored
+    primes = [2 if v % 2 == 0 else abs(v) for v in parts]
     t = len(parts)
     rows = []
     for i in range(t):
         row = 0
         for j in range(t):
             if i == j:
-                sym = kronecker(d // parts[i], underlying_prime(parts[i]))
+                sym = kronecker(d // parts[i], primes[i])
             else:
-                sym = kronecker(parts[j], underlying_prime(parts[i]))
+                sym = kronecker(parts[j], primes[i])
             if sym == -1:
                 row |= 1 << j
         rows.append(row)

@@ -385,10 +385,29 @@ def test_classify_wrong_length_element_exits_2(tmp_path, capsys, h_gens, image, 
          {"H": [[1]], "primes": []}, 'cocycle entry must be a list of ints, not ["1"]'),
         ({"Gab": [2], "A": [2], "cocycle": [[[0], [0]], [[0], 1]]},
          {"H": [[1]], "primes": []}, "cocycle entry must be a list of ints, not 1"),
+        # JSON booleans are not ints, though bool subclasses int in Python
+        (
+            "C4_D4",
+            {"H": [[True, 0]], "primes": [{"q": 5, "image": [0, 1]}, {"q": 41, "image": [0, 1]}]},
+            "H generator must be a list of ints, not [true, 0]",
+        ),
+        (
+            "C4_D4",
+            {"H": [[1, 0]], "primes": [{"q": 5, "image": [0, True]}, {"q": 41, "image": [0, 1]}]},
+            "prime entry key 'image' must hold ints, not bool",
+        ),
+        (
+            "C4_D4",
+            {"H": [[1, 0]], "primes": [{"q": True, "image": [0, 1]}]},
+            "prime entry key 'q' must be an int, not bool",
+        ),
+        ({"Gab": [True], "A": [2], "cocycle": [[[0]]]}, {"H": [[1]], "primes": []},
+         "extension JSON key 'Gab' must hold ints, not bool"),
     ],
     ids=["no-image", "no-primes", "int-image", "list-kdata", "ext-no-A", "int-h-generator",
          "list-q", "str-image", "float-image", "str-h-generator", "str-gab", "float-gab",
-         "float-a", "str-cocycle-entry", "int-cocycle-entry"],
+         "float-a", "str-cocycle-entry", "int-cocycle-entry", "bool-h-generator",
+         "bool-image", "bool-q", "bool-gab"],
 )
 def test_classify_malformed_json_exits_2(tmp_path, capsys, ext, kdata, message):
     if isinstance(ext, dict):
@@ -419,6 +438,31 @@ def test_max_disc_flag(capsys, monkeypatch):
     code, _, err = run(capsys, "--max-disc", "100", "c4", "205")
     assert code == 2
     monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        # the bound check names the number factored first: |d/4| for the
+        # fundamentality test of d = 0 mod 4, then |d| for the Redei matrix
+        (("200", "redei", "-420"), "420 exceeds discriminant bound 200"),
+        (("100", "redei", "-420"), "105 exceeds discriminant bound 100"),
+        (("200", "fourrank", "-420"), "|-420| exceeds oracle bound 200"),
+        (("100", "fourrank", "-420"), "105 exceeds discriminant bound 100"),
+        (("200", "classgroup", "-420"), "|-420| exceeds oracle bound 200"),
+        (("100", "redei", "205"), "205 exceeds discriminant bound 100"),
+        (("100", "fourrank", "205"), "imaginary quadratic oracle needs d < 0, got 205"),
+        (("100", "classgroup", "205"), "imaginary quadratic oracle needs d < 0, got 205"),
+        (("20", "classgroup", "45"), "imaginary quadratic oracle needs d < 0, got 45"),
+        (("20", "redei", "45"), "45 exceeds discriminant bound 20"),
+        (("100", "redei", "45"), "45 is not a fundamental discriminant of a field"),
+    ],
+)
+def test_oracle_max_disc_errors_are_pinned(capsys, monkeypatch, argv, err):
+    monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+    max_disc, which, d = argv
+    code, out, got = run(capsys, "--max-disc", max_disc, "oracle", which, d)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
 def test_selftest_passes(capsys):

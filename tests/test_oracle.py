@@ -4,10 +4,13 @@ import time
 
 import pytest
 
-from lemfact.arith import is_fundamental_discriminant, prime_discriminants
+import lemfact.oracle
+from lemfact.arith import factorize, is_fundamental_discriminant, prime_discriminants
 from lemfact.oracle import (
     QuadForm,
     _exact_log2,
+    _factor,
+    _prime_discs,
     class_group_structure,
     class_number,
     compose,
@@ -88,6 +91,18 @@ def test_composition_group_laws():
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
 
+def test_square_matches_compose_below_5000():
+    # the duplication formula against the lattice composition, on every
+    # reduced form of every fundamental -5000 < d < 0
+    count = 0
+    for d in range(-3, -5000, -1):
+        if is_fundamental_discriminant(d):
+            for f in reduced_forms(d):
+                assert square(f) == compose(f, f), f
+                count += 1
+    assert count > 30000
+
+
 def test_compose_discriminant_mismatch():
     with pytest.raises(ValueError):
         compose(principal_form(-23), principal_form(-24))
@@ -151,6 +166,39 @@ def test_rank_sweep_matches_per_disc_large_window():
         assert sweep[d] == (two_rank(d), four_rank(d)), d
 
 
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(-7, -2), (-4, -3), (-12000, -11700), (-11999, -11700), (-11998, -11699)],
+    ids=["edge-7", "edge-4", "lo-0-mod-4", "lo-1-mod-4", "lo-2-mod-4"],
+)
+def test_rank_sweep_windows_match_per_disc(lo, hi):
+    discs = [d for d in range(lo, hi) if is_fundamental_discriminant(d)]
+    sweep = rank_sweep(lo, hi)
+    assert list(sweep) == discs
+    for d in discs:
+        assert sweep[d] == (two_rank(d), four_rank(d)), d
+
+
+@pytest.mark.parametrize(
+    "max_disc,lo,message",
+    [
+        # the first bound check names |d| for d = 1 mod 4, |d/4| for 4 | d
+        ("500", -1000, "999 exceeds discriminant bound 500"),
+        ("100", -410, "102 exceeds discriminant bound 100"),
+        ("100", -420, "105 exceeds discriminant bound 100"),
+        (None, -1000010, "|-1000007| exceeds oracle bound 1000000"),
+    ],
+)
+def test_rank_sweep_bound_errors_are_pinned(monkeypatch, max_disc, lo, message):
+    if max_disc is None:
+        monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+    else:
+        monkeypatch.setenv("LEMFACT_MAX_DISC", max_disc)
+    with pytest.raises(ValueError) as info:
+        rank_sweep(lo, -3)
+    assert str(info.value) == message
+
+
 def test_rank_sweep_enforces_oracle_bound(monkeypatch):
     monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
     first = next(d for d in range(-(10**9), -3) if is_fundamental_discriminant(d))
@@ -197,3 +245,23 @@ def test_oracle_rejects_bad_input():
         two_rank(-(10**7))
     with pytest.raises(ValueError):
         redei_rank(45)
+
+
+def test_prime_discs_match_arith():
+    seen_two_parts = set()
+    for d in range(-30000, 30000):
+        parts = _prime_discs(d)
+        if is_fundamental_discriminant(d):
+            assert parts == prime_discriminants(d), d
+            seen_two_parts.update(v for v in parts if v % 2 == 0)
+        else:
+            assert parts is None, d
+    assert seen_two_parts == {-4, 8, -8}
+    assert _prime_discs(-84) == [-3, -4, -7]
+    for n in range(1, 5000):
+        assert _factor(n) == [(pp.q, pp.e) for pp in factorize(n)]
+
+
+def test_oracle_imports_no_factoring_from_arith():
+    for name in ("factorize", "is_fundamental_discriminant", "prime_discriminants"):
+        assert not hasattr(lemfact.oracle, name)
