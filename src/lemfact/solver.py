@@ -265,36 +265,45 @@ def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
     return n
 
 
+@lru_cache(maxsize=1 << 10)
+def _coset_candidates(ext: CentralExtension, h_sub: frozenset, g: Elem):
+    """The (y, |y|) with y in Y_E outside H and congruent to g mod H,
+    sorted by y."""
+    # memoised: the primes of every base field over one H share few cosets
+    gab = ext.gab
+    return tuple(
+        (y, elem_order(gab, y))
+        for y in sorted(ext.y_set())
+        if y not in h_sub and gab.sub(y, g) in h_sub
+    )
+
+
 def _assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
     """The assignments compatible with the base field, as choices.
 
     Returns (primes, candidates, choices): the ramified primes of kdata
-    sorted, per prime the sorted y in Y_E outside H, congruent to its
-    inertia image mod H, with |y| dividing q-1, and an iterator over the
-    choices (one candidate per prime, in lexicographic order) whose
+    sorted, per prime the tuple of sorted y in Y_E outside H, congruent to
+    its inertia image mod H, with |y| dividing q-1, and an iterator over
+    the choices (one candidate per prime, in lexicographic order) whose
     images generate Gab.  candidates is empty when some prime has none.
     """
+    h_sub = frozenset(h_sub)
+    if h_sub != frozenset(kdata.h_sub):
+        raise ValueError("H does not match the base field data")
     kdata.validate(ext)
     gab = ext.gab
-    ye = ext.y_set()
     primes = sorted(kdata.primes)
     candidates = []
     for q, g in primes:
-        cands = sorted(
-            y
-            for y in ye
-            if y not in h_sub
-            and gab.sub(y, g) in h_sub
-            and (q - 1) % elem_order(gab, y) == 0
-        )
+        cands = tuple(y for y, n in _coset_candidates(ext, h_sub, g) if (q - 1) % n == 0)
         if not cands:
-            return primes, [], iter(())
+            return primes, (), iter(())
         candidates.append(cands)
     total = prod(len(c) for c in candidates)
     if total > DEFAULT_ASSIGNMENT_BOUND:
         raise ValueError(f"{total} candidate assignments exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
     choices = (c for c in itertools.product(*candidates) if generates(gab, c))
-    return primes, candidates, choices
+    return primes, tuple(candidates), choices
 
 
 def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
@@ -307,28 +316,51 @@ def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFi
         yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
 
 
-def _lift_solutions(ext: CentralExtension, qs, candidates):
+def _characters(gab: AbGroup, qs, candidates) -> tuple:
+    """The characters of the lift test, flat: for each pair of primes p_i,
+    q_j with i != j and each order n of the candidates of q_j, ascending,
+    the character of p_i at q_j^(n-1) mod n.  The test depends on the
+    candidates and these alone."""
+    orders = [sorted({elem_order(gab, y) for y in cands}) for cands in candidates]
+    return tuple(
+        power_residue_char(p, PrimePower(q, n - 1), n)
+        for i, p in enumerate(qs)
+        for j, (q, oj) in enumerate(zip(qs, orders))
+        if j != i
+        for n in oj
+    )
+
+
+@lru_cache(maxsize=1 << 10)
+def _lift_survivors(ext: CentralExtension, candidates, chars) -> tuple:
+    """The choices that pass the lift test and generate Gab, in
+    lexicographic order."""
+    # memoised: many base fields of one extension share the candidates and
+    # the characters, and the survivors depend on nothing else
+    return tuple(c for c in _lift_solutions(ext, candidates, chars) if generates(ext.gab, c))
+
+
+def _lift_solutions(ext: CentralExtension, candidates, chars):
     """The choices (one candidate per prime, in lexicographic order) that
     pass the Frobenius-sum test of has_unramified_lift, for a prime
-    exp(A).
+    exp(A), given the characters of _characters.
 
-    The pairing is bilinear and k[p, q, |y_q|] depends only on the two
-    primes and the order, so every term k * <y_q, y_p> is read from a table
-    built here.  The literal mod-exp(A) sum equals the direct one: for a
-    prime exponent the pairing is killed by exp(A) and both characters
-    agree modulo it.  The test is solved for the last prime: once y_1 ..
-    y_{n-1} are fixed, the sum at p_i (i < n) vanishes exactly when its
-    last term k * <y_n, y_i> cancels the fixed ones.  So each prefix looks
-    up, per i < n, the last prime's candidates giving that term, and tests
-    the sum at p_n on the few left.
+    The pairing is bilinear, so every term k * <y_q, y_p> is read from a
+    table built here.  The literal mod-exp(A) sum equals the direct one:
+    for a prime exponent the pairing is killed by exp(A) and both
+    characters agree modulo it.  The test is solved for the last prime:
+    once y_1 .. y_{n-1} are fixed, the sum at p_i (i < n) vanishes exactly
+    when its last term k * <y_n, y_i> cancels the fixed ones.  So each
+    prefix looks up, per i < n, the last prime's candidates giving that
+    term, and tests the sum at p_n on the few left.
     """
     gab, a = ext.gab, ext.a
-    n = len(qs)
+    n = len(candidates)
     union = set().union(*candidates)
-    order = {y: elem_order(gab, y) for y in union}
+    orders = [[elem_order(gab, y) for y in cands] for cands in candidates]
     # an element of A as one integer, coordinate t in bits [t*width, ...),
     # wide enough that no sum of n terms k * <y, z> with k < |y| carries
-    width = (n * max(order.values()) * a.exponent).bit_length()
+    width = (n * max(map(max, orders)) * a.exponent).bit_length()
     fields = [(t * width, m) for t, m in enumerate(a.moduli)]
     low = (1 << width) - 1
 
@@ -341,23 +373,26 @@ def _lift_solutions(ext: CentralExtension, qs, candidates):
         for y in union
         for z in union
     }
-    # w[i][b][j][c]: k * <y, z>, unreduced, with y the c-th candidate of
-    # prime j, z the b-th candidate of prime i and k the character of p_i at
-    # q_j^(|y|-1) mod |y|; zero at j = i, where the pairing vanishes
-    w = []
-    for i, p in enumerate(qs):
-        k = [
-            [0] * len(cands)
-            if j == i
-            else [power_residue_char(p, PrimePower(q, order[y] - 1), order[y]) for y in cands]
-            for j, (q, cands) in enumerate(zip(qs, candidates))
+    # k[i][j][c]: the character of p_i at the order of y, the c-th candidate
+    # of prime j, read off chars in its order; zero at j = i, where the
+    # pairing vanishes.  zip takes from chars only while orders are left.
+    chars = iter(chars)
+    k = [
+        [
+            [0] * len(oj) if j == i else list(map(dict(zip(sorted(set(oj)), chars)).get, oj))
+            for j, oj in enumerate(orders)
         ]
-        w.append(
-            [
-                [[kc * pairing[y, z] for kc, y in zip(kj, cands)] for kj, cands in zip(k, candidates)]
-                for z in candidates[i]
-            ]
-        )
+        for i in range(n)
+    ]
+    # w[i][b][j][c]: k[i][j][c] * <y, z>, unreduced, with y the c-th
+    # candidate of prime j and z the b-th candidate of prime i
+    w = [
+        [
+            [[kc * pairing[y, z] for kc, y in zip(kj, cands)] for kj, cands in zip(ki, candidates)]
+            for z in zs
+        ]
+        for ki, zs in zip(k, candidates)
+    ]
     last = n - 1
     # hits[i][b]: the last prime's term at p_i, reduced -> bitmask of the
     # last prime's candidates giving it, for the b-th candidate of p_i
@@ -450,8 +485,10 @@ def classify(
     For a prime exp(A) the lift test is solved for the last prime
     (_lift_solutions), and only its solutions are tested for generating
     Gab; it decides exactly as has_unramified_lift, which stays as the
-    reference and decides a composite exp(A).  Assignments,
-    factorizations and counts are built for witnesses only.
+    reference and decides a composite exp(A).  Each call computes the
+    character matrix; the survivors are memoised on it and the
+    candidates (_lift_survivors).  Assignments, factorizations and
+    counts are built for witnesses only.  h_sub must be the H of kdata.
     """
     primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
     qs = [q for q, _ in primes]
@@ -476,7 +513,7 @@ def classify(
             if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(qs, choice))))[0]
         )
     else:
-        survivors = (c for c in _lift_solutions(ext, qs, candidates) if generates(gab, c))
+        survivors = _lift_survivors(ext, candidates, _characters(gab, qs, candidates))
     classes = None
     counts = {}  # the count depends on the orders of the images alone
     witnesses = []

@@ -24,7 +24,10 @@ from lemfact.solver import (
     Report,
     Witness,
     _assignment_space,
+    _characters,
+    _coset_candidates,
     _lift_solutions,
+    _lift_survivors,
     classify,
     count_extensions,
     enumerate_assignments,
@@ -78,6 +81,11 @@ def assignment_from_factorization(ext, fact: DiscFactorization) -> RamAssignment
 def c4_kdata(ext, h, d):
     primes = tuple((pp.q, (0, 1)) for pp in factorize(abs(d)))
     return BaseFieldData(h, primes)
+
+
+def h8_kdata(ext, h, d):
+    g0 = next(g for g in sorted(ext.gab.elements()) if g not in h)
+    return BaseFieldData(h, tuple((pp.q, g0) for pp in factorize(abs(d))))
 
 
 def heis_kdata(h, primes):
@@ -369,14 +377,87 @@ def test_classify_matches_reference_c4(d4, check_infinity):
 
 def test_classify_matches_reference_h8():
     ext, h = preset("H8_pair", None)
-    g0 = next(g for g in sorted(ext.gab.elements()) if g not in h)
     witnesses = 0
     for d in (105, 165, 1105, 1365, 4305, 5005, 21945):
-        pps = factorize(d)
-        assert len(pps) >= 3 and is_fundamental_discriminant(d)
-        kdata = BaseFieldData(h, tuple((pp.q, g0) for pp in pps))
+        assert len(factorize(d)) >= 3 and is_fundamental_discriminant(d)
+        kdata = h8_kdata(ext, h, d)
         witnesses += len(assert_matches_reference(ext, h, kdata)["witnesses"])
     assert witnesses > 0
+
+
+def test_classify_memo_matches_reference_cold_and_warm(d4):
+    ext4, h4 = d4
+    ext8, h8 = preset("H8_pair", None)
+    fields = [
+        (ext4, h4, c4_kdata(ext4, h4, d))
+        for d in range(-2999, 3000, 2)
+        if d not in (-1, 1) and is_fundamental_discriminant(d)
+    ]
+    fields += [
+        (ext8, h8, h8_kdata(ext8, h8, d))
+        for d in range(5, 2 * 10**4, 4)
+        if is_fundamental_discriminant(d) and len(factorize(d)) >= 3
+    ]
+    expected = [reference_report(*f) for f in fields]
+    _lift_survivors.cache_clear()
+    _coset_candidates.cache_clear()
+    assert [classify(*f).to_json() for f in fields] == expected
+    cold = _lift_survivors.cache_info()
+    # most base fields repeat the candidates and characters of an earlier one
+    assert cold.hits > 0 and cold.misses < cold.hits
+    assert [classify(*f).to_json() for f in fields] == expected
+    warm = _lift_survivors.cache_info()
+    assert warm.misses == cold.misses and warm.hits == cold.hits + cold.misses + cold.hits
+    assert sum(bool(e["witnesses"]) for e in expected) > 100
+
+
+def test_classify_memo_hit_names_its_own_primes(d4):
+    # 5 * 41 and 5 * 61 share candidates and characters: every quadratic
+    # character among their primes is trivial
+    ext, h = d4
+    keys, reports = [], []
+    for d in (205, 305):
+        kdata = c4_kdata(ext, h, d)
+        primes, candidates, _ = _assignment_space(ext, h, kdata)
+        keys.append((candidates, _characters(ext.gab, [q for q, _ in primes], candidates)))
+        reports.append(classify(ext, h, kdata))
+    assert keys[0] == keys[1]
+    hits = _lift_survivors.cache_info().hits
+    assert classify(ext, h, c4_kdata(ext, h, 305)).to_json() == reports[1].to_json()
+    assert _lift_survivors.cache_info().hits == hits + 1
+    for rep, primes in zip(reports, ((5, 41), (5, 61))):
+        assert len(rep.witnesses) == 2
+        for w in rep.witnesses:
+            assert tuple(w.assignment.primes) == primes
+            assert sorted(abs(d) for _, d in w.factorization.factors) == list(primes)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [classify, lambda ext, h, kdata: list(enumerate_assignments(ext, h, kdata))],
+    ids=["classify", "enumerate_assignments"],
+)
+def test_h_must_match_the_base_field_data(d4, run):
+    ext, h = d4
+    kdata = c4_kdata(ext, h, 205)
+    # not a subgroup, and not the H of kdata
+    with pytest.raises(ValueError, match="^H does not match the base field data$"):
+        run(ext, frozenset({(0, 0), (1, 1), (0, 1)}), kdata)
+    with pytest.raises(ValueError, match="^H does not match the base field data$"):
+        run(ext, frozenset({(0, 0)}), kdata)
+
+
+def test_plain_set_h_is_accepted(d4):
+    ext, h = d4
+    kdata = c4_kdata(ext, h, 205)
+    expected = classify(ext, h, kdata).to_json()
+    assert expected["exists"]
+    as_set = BaseFieldData(set(h), kdata.primes)
+    for hs, kd in ((set(h), kdata), (h, as_set), (set(h), as_set)):
+        assert classify(ext, hs, kd).to_json() == expected
+        assert [a.entries for a in enumerate_assignments(ext, hs, kd)] == [
+            a.entries for a in enumerate_assignments(ext, h, kdata)
+        ]
 
 
 def composite_exponent_extension():
@@ -467,7 +548,8 @@ def test_lift_solutions_match_reference_on_every_choice(heis3, primes):
         c for c in choices if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
     ]
     assert expected
-    assert list(_lift_solutions(ext, primes, candidates)) == expected
+    chars = _characters(ext.gab, primes, candidates)
+    assert list(_lift_solutions(ext, candidates, chars)) == expected
 
 
 def test_lift_solutions_two_coordinate_a_with_order_9_images():
@@ -487,7 +569,8 @@ def test_lift_solutions_two_coordinate_a_with_order_9_images():
             for c in itertools.product(*candidates)
             if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
         ]
-        assert list(_lift_solutions(ext, primes, candidates)) == expected
+        chars = _characters(gab, primes, candidates)
+        assert list(_lift_solutions(ext, candidates, chars)) == expected
         passing += len(expected)
     assert 0 < passing < 3 * 9**3
 
