@@ -97,21 +97,27 @@ def factorize(n: int) -> list[PrimePower]:
     return out
 
 
-def is_squarefree(n: int) -> bool:
-    return all(pp.e == 1 for pp in factorize(abs(n)))
+def _prime_disc_parts(d: int) -> list[int] | None:
+    """prime_discriminants(d) from one factorization: of |d| when d = 1
+    mod 4, of |d/4| when d/4 = 2, 3 mod 4; None when d is not a
+    fundamental discriminant.  The bound is checked on the number
+    factored only."""
+    if d % 4 == 1:
+        m = d
+    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
+        m = d // 4
+    else:
+        return None
+    factors = factorize(abs(m))
+    if any(pp.e > 1 for pp in factors):
+        return None
+    parts = [prime_star(pp.q) for pp in factors if pp.q != 2]
+    two = d // prod(parts)
+    return sorted(parts + [two] if two != 1 else parts, key=abs)
 
 
 def is_fundamental_discriminant(d: int) -> bool:
-    if d == 0:
-        return False
-    if d == 1:
-        return True
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return _prime_disc_parts(d) is not None
 
 
 def prime_star(p: int) -> int:
@@ -159,19 +165,11 @@ def kronecker(a: int, n: int) -> int:
 def prime_discriminants(d: int) -> list[int]:
     """Unique factorization of a fundamental discriminant into prime
     discriminants (p* for odd p; one of -4, 8, -8 at 2)."""
-    if not is_fundamental_discriminant(d):
+    parts = _prime_disc_parts(d)
+    if parts is None:
         raise ValueError(f"{d} is not a fundamental discriminant")
-    if d == 1:
-        return []
-    parts = [prime_star(pp.q) for pp in factorize(abs(d)) if pp.q != 2]
-    rest = d
-    for v in parts:
-        rest //= v
-    if rest != 1:
-        if rest not in (-4, 8, -8):
-            raise AssertionError(f"bad 2-part {rest} of {d}")
-        parts.append(rest)
-    return sorted(parts, key=abs)
+    check_disc_bound(abs(d))
+    return parts
 
 
 _SIEVE_BLOCK = 1 << 14

@@ -4,8 +4,10 @@ An extension of Gab by A is stored as an explicit table c(g,h) in A with
 c(0,g) = c(g,0) = 0.  The total group E is the set A x Gab with
 (a1,g1)*(a2,g2) = (a1+a2+c(g1,g2), g1+g2); it is materialized on demand.
 Each class of H^2(Gab, A) is named by its universal-coefficient
-coordinates (see _class_key); class equality, the Aut(A) stabilizer, the
-H^2 enumeration and Y_E read those coordinates instead of whole tables.
+coordinates (see _class_key); class equality, the Aut(A) stabilizer and
+Y_E read those coordinates instead of whole tables.  The H^2 enumeration
+builds one table per key, and is_coboundary reads phi off a section
+built from the key: neither solves a linear system.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .abelian import (
     elem_order,
     enumerate_automorphisms,
     is_subgroup,
-    solve_modular_linear,
     subgroup_generated,
     torsion_count,
 )
@@ -229,45 +230,40 @@ def is_coboundary(gab: AbGroup, a: AbGroup, table: Cocycle):
     """Decide whether c(g,h) = phi(g) + phi(h) - phi(g+h) for some
     1-cochain phi with phi(0) = 0.
 
-    Returns (True, phi) with phi a dict Gab -> A, or (False, None).  For
-    a cocycle the class key decides: it is zero exactly on coboundaries.
-    A nonzero key rules phi out for any table; solve_modular_linear only
-    builds phi, and decides a table that is not a cocycle.
+    Returns (True, phi) with phi a dict Gab -> A, or (False, None).  A
+    nonzero class key rules phi out for any table.  On a zero key each
+    basis vector e_i lifts to (x_i, e_i) with m_i*x_i = -power_class(e_i);
+    the lifts commute, so sigma(g) = prod_i (x_i, e_i)^(g_i) is a section
+    and phi = -(A-part of sigma) when the table is a cocycle.  Checking
+    every entry against phi decides a table that is not a cocycle.
     """
-    zero_a = a.zero()
-    if not table or all(v == zero_a for v in table.values()):
-        return True, {g: zero_a for g in gab.elements()}
     ext = CentralExtension(gab, a, table)
     pairs, powers = _class_key(ext)
+    zero_a = a.zero()
     if any(v != zero_a for v in pairs + powers):
         return False, None
-
-    els = [g for g in gab.elements() if g != gab.zero()]
-    index = {g: i for i, g in enumerate(els)}
-    n_unknown = len(els)
-    witness = {gab.zero(): zero_a}
-    cols_per_elem = []
-    # one independent system per coordinate of A
-    for coord, modulus in enumerate(a.moduli):
-        rows, rhs, mods = [], [], []
-        for g in els:
-            for h in els:
-                row = [0] * n_unknown
-                row[index[g]] += 1
-                row[index[h]] += 1
-                gh = gab.add(g, h)
-                if gh != gab.zero():
-                    row[index[gh]] -= 1
-                rows.append(row)
-                rhs.append(ext.c(g, h)[coord])
-                mods.append(modulus)
-        sol = solve_modular_linear(rows, rhs, mods)
-        if sol is None:
-            return False, None
-        cols_per_elem.append([v % modulus for v in sol])
-    for g in els:
-        witness[g] = tuple(cols_per_elem[coord][index[g]] for coord in range(a.rank))
-    return True, witness
+    lifts = []
+    for i, m in enumerate(gab.moduli):
+        e = tuple(int(t == i) for t in range(gab.rank))
+        x = []
+        for p, n in zip(ext.power_class(e), a.moduli):
+            d = gcd(m, n)
+            x.append(-(p // d) * pow(m // d, -1, n // d) % (n // d))
+        lifts.append((tuple(x), e))
+    phi = {}
+    for g in gab.elements():
+        s = ext.ext_zero()
+        for lift, gi in zip(lifts, g):
+            for _ in range(gi):
+                s = ext.ext_mul(s, lift)
+        phi[g] = a.neg(s[0])
+    if all(
+        ext.c(g, h) == a.sub(a.add(phi[g], phi[h]), phi[gab.add(g, h)])
+        for g in phi
+        for h in phi
+    ):
+        return True, phi
+    return False, None
 
 
 def cohomologous(e1: CentralExtension, e2: CentralExtension) -> bool:
@@ -335,9 +331,9 @@ def is_admissible_pair(ext: CentralExtension, h_sub: frozenset):
 
 # --- enumeration of H^2 --------------------------------------------------
 
-# candidate cocycles of enumerate_central_extensions: the H8 search over
-# (C2^3, C2) has 64, (C2^4, C2) 1024; each is a |Gab|^2-entry table to
-# build and key
+# classes of H^2(Gab, A) that enumerate_central_extensions builds: the H8
+# search over (C2^3, C2) has 64, (C2^4, C2) 1024; each is a |Gab|^2-entry
+# table to build
 DESK_H2_BOUND = 2**7
 
 
@@ -375,42 +371,42 @@ def _bilinear_table(gab: AbGroup, a: AbGroup, i: int, j: int, bv: Elem) -> Cocyc
 def enumerate_central_extensions(gab: AbGroup, a: AbGroup):
     """One normalized-cocycle representative per class of H^2(Gab, A).
 
-    Candidate tables are sums of inflated cyclic-extension cocycles (one
-    per factor of Gab) and basis bilinear cocycles (one per factor pair);
-    the first candidate of each class key is kept.  Deterministic:
-    representatives are kept in candidate order, candidates in
-    lexicographic order of their defining data.
-    Raises ValueError, before any work, past DESK_H2_BOUND candidates:
-    |A|^k * prod_{i<j} #A[gcd(m_i, m_j)] for Gab = C_{m_1} x ... x C_{m_k}.
+    Builds one table per class key: the sum of the carry cocycle of each
+    factor C_{m_i} with value the key's coordinate in A/m_i*A, and the
+    bilinear cocycle of each factor pair i < j with value the key's
+    coordinate in A[gcd(m_i, m_j)].  Each A/m_i*A coordinate is the
+    lexicographically first element of its coset, so coordinate t runs
+    over range(gcd(m_i, n_t)).  Deterministic: classes come in
+    lexicographic order of (carries, bilinear values).
+    Raises ValueError, before any work, past DESK_H2_BOUND classes:
+    prod_i #A[m_i] * prod_{i<j} #A[gcd(m_i, m_j)] for Gab = C_{m_1} x ...
+    x C_{m_k}.
     """
     k = gab.rank
-    n = a.order**k * prod(
-        torsion_count(a, gcd(gab.moduli[i], gab.moduli[j]))
-        for i in range(k)
-        for j in range(i + 1, k)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    orders = [gcd(gab.moduli[i], gab.moduli[j]) for i, j in pairs]
+    classes = prod(torsion_count(a, m) for m in gab.moduli) * prod(
+        torsion_count(a, g) for g in orders
     )
-    if n > DESK_H2_BOUND:
-        raise ValueError(f"{n} candidate cocycles exceed bound {DESK_H2_BOUND}")
-    a_els = list(a.elements())
-    pair_choices = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            g = gcd(gab.moduli[i], gab.moduli[j])
-            pair_choices.append(
-                (i, j, [x for x in a_els if all((g * c) % m == 0 for c, m in zip(x, a.moduli))])
-            )
-    kept: dict = {}
-    for carries in itertools.product(a_els, repeat=k):
+    if classes > DESK_H2_BOUND:
+        raise ValueError(f"{classes} H^2 classes exceed bound {DESK_H2_BOUND}")
+    carry_choices = [
+        itertools.product(*(range(gcd(m, n)) for n in a.moduli)) for m in gab.moduli
+    ]
+    pair_choices = [
+        [x for x in a.elements() if a.smul(g, x) == a.zero()] for g in orders
+    ]
+    out = []
+    for carries in itertools.product(*carry_choices):
         base = {}
         for i, av in enumerate(carries):
             base = add_tables(a, base, _carry_table(gab, a, i, av))
-        for bils in itertools.product(*(choices for _, _, choices in pair_choices)):
+        for bils in itertools.product(*pair_choices):
             table = base
-            for (i, j, _), bv in zip(pair_choices, bils):
+            for (i, j), bv in zip(pairs, bils):
                 table = add_tables(a, table, _bilinear_table(gab, a, i, j, bv))
-            cand = CentralExtension(gab, a, table)
-            kept.setdefault(_class_key(cand), cand)
-    return list(kept.values())
+            out.append(CentralExtension(gab, a, table))
+    return out
 
 
 # --- presets -------------------------------------------------------------

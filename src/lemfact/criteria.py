@@ -14,12 +14,11 @@ from math import prod
 
 from .arith import (
     PrimePower,
+    _prime_disc_parts,
     check_disc_bound,
-    factorize,
     is_prime,
     kronecker,
     power_residue_char,
-    prime_star,
     underlying_prime,
 )
 
@@ -74,23 +73,12 @@ def _splits(n, k):
 
 
 def _check_field(d: int) -> list[int]:
-    """prime_discriminants(d) for a field discriminant d, from one
-    factorization: of |d| when d = 1 mod 4, of |d/4| when d = 0 mod 4.
-    Raises as is_fundamental_discriminant then prime_discriminants would."""
-    not_field = f"{d} is not a fundamental discriminant of a field"
-    if d % 4 == 1 and d != 1:
-        m = d
-    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
-        m = d // 4
-    else:
-        raise ValueError(not_field)
-    factors = factorize(abs(m))
-    if any(pp.e > 1 for pp in factors):
-        raise ValueError(not_field)
+    """prime_discriminants(d) for a field discriminant d (so d != 1)."""
+    parts = _prime_disc_parts(d) if d != 1 else None
+    if parts is None:
+        raise ValueError(f"{d} is not a fundamental discriminant of a field")
     check_disc_bound(abs(d))
-    parts = [prime_star(pp.q) for pp in factors if pp.q != 2]
-    two = d // prod(parts)
-    return sorted(parts + [two] if two != 1 else parts, key=abs)
+    return parts
 
 
 def c4_criterion(d: int) -> CriterionReport:

@@ -11,7 +11,6 @@ from lemfact.arith import (
     fundamental_discriminants,
     is_fundamental_discriminant,
     is_prime,
-    is_squarefree,
     kronecker,
     max_disc,
     power_residue_char,
@@ -53,8 +52,6 @@ def test_omega_and_squarefree():
     assert omega(60) == 3
     assert omega(-60) == 3
     assert omega(1) == 0
-    assert is_squarefree(30)
-    assert not is_squarefree(12)
 
 
 def test_fundamental_discriminants():

@@ -468,4 +468,15 @@ def test_oracle_max_disc_errors_are_pinned(capsys, monkeypatch, argv, err):
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "selftest passed" in out
+    assert out == (
+        "ok   smith normal form factorization\n"
+        "ok   modular linear solver vs brute force\n"
+        "ok   kronecker symbol vs euler criterion\n"
+        "ok   prime discriminant factorization product\n"
+        "ok   cocycle identity and pairing antisymmetry\n"
+        "ok   heisenberg stabilizer and orbit size\n"
+        "ok   unique quaternion pair over (C2^3, C2)\n"
+        "ok   classify matches c4 criterion on presets\n"
+        "ok   oracle sweep: genus theory, redei, c4 equivalence\n"
+        "selftest passed\n"
+    )

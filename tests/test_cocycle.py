@@ -16,6 +16,7 @@ from lemfact.cocycle import (
     CentralExtension,
     _bilinear_table,
     _carry_table,
+    _class_key,
     add_tables,
     aut_stabilizer_order,
     class_orbit_size,
@@ -245,10 +246,24 @@ def test_is_coboundary_matches_brute_force(rng):
         (AbGroup((2, 4)), AbGroup((3,))),
     ]
     cases = 0
+    non_cocycles = zero_key_non_cocycles = 0
     for gab, a in pairs:
         trials = 1500 // len(pairs)
-        for _ in range(trials):
+        for n in range(trials):
             table = random_cocycle(gab, a, rng)
+            if n % 3 == 0:
+                # one entry changed: no longer a cocycle, but its class
+                # key may still be zero
+                g, h = rng.choice(list(gab.elements())), rng.choice(list(gab.elements()))
+                dv = tuple(rng.randrange(1, m) if m > 1 else 0 for m in a.moduli)
+                table = add_tables(a, table, {(g, h): dv})
+            ext = CentralExtension(gab, a, table)
+            try:
+                ext.check_cocycle()
+            except ValueError:
+                pairs_key, powers_key = _class_key(ext)
+                zero_key_non_cocycles += not any(any(v) for v in pairs_key + powers_key)
+                non_cocycles += 1
             got, phi = is_coboundary(gab, a, table)
             assert got == brute_force_coboundary(gab, a, table)
             if got:
@@ -259,6 +274,7 @@ def test_is_coboundary_matches_brute_force(rng):
                         )
             cases += 1
     assert cases >= 1000
+    assert non_cocycles >= 300 and zero_key_non_cocycles >= 100
 
 
 def test_y_set_is_class_invariant(rng):
@@ -286,7 +302,7 @@ def test_orbit_times_stabilizer(rng):
 
 CLASS_COUNTS = [
     ((2,), (2,), 2), ((2, 2), (2,), 8), ((3,), (3,), 3), ((2,), (4,), 2), ((4,), (2,), 2),
-    ((2, 3), (6,), 6),
+    ((2, 3), (6,), 6), ((2, 2, 2), (4,), 64), ((2, 4), (4,), 16),
 ]
 
 
@@ -405,14 +421,14 @@ def test_enumerate_central_extensions_coprime_orders_is_quick():
     assert len(got) == 1
 
 
-def test_enumerate_central_extensions_bound_counts_candidates():
-    # (C2^4, C2) has 1024 candidate cocycles, each a 256-entry table to
-    # build and key: it raises before the first one
+def test_enumerate_central_extensions_bound_counts_classes():
+    # (C2^4, C2) has 1024 classes, each a 256-entry table to build: it
+    # raises before the first one
     start = time.perf_counter()
     with pytest.raises(ValueError) as exc:
         enumerate_central_extensions(AbGroup((2,) * 4), AbGroup((2,)))
     assert time.perf_counter() - start < 1
-    assert str(exc.value) == "1024 candidate cocycles exceed bound 128"
+    assert str(exc.value) == "1024 H^2 classes exceed bound 128"
 
 
 def test_lemma_32_pullback_pairing_is_coordinatewise():
