@@ -11,9 +11,12 @@ from math import gcd, isqrt, prod
 
 _DEFAULT_MAX_DISC = 2**63
 
-# bases giving a deterministic Miller-Rabin test below 3.3 * 10^24; without
+# bases giving a deterministic Miller-Rabin test below _MR_LIMIT; without
 # 41 the strong pseudoprime 318665857834031151167461 passes
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above; from it on, is_prime
+# adds a strong Lucas test (Baillie-PSW)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def max_disc() -> int:
@@ -49,7 +52,41 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_LIMIT or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1 with Selfridge's
+    parameters: the first D of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35, 1980)."""
+    if isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (j := kronecker(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k, Q^k mod n from k = 1 along the bits of d (P = 1)
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u & 1 else u) // 2
+            v = (v + n if v & 1 else v) // 2
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -115,25 +115,20 @@ _SURVEY_COLUMNS = (
 
 
 def _survey_row(task):
+    """One survey row, a tuple in _SURVEY_COLUMNS order."""
     d, parts, criterion, with_oracle, ranks = task
     crit = c4_from_parts(parts) if criterion == "c4" else h8_from_parts(parts)
     # for a fundamental d, omega(d) is the number of prime discriminants
-    row = {
-        "d": d,
-        "omega": len(parts),
-        "t_prime_discs": len(parts),
-        "exists": crit.exists,
-        "n_witnesses": len(crit.witnesses),
-        "count_per_witness": crit.count_per_witness,
-        "oracle_two_rank": "",
-        "oracle_four_rank": "",
-        "redei_rank": "",
-    }
+    omega = len(parts)
+    two_rank = four_rank = redei_rank = ""
     if with_oracle:
-        row["redei_rank"] = oracle.redei_rank(d)
+        redei_rank = oracle.redei_rank(d)
         if d < 0:
-            row["oracle_two_rank"], row["oracle_four_rank"] = ranks
-    return row
+            two_rank, four_rank = ranks
+    return (
+        d, omega, omega, crit.exists, len(crit.witnesses),
+        crit.count_per_witness, two_rank, four_rank, redei_rank,
+    )
 
 
 def cmd_survey(args) -> int:
@@ -166,10 +161,10 @@ def cmd_survey(args) -> int:
     def write(out):
         if args.format == "json":
             for row in rows:
-                print(_canonical(row), file=out)
+                print(_canonical(dict(zip(_SURVEY_COLUMNS, row))), file=out)
         else:
-            writer = csv.DictWriter(out, fieldnames=_SURVEY_COLUMNS)
-            writer.writeheader()
+            writer = csv.writer(out)
+            writer.writerow(_SURVEY_COLUMNS)
             writer.writerows(rows)
 
     if args.out:

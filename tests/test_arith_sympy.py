@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from lemfact import arith
 from lemfact.arith import (
     PrimePower,
     factorize,
@@ -21,9 +22,14 @@ from sympy import primitive_root as sympy_root  # noqa: E402
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 75361,
               101101, 126217, 172081, 188461, 278545, 552721, 9999109081)
 # the least strong pseudoprime to each prefix of the bases 2, 3, 5, ...: 2047
-# passes base 2, 3215031751 bases 2..7, 318665857834031151167461 bases 2..37
+# passes base 2, 3215031751 bases 2..7, 318665857834031151167461 bases 2..37,
+# 3317044064679887385961981 bases 2..41
 STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-                       341550071728321, 3825123056546413051, 318665857834031151167461)
+                       341550071728321, 3825123056546413051, 318665857834031151167461,
+                       3317044064679887385961981)
+# the strong Lucas pseudoprimes (Selfridge parameters) below 10^5, OEIS A217255
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                             58519, 75077, 97439)
 
 
 def test_is_prime_matches_sympy_below_20000():
@@ -43,7 +49,18 @@ def test_is_prime_matches_sympy_near_pseudoprimes_and_large():
     ns = [n + k for n in CARMICHAEL + STRONG_PSEUDOPRIMES for k in range(-40, 41)]
     ns += [rng.randrange(2, 10**24) for _ in range(2000)]
     ns += [2**61 - 1, 2**89 - 1, 2**64 - 59, 10**18 + 3, 10**24 + 7]
+    # past the deterministic bases, where the strong Lucas test decides
+    ns += [rng.randrange(34 * 10**23, 10**30) | 1 for _ in range(500)]
+    ns += [2**107 - 1, 2**127 - 1, 2**127 + 1]
     assert [n for n in ns if is_prime(n)] == [n for n in ns if isprime(n)]
+
+
+def test_strong_lucas_pseudoprimes():
+    odd = range(3, 10**5, 2)
+    assert [n for n in odd if not isprime(n) and arith._strong_lucas(n)] == list(
+        STRONG_LUCAS_PSEUDOPRIMES
+    )
+    assert all(arith._strong_lucas(n) for n in odd if isprime(n))
 
 
 def test_factorize_matches_factorint():

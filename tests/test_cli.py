@@ -162,6 +162,40 @@ def test_survey_matches_per_disc_reference(capsys, criterion, lo, hi):
     assert rows and all(r["omega"] == r["t_prime_discs"] for r in rows)
 
 
+def per_disc_survey_json(lo, hi, criterion, with_oracle):
+    """The --format json survey lines rebuilt from the per-d references:
+    one canonical JSON object per fundamental d."""
+    lines = []
+    for d in range(lo, hi + 1):
+        if d in (0, 1) or not is_fundamental_discriminant(d):
+            continue
+        crit = c4_criterion(d) if criterion == "c4" else h8_criterion(d)
+        row = {
+            "d": d,
+            "omega": len(factorize(abs(d))),
+            "t_prime_discs": len(prime_discriminants(d)),
+            "exists": crit.exists,
+            "n_witnesses": len(crit.witnesses),
+            "count_per_witness": crit.count_per_witness,
+            "oracle_two_rank": oracle.two_rank(d) if with_oracle and d < 0 else "",
+            "oracle_four_rank": oracle.four_rank(d) if with_oracle and d < 0 else "",
+            "redei_rank": oracle.redei_rank(d) if with_oracle else "",
+        }
+        lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize(
+    "criterion,lo,hi,with_oracle", [("h8", -3000, 3000, False), ("c4", -3000, -2500, True)]
+)
+def test_survey_json_matches_per_disc_reference(capsys, criterion, lo, hi, with_oracle):
+    argv = ["--format", "json", "survey", f"--range={lo}..{hi}", "--criterion", criterion]
+    code, out, _ = run(capsys, *argv + ["--oracle"] * with_oracle)
+    assert code == 0
+    # compared line by line: a mismatch report on the whole text takes minutes
+    assert out.splitlines(keepends=True) == per_disc_survey_json(lo, hi, criterion, with_oracle)
+
+
 def test_survey_h8_jobs_byte_identical(capsys):
     argv = ("survey", "--range=-3000..3000", "--criterion", "h8")
     _, seq, _ = run(capsys, "--jobs", "1", *argv)

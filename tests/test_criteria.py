@@ -189,12 +189,37 @@ def test_criteria_match_block_refactoring_reference():
     assert seen > 1800
 
 
-@pytest.mark.parametrize("d", [5 * 13 * 17 * 29 * 37 * 41 * 53, 60060])
+# omega 11, past the splits memo: 31 H8 witnesses
+OMEGA_11 = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73 * 89 * 97
+
+
+@pytest.mark.parametrize("d", [5 * 13 * 17 * 29 * 37 * 41 * 53, 60060, OMEGA_11])
 def test_criteria_match_reference_at_large_omega(d):
-    # omega 7 (all parts positive) and omega 6 with the 2-part -4
+    # omega 7 (all parts positive), omega 6 with the 2-part -4, omega 11
     assert len(prime_discriminants(d)) >= 6
     assert h8_criterion(d).to_json() == ref_h8_json(d)
     assert c4_criterion(d).to_json() == ref_c4_json(d)
+
+
+def test_splits_memo_matches_stream_and_stays_bounded():
+    assert len(h8_criterion(OMEGA_11).witnesses) == 31
+    assert all(n <= criteria._SPLITS_MEMO_MAX for n, _ in criteria._SPLITS_MEMO)
+    for n in range(criteria._SPLITS_MEMO_MAX + 1):
+        for k in (2, 3):
+            assert criteria._splits(n, k) == tuple(criteria._stream_splits(n, k)), (n, k)
+    assert criteria._splits(criteria._SPLITS_MEMO_MAX, 3) is criteria._splits(
+        criteria._SPLITS_MEMO_MAX, 3
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: _splits(n, 3) never puts index 0 in a block of its own, "
+    "so no omega = 3 discriminant has an H8 witness",
+)
+def test_h8_omega_3_witness():
+    # 2405 = 5 * 13 * 37 with (5*13 / 37) = (5*37 / 13) = (13*37 / 5) = 1
+    assert h8_criterion(2405).exists
 
 
 def test_h8_small_negatives():
