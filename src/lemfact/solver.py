@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
 from operator import getitem
+from types import MappingProxyType
 
 from .abelian import (
     DESK_SUBGROUP_BOUND,
@@ -340,13 +341,32 @@ def _lift_survivors(ext: CentralExtension, candidates, chars) -> tuple:
     return tuple(c for c in _lift_solutions(ext, candidates, chars) if generates(ext.gab, c))
 
 
+@lru_cache(maxsize=1 << 8)
+def _packed_pairing(ext: CentralExtension, union: frozenset, width: int) -> MappingProxyType:
+    """(y, z) -> <y, z> for y, z in union, packed as _lift_solutions packs
+    A: one integer with coordinate t in bits [t*width, ...).  Read-only,
+    as every caller with this key shares it."""
+    # memoised: calls of one extension on as many primes with the same
+    # candidate images share the table; the width is in the key, as it
+    # grows with the number of primes
+    return MappingProxyType({
+        (y, z): sum(c << t * width for t, c in enumerate(ext.pairing(y, z)))
+        for y in union
+        for z in union
+    })
+
+
 def _lift_solutions(ext: CentralExtension, candidates, chars):
     """The choices (one candidate per prime, in lexicographic order) that
     pass the Frobenius-sum test of has_unramified_lift, for a prime
     exp(A), given the characters of _characters.
 
-    The pairing is bilinear, so every term k * <y_q, y_p> is read from a
-    table built here.  The literal mod-exp(A) sum equals the direct one:
+    The pairing is bilinear, so every term k * <y_q, y_p> is read from
+    tables built here on the pairing of the candidate images, packed for
+    this call's field layout.  That pairing table depends on nothing
+    else, so _packed_pairing memoises it on (extension, candidate images,
+    layout); the layout is in the key because its width grows with the
+    number of primes.  The literal mod-exp(A) sum equals the direct one:
     for a prime exponent the pairing is killed by exp(A) and both
     characters agree modulo it.  The test is solved for the last prime:
     once y_1 .. y_{n-1} are fixed, the sum at p_i (i < n) vanishes exactly
@@ -368,11 +388,7 @@ def _lift_solutions(ext: CentralExtension, candidates, chars):
         """v with each coordinate times sign, reduced mod its modulus."""
         return sum((sign * ((v >> s) & low) % m) << s for s, m in fields)
 
-    pairing = {
-        (y, z): sum(c << s for c, (s, _) in zip(ext.pairing(y, z), fields))
-        for y in union
-        for z in union
-    }
+    pairing = _packed_pairing(ext, frozenset(union), width)
     # k[i][j][c]: the character of p_i at the order of y, the c-th candidate
     # of prime j, read off chars in its order; zero at j = i, where the
     # pairing vanishes.  zip takes from chars only while orders are left.
@@ -473,6 +489,32 @@ class Report:
         }
 
 
+class _EntryTable(dict):
+    """(q, y) -> (|y|, (q*)^(|y|-1)), computed on first lookup."""
+
+    def __init__(self, gab: AbGroup):
+        super().__init__()
+        self.gab = gab
+
+    def __missing__(self, entry):
+        q, y = entry
+        n = elem_order(self.gab, y)
+        self[entry] = value = (n, prime_star(q) ** (n - 1))
+        return value
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given.
+    Neither __init__ nor __post_init__ runs: the caller vouches for every
+    condition they would check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        # as the dataclass __init__ sets them: filling obj.__dict__ instead
+        # would give each instance a dict of its own
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def classify(
     ext: CentralExtension,
     h_sub: frozenset,
@@ -488,7 +530,11 @@ def classify(
     reference and decides a composite exp(A).  Each call computes the
     character matrix; the survivors are memoised on it and the
     candidates (_lift_survivors).  Assignments, factorizations and
-    counts are built for witnesses only.  h_sub must be the H of kdata.
+    counts are built for witnesses only, from a per-call table of each
+    (prime, candidate) entry's order |y| and factor (q*)^(|y|-1), filled
+    on first use; the checks of RamAssignment and DiscFactorization are
+    made once per call instead of once per witness.  h_sub must be the
+    H of kdata.
     """
     primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
     qs = [q for q, _ in primes]
@@ -514,20 +560,36 @@ def classify(
         )
     else:
         survivors = _lift_survivors(ext, candidates, _characters(gab, qs, candidates))
+    # The witnesses are built unchecked, as every check of RamAssignment
+    # holds for every choice of this call: each q is an odd prime
+    # (kdata.validate), tame and distinct from the others (the test
+    # above), and the qs are sorted, so the entries are; each y is in Y_E
+    # and outside H, so |y| > 1, and |y| divides q - 1 (_coset_candidates,
+    # _assignment_space).  So does every check of DiscFactorization: the
+    # d_y are products over disjoint sets of primes, hence coprime and
+    # not 1, and each (q*)^(|y|-1) is 1 mod 4, so each d_y is a
+    # discriminant.
+    table = _EntryTable(gab)
     classes = None
     counts = {}  # the count depends on the orders of the images alone
     witnesses = []
     for choice in survivors:
-        assignment = RamAssignment(ext, tuple(zip(qs, choice)))
-        fact = factorization_of(assignment)
+        entries = tuple(zip(qs, choice))
+        parts = [table[e] for e in entries]
+        by_y = {}
+        for y, (_, f) in zip(choice, parts):
+            by_y[y] = by_y.get(y, 1) * f
+        fact = _trusted(DiscFactorization, ext=ext, factors=tuple(sorted(by_y.items())))
         if check_infinity and not infinite_place_ok(ext, fact):
             continue
-        orders = tuple(sorted(elem_order(gab, y) for y in choice))
+        assignment = _trusted(RamAssignment, ext=ext, entries=entries)
+        orders = tuple(sorted(n for n, _ in parts))
         if orders not in counts:
             counts[orders] = count_extensions(ext, assignment)
         count = counts[orders]
         if classes is None:
             classes = class_orbit_size(ext)
         witnesses.append(Witness(assignment, fact, count, classes))
-    witnesses.sort(key=lambda w: w.assignment.entries)
+    # no sort: the survivors come in lexicographic order of the candidates,
+    # each sorted, so the witnesses are sorted by their entries
     return Report(bool(witnesses), tuple(witnesses))

@@ -314,11 +314,12 @@ def test_check_infinity_filters_negative_c4(d4):
 # --- classify against the reference path ----------------------------------
 
 
-def reference_report(ext, h, kdata, check_infinity=False) -> dict:
-    """classify rebuilt from enumerate_assignments and has_unramified_lift,
-    counting each witness by trial division of its discriminant factors:
+def reference_witnesses(ext, h, kdata, check_infinity=False) -> tuple:
+    """classify's witnesses rebuilt from enumerate_assignments and
+    has_unramified_lift, through the checking RamAssignment and
+    factorization_of, counting each witness by trial division of its
+    discriminant factors:
     prod_y #A[|y|]^omega(d_y) / (stabilizer order * #Hom(Gab, A))."""
-    gab, a = ext.gab, ext.a
     witnesses = []
     for asg in enumerate_assignments(ext, h, kdata):
         if not has_unramified_lift(ext, asg, check_infinity=check_infinity)[0]:
@@ -326,7 +327,12 @@ def reference_report(ext, h, kdata, check_infinity=False) -> dict:
         fact = factorization_of(asg)
         witnesses.append(Witness(asg, fact, reference_count(ext, fact), class_orbit_size(ext)))
     witnesses.sort(key=lambda w: w.assignment.entries)
-    return Report(bool(witnesses), tuple(witnesses)).to_json()
+    return tuple(witnesses)
+
+
+def reference_report(ext, h, kdata, check_infinity=False) -> dict:
+    witnesses = reference_witnesses(ext, h, kdata, check_infinity)
+    return Report(bool(witnesses), witnesses).to_json()
 
 
 def reference_count(ext, fact) -> int:
@@ -340,8 +346,15 @@ def reference_count(ext, fact) -> int:
 
 
 def assert_matches_reference(ext, h, kdata, check_infinity=False) -> dict:
-    got = classify(ext, h, kdata, check_infinity=check_infinity).to_json()
-    assert got == reference_report(ext, h, kdata, check_infinity), kdata.primes
+    rep = classify(ext, h, kdata, check_infinity=check_infinity)
+    expected = reference_witnesses(ext, h, kdata, check_infinity)
+    # dataclass equality: classify builds its witnesses without the checks,
+    # the reference through them
+    assert rep.witnesses == expected, kdata.primes
+    entries = [w.assignment.entries for w in rep.witnesses]
+    assert entries == sorted(entries), kdata.primes
+    got = rep.to_json()
+    assert got == Report(bool(expected), expected).to_json(), kdata.primes
     return got
 
 
@@ -361,6 +374,9 @@ def test_classify_matches_reference_heisenberg5():
     for triple in itertools.islice(itertools.combinations(pool5[:6], 3), 10):
         verdicts.add(assert_matches_reference(ext, h, heis_kdata(h, triple))["exists"])
     assert verdicts == {True, False}
+    # the largest report of the benchmark's pool (the others have 0 or 480)
+    got = assert_matches_reference(ext, h, heis_kdata(h, (2591, 4261, 7331)))
+    assert len(got["witnesses"]) == 2400
 
 
 @pytest.mark.parametrize("check_infinity", [False, True])
@@ -573,6 +589,38 @@ def test_lift_solutions_two_coordinate_a_with_order_9_images():
         assert list(_lift_solutions(ext, candidates, chars)) == expected
         passing += len(expected)
     assert 0 < passing < 3 * 9**3
+
+
+def test_packed_pairing_is_keyed_on_the_layout(heis3):
+    # each pair of runs shares the candidate images but not the number of
+    # primes, so not the width of the packed layout; the second run finds
+    # the first one's table in the cache
+    ext, h = heis3
+    for primes in ((7, 13, 19), (7, 13, 19, 31)):
+        assert_matches_reference(ext, h, heis_kdata(h, primes))
+    # A = C3 above has one coordinate, which no width moves.  A = C2 x C2
+    # has two, and its pairing here is not a multiple of one vector: the
+    # width is 4 bits for three primes and 5 for four.  No choice passes
+    # and generates Gab, so the lift test is compared on every choice
+    from lemfact.cocycle import _bilinear_table
+
+    gab, a = AbGroup((2, 2, 2)), AbGroup((2, 2))
+    table = _bilinear_table(gab, a, 0, 1, (1, 0))
+    for key, v in _bilinear_table(gab, a, 1, 2, (0, 1)).items():
+        table[key] = a.add(table.get(key, a.zero()), v)
+    ext = CentralExtension(gab, a, table)
+    h = subgroup_generated(gab, [(1, 1, 0)])
+    for primes in ((3, 5, 7), (3, 5, 7, 11)):
+        images = ((1, 0, 0), (1, 0, 0), (0, 0, 1), (0, 0, 1))
+        candidates = _assignment_space(ext, h, BaseFieldData(h, tuple(zip(primes, images))))[1]
+        expected = [
+            c
+            for c in itertools.product(*candidates)
+            if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
+        ]
+        assert expected
+        chars = _characters(gab, primes, candidates)
+        assert list(_lift_solutions(ext, candidates, chars)) == expected
 
 
 def test_classify_heisenberg5_four_primes():
