@@ -16,7 +16,7 @@ from multiprocessing import Pool
 
 from . import arith, oracle
 from .arith import is_fundamental_discriminant, prime_discriminants
-from .cocycle import CentralExtension, preset
+from .cocycle import CentralExtension, is_admissible_pair, preset
 from .criteria import (
     c4_criterion,
     c4_from_parts,
@@ -96,7 +96,15 @@ def cmd_classify(args) -> int:
             raise ValueError("kdata file lacks H and the extension has no default")
         h_sub = h_default
         kdata = BaseFieldData(h_sub, primes_from_json(kjson))
-    rep = classify(ext, h_sub, kdata, check_infinity=args.check_infinity)
+    try:
+        rep = classify(ext, h_sub, kdata, check_infinity=args.check_infinity)
+    except ArithmeticError as exc:
+        # the counting formula of a witness is not integral: bad input when
+        # (H, E) is not an admissible pair, a fault of the engine otherwise
+        admissible, why = is_admissible_pair(ext, h_sub)
+        if admissible:
+            raise
+        raise ValueError(f"not an admissible pair ({why}): {exc}") from exc
     lines = [f"exists={str(rep.exists).lower()}"]
     for w in rep.witnesses:
         lines.append(

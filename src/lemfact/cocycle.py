@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .abelian import (
+    DESK_SUBGROUP_BOUND,
     AbGroup,
     Elem,
     _closure,
@@ -448,6 +449,9 @@ def _heisenberg_extension(ell: int):
 
     if ell == 2 or not is_prime(ell):
         raise ValueError("Heisenberg preset needs an odd prime")
+    if ell**3 > DESK_SUBGROUP_BOUND:
+        # the base field check rejects this Gab; the table has ell^6 entries
+        raise ValueError(f"group order {ell**3} exceeds bound {DESK_SUBGROUP_BOUND}")
     gab = AbGroup((ell, ell, ell))
     a = AbGroup((ell,))
     table = {}

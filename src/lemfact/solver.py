@@ -317,19 +317,49 @@ def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFi
         yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
 
 
-def _characters(gab: AbGroup, qs, candidates) -> tuple:
-    """The characters of the lift test, flat: for each pair of primes p_i,
-    q_j with i != j and each order n of the candidates of q_j, ascending,
-    the character of p_i at q_j^(n-1) mod n.  The test depends on the
-    candidates and these alone."""
+def _character_keys(gab: AbGroup, qs, candidates) -> list:
+    """The (p, q, n) of the lift test's characters, in their order: for
+    each pair of primes p = p_i, q = p_j with i != j, each order n of the
+    candidates of q_j, ascending."""
     orders = [sorted({elem_order(gab, y) for y in cands}) for cands in candidates]
-    return tuple(
-        power_residue_char(p, PrimePower(q, n - 1), n)
+    return [
+        (p, q, n)
         for i, p in enumerate(qs)
         for j, (q, oj) in enumerate(zip(qs, orders))
         if j != i
         for n in oj
+    ]
+
+
+def _characters(gab: AbGroup, qs, candidates) -> tuple:
+    """The characters of the lift test, flat: for each (p, q, n) of
+    _character_keys, the character of p at q^(n-1) mod n.  The test
+    depends on the candidates and these alone."""
+    return tuple(
+        power_residue_char(p, PrimePower(q, n - 1), n)
+        for p, q, n in _character_keys(gab, qs, candidates)
     )
+
+
+def _log_character_mismatches(ext: CentralExtension, keys, chars) -> None:
+    """Log each character of the lift test whose literal value, mod
+    exp(A), differs from the direct one in what a pairing term reads.
+
+    A term <y_q, y_p> with |y_q| = n is killed by n and by exp(A), so it
+    reads a character mod gcd(n, exp(A)) only; the test decides with the
+    direct one."""
+    e = ext.a.exponent
+    for (p, q, n), direct in zip(keys, chars):
+        literal = power_residue_char(p, PrimePower(q, n - 1), e)
+        if (literal - direct) % gcd(n, e):
+            logger.warning(
+                "character scaling mismatch at p=%d: q=%d |y|=%d literal %d vs direct %d",
+                p,
+                q,
+                n,
+                literal,
+                direct,
+            )
 
 
 @lru_cache(maxsize=1 << 10)
@@ -358,17 +388,15 @@ def _packed_pairing(ext: CentralExtension, union: frozenset, width: int) -> Mapp
 
 def _lift_solutions(ext: CentralExtension, candidates, chars):
     """The choices (one candidate per prime, in lexicographic order) that
-    pass the Frobenius-sum test of has_unramified_lift, for a prime
-    exp(A), given the characters of _characters.
+    pass the Frobenius-sum test of has_unramified_lift, given the
+    characters of _characters.
 
     The pairing is bilinear, so every term k * <y_q, y_p> is read from
     tables built here on the pairing of the candidate images, packed for
     this call's field layout.  That pairing table depends on nothing
     else, so _packed_pairing memoises it on (extension, candidate images,
     layout); the layout is in the key because its width grows with the
-    number of primes.  The literal mod-exp(A) sum equals the direct one:
-    for a prime exponent the pairing is killed by exp(A) and both
-    characters agree modulo it.  The test is solved for the last prime:
+    number of primes.  The test is solved for the last prime:
     once y_1 .. y_{n-1} are fixed, the sum at p_i (i < n) vanishes exactly
     when its last term k * <y_n, y_i> cancels the fixed ones.  So each
     prefix looks up, per i < n, the last prime's candidates giving that
@@ -524,12 +552,14 @@ def classify(
     """Existence report: every enumerated assignment that passes the
     unramified-lift test, with its factorization and counts.
 
-    For a prime exp(A) the lift test is solved for the last prime
-    (_lift_solutions), and only its solutions are tested for generating
-    Gab; it decides exactly as has_unramified_lift, which stays as the
-    reference and decides a composite exp(A).  Each call computes the
-    character matrix; the survivors are memoised on it and the
-    candidates (_lift_survivors).  Assignments, factorizations and
+    The lift test is solved for the last prime (_lift_solutions), and
+    only its solutions are tested for generating Gab; it decides exactly
+    as has_unramified_lift, which stays as the reference.  Each call
+    computes the direct characters; the survivors are memoised on them
+    and the candidates (_lift_survivors).  When exp(A) is composite, each
+    character whose literal value mod exp(A) differs from the direct one
+    where a pairing term reads it is logged as a warning, once per call
+    (_log_character_mismatches).  Assignments, factorizations and
     counts are built for witnesses only, from a per-call table of each
     (prime, candidate) entry's order |y| and factor (q*)^(|y|-1), filled
     on first use; the checks of RamAssignment and DiscFactorization are
@@ -550,16 +580,13 @@ def classify(
         return Report(False)
     if not candidates:
         return Report(False)
-    if ext.a.exponent > 1 and not is_prime(ext.a.exponent):
-        # the literal and direct characters can differ: has_unramified_lift
-        # decides and logs each mismatch, on generating choices only
-        survivors = (
-            choice
-            for choice in choices
-            if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(qs, choice))))[0]
-        )
-    else:
-        survivors = _lift_survivors(ext, candidates, _characters(gab, qs, candidates))
+    chars = _characters(gab, qs, candidates)
+    if not is_prime(ext.a.exponent):
+        # no literal characters for a prime exp(A) = l: a term reads them
+        # mod gcd(n, l), and when l divides n, n divides q - 1, so both
+        # reduce to the discrete log of p mod l and agree
+        _log_character_mismatches(ext, _character_keys(gab, qs, candidates), chars)
+    survivors = _lift_survivors(ext, candidates, chars)
     # The witnesses are built unchecked, as every check of RamAssignment
     # holds for every choice of this call: each q is an odd prime
     # (kdata.validate), tame and distinct from the others (the test

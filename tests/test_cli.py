@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from lemfact import cli, oracle
 from lemfact.arith import factorize, is_fundamental_discriminant, prime_discriminants
 from lemfact.cli import main
 from lemfact.criteria import c4_criterion, h8_criterion
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -456,6 +459,36 @@ def test_classify_malformed_json_exits_2(tmp_path, capsys, ext, kdata, message):
     kdata_file.write_text(json.dumps(kdata))
     code, out, err = run(capsys, "classify", "--ext", ext, "--kdata", str(kdata_file))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_classify_composite_exponent_data(capsys):
+    # the files CI classifies through the installed script, which also
+    # checks the mismatch warning on stderr
+    code, out, _ = run(
+        capsys, "classify", "--ext", str(DATA / "composite_exponent_extension.json"),
+        "--kdata", str(DATA / "composite_exponent_kdata.json"),
+    )
+    assert code == 0
+    assert out == (DATA / "composite_exponent_classify.txt").read_text()
+    assert out.count("\nwitness ") == 4
+
+
+def test_classify_not_admissible_exits_2(tmp_path, capsys):
+    # over the split extension of C2 x C2 by C4 with H = <(1, 0)>, the lifts
+    # of order |pi(x)| outside H generate half of E: the counting formula of
+    # the witness is not integral
+    kdata = tmp_path / "k.json"
+    kdata.write_text(
+        json.dumps(
+            {"H": [[1, 0]], "primes": [{"q": 541, "image": [1, 1]}, {"q": 173, "image": [0, 1]}]}
+        )
+    )
+    code, out, err = run(capsys, "classify", "--ext", "split:2,2/4", "--kdata", str(kdata))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: not an admissible pair (lifts generate only 8 of 16 elements): "
+        "counting formula inconsistency: 4/8\n"
+    )
 
 
 def test_classify_aut_bound_exits_2(tmp_path, capsys):

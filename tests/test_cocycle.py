@@ -194,6 +194,14 @@ def test_heisenberg_preset(ell):
     assert all(ext.ext_order(x) in (1, ell) for x in preim)
 
 
+def test_heisenberg_preset_bound_raises_before_the_table():
+    # 41^3 > 2^16: the table would have 41^6 entries
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^group order 68921 exceeds bound 65536$"):
+        preset("Heisenberg", 41)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("ell", [3, 5])
 def test_heisenberg_determinant_identity(ell):
     # pairing of two lifts with sigma-component 1 is the 2x2 determinant

@@ -4,6 +4,7 @@ import logging
 import random
 import time
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,17 @@ from lemfact.abelian import (
     subgroup_generated,
     torsion_count,
 )
-from lemfact.arith import factorize, is_fundamental_discriminant, is_prime
-from lemfact.cocycle import CentralExtension, aut_stabilizer_order, class_orbit_size, preset
+from lemfact import solver
+from lemfact.arith import factorize, is_fundamental_discriminant, is_prime, power_residue_char
+from lemfact.cocycle import (
+    CentralExtension,
+    _bilinear_table,
+    aut_stabilizer_order,
+    class_orbit_size,
+    enumerate_central_extensions,
+    is_admissible_pair,
+    preset,
+)
 from lemfact.solver import (
     BaseFieldData,
     DiscFactorization,
@@ -24,6 +34,7 @@ from lemfact.solver import (
     Report,
     Witness,
     _assignment_space,
+    _character_keys,
     _characters,
     _coset_candidates,
     _lift_solutions,
@@ -151,6 +162,11 @@ def test_infinite_place(d4):
     # negative factor at an order-2 image: acc = y, must stay in Y_E
     fact = factorization_of(RamAssignment(ext, ((3, (0, 1)), (5, (1, 1)))))
     assert infinite_place_ok(ext, fact)
+    # -3 at (0, 1) and -7 at (1, 1): the sum (1, 0) is outside Y_E
+    fact = factorization_of(RamAssignment(ext, ((3, (0, 1)), (7, (1, 1)))))
+    assert fact.factors == (((0, 1), -3), ((1, 1), -7))
+    assert (1, 0) not in ext.y_set()
+    assert not infinite_place_ok(ext, fact)
     # odd-order images force positive factors, so nothing to check there
     hext, _ = preset("Heisenberg", 3)
     hfact = factorization_of(RamAssignment(hext, ((7, (0, 0, 1)),)))
@@ -304,11 +320,16 @@ def test_basefield_from_json(d4):
 
 def test_check_infinity_filters_negative_c4(d4):
     ext, h = d4
-    # d = -3 * -7 = 21: both factors negative; infinite-place sum is
-    # s + rs = r which is outside Y_E, so the witness dies at infinity
-    rep_plain = classify(ext, h, c4_kdata(ext, h, 21))
-    rep_inf = classify(ext, h, c4_kdata(ext, h, 21), check_infinity=True)
-    assert len(rep_inf.witnesses) <= len(rep_plain.witnesses)
+    # d = -3 * -7 = 21: both factors negative, and the infinite-place sum
+    # of a split into (0, 1) and (1, 1) is (1, 0), outside Y_E.  No such
+    # split passes the lift test, though: it needs (3/7) = (7/3) = 1, and
+    # by reciprocity (3/7)(7/3) = -1 for two primes 3 mod 4.  So there is
+    # no witness, with the filter or without it
+    kdata = c4_kdata(ext, h, 21)
+    for check_infinity in (False, True):
+        rep = classify(ext, h, kdata, check_infinity=check_infinity)
+        assert rep.to_json() == {"exists": False, "witnesses": []}
+        assert rep.to_json() == reference_report(ext, h, kdata, check_infinity)
 
 
 # --- classify against the reference path ----------------------------------
@@ -491,24 +512,159 @@ def composite_exponent_extension():
     return ext, subgroup_generated(gab, [(2, 2)])
 
 
+# three primes with images (1, 0), (0, 1), (2, 0) over
+# composite_exponent_extension, and classify's warnings on them.  The prime
+# 3 mod 4 carries an order-2 image: its literal character mod 4 is twice
+# the quadratic one, so it is even where the direct one is odd
+COMPOSITE_MISMATCHES = {
+    (293, 73, 59): ["character scaling mismatch at p=73: q=59 |y|=2 literal 2 vs direct 1"],
+    (277, 241, 211): [],
+    (157, 233, 311): ["character scaling mismatch at p=233: q=311 |y|=2 literal 2 vs direct 1"],
+}
+
+
+def composite_kdata(h, primes):
+    return BaseFieldData(h, tuple(zip(primes, ((1, 0), (0, 1), (2, 0)))))
+
+
+def test_composite_exponent_data_files():
+    # the files CI and test_cli classify
+    ext, h = composite_exponent_extension()
+    data = Path(__file__).parent / "data"
+    with open(data / "composite_exponent_extension.json") as fh:
+        assert json.load(fh) == ext.to_json()
+    with open(data / "composite_exponent_kdata.json") as fh:
+        assert BaseFieldData.from_json(json.load(fh), ext) == composite_kdata(h, (293, 73, 59))
+
+
+def mismatch_primes(messages) -> set:
+    """The p of each "character scaling mismatch at p=..." message."""
+    prefix = "character scaling mismatch at p="
+    assert all(m.startswith(prefix) for m in messages), messages
+    return {int(m[len(prefix):].partition(":")[0]) for m in messages}
+
+
+def logged(caplog, run, *args) -> list:
+    """The messages that run(*args) logs at WARNING or above."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lemfact"):
+        run(*args)
+    return [r.getMessage() for r in caplog.records]
+
+
 @pytest.mark.parametrize(
     "primes, mismatches",
     [((293, 73, 59), True), ((277, 241, 211), False), ((157, 233, 311), True)],
 )
 def test_classify_matches_reference_composite_exponent(caplog, primes, mismatches):
     ext, h = composite_exponent_extension()
-    # the prime 3 mod 4 carries an order-2 image: its literal character
-    # mod 4 is twice the quadratic one, the direct character is not
-    kdata = BaseFieldData(h, tuple(zip(primes, ((1, 0), (0, 1), (2, 0)))))
-    with caplog.at_level(logging.WARNING, logger="lemfact"):
-        got = classify(ext, h, kdata).to_json()
-        from_classify = [r.getMessage() for r in caplog.records]
-        caplog.clear()
-        assert got == reference_report(ext, h, kdata)
-        from_reference = [r.getMessage() for r in caplog.records]
-    assert from_classify == from_reference
+    kdata = composite_kdata(h, primes)
+    from_classify = logged(caplog, classify, ext, h, kdata)
+    assert from_classify == COMPOSITE_MISMATCHES[primes]
     assert bool(from_classify) == mismatches
-    assert all(m.startswith("character scaling mismatch at p=") for m in from_classify)
+    # the reference logs once per generating choice and p, classify once
+    # per character
+    from_reference = logged(caplog, reference_witnesses, ext, h, kdata)
+    assert mismatch_primes(from_classify) == mismatch_primes(from_reference)
+    assert_matches_reference(ext, h, kdata)
+
+
+def composite_exponent_fields():
+    """(extension, H, base field data) of 400 random base fields, 40 for
+    each of ten admissible pairs whose inertia images can have order 4:
+    over Gab = C4 x C4 with H = <(2, 2)> or 0, the cocycle g_0 h_1 with
+    values in A = C4, C2 and C2 x C4 (times (1, 1)); over Gab = C2 x C4
+    with H = <(1, 0)> or 0, each class of H^2(Gab, C4) that makes an
+    admissible pair.  Each field has three primes below 128, so that the
+    reference can factor every d_y.  Not two: over those (C2 x C4, C4)
+    classes, many two-prime witnesses have the fractional count 8/16,
+    on which classify and the reference both raise."""
+    c4sq, c2c4 = AbGroup((4, 4)), AbGroup((2, 4))
+    ext, h = composite_exponent_extension()
+    pairs = [(ext, h), (ext, frozenset({(0, 0)}))]
+    for a, value in ((AbGroup((2,)), (1,)), (AbGroup((2, 4)), (1, 1))):
+        e = CentralExtension(c4sq, a, _bilinear_table(c4sq, a, 0, 1, value))
+        pairs += [(e, h), (e, frozenset({(0, 0)}))]
+    for e in enumerate_central_extensions(c2c4, AbGroup((4,))):
+        for hs in (subgroup_generated(c2c4, [(1, 0)]), frozenset({(0, 0)})):
+            if is_admissible_pair(e, hs)[0]:
+                pairs.append((e, hs))
+    assert len(pairs) == 10
+    pool = [q for q in range(3, 128) if is_prime(q)]
+    rng = random.Random(2017)
+    for e, hs in pairs:
+        images = [g for g in e.gab.elements() if g not in hs]
+        made = 0
+        while made < 40:
+            kdata = BaseFieldData(hs, tuple((q, rng.choice(images)) for q in rng.sample(pool, 3)))
+            try:
+                kdata.validate(e)
+            except ValueError:
+                # the images do not generate Gab/H, or |y| does not divide q - 1
+                continue
+            made += 1
+            yield e, hs, kdata
+
+
+def test_classify_matches_reference_composite_exponent_sweep(caplog):
+    fields = flagged = with_witnesses = 0
+    for ext, h, kdata in composite_exponent_fields():
+        from_classify = mismatch_primes(logged(caplog, classify, ext, h, kdata))
+        from_reference = mismatch_primes(logged(caplog, reference_witnesses, ext, h, kdata))
+        # every p the reference flags reads a character that differs
+        assert from_classify >= from_reference, kdata.primes
+        with_witnesses += assert_matches_reference(ext, h, kdata)["exists"]
+        flagged += bool(from_reference)
+        fields += 1
+    assert fields == 400
+    assert flagged > 10 and with_witnesses > 100
+
+
+def test_classify_decides_without_the_reference(monkeypatch):
+    ext, h = composite_exponent_extension()
+    fields = [(ext, h, composite_kdata(h, primes)) for primes in COMPOSITE_MISMATCHES]
+    fields += composite_exponent_fields()
+    expected = [reference_report(*f) for f in fields]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify ran the per-assignment reference")
+
+    monkeypatch.setattr(solver, "has_unramified_lift", refuse)
+    monkeypatch.setattr(solver.RamAssignment, "__init__", refuse)
+    # solved here, not read from an earlier test's memo
+    _lift_survivors.cache_clear()
+    assert [classify(*f).to_json() for f in fields] == expected
+
+
+def test_classify_logs_nothing_for_a_prime_exponent(caplog, monkeypatch, d4, heis3):
+    heis5 = preset("Heisenberg", 5)
+    h8 = preset("H8_pair", None)
+    # images of order 9 over A = C3 x C3
+    gab9, a9 = AbGroup((9, 9)), AbGroup((3, 3))
+    ext9 = CentralExtension(gab9, a9, _bilinear_table(gab9, a9, 0, 1, (1, 2)))
+    h9 = subgroup_generated(gab9, [(1, 0)])
+    cases = [
+        (*heis3, heis_kdata(heis3[1], (7, 13, 43, 61))),
+        (*heis5, heis_kdata(heis5[1], (11, 31, 41))),
+        (*d4, c4_kdata(*d4, 205)),
+        (*d4, c4_kdata(*d4, -1155)),
+        (*h8, h8_kdata(*h8, 21945)),
+        (ext9, h9, BaseFieldData(h9, tuple((q, (0, 1)) for q in (19, 37, 73)))),
+    ]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_residue_char(*args)
+
+    monkeypatch.setattr(solver, "power_residue_char", counted)
+    for ext, h, kdata in cases:
+        calls.clear()
+        assert logged(caplog, classify, ext, h, kdata) == []
+        # the direct characters only: no literal one
+        qs = sorted(q for q, _ in kdata.primes)
+        candidates = _assignment_space(ext, h, kdata)[1]
+        assert len(calls) == len(_character_keys(ext.gab, qs, candidates)) > 0
 
 
 def test_classify_raises_as_reference_on_bad_primes(heis3):
@@ -571,8 +727,6 @@ def test_lift_solutions_match_reference_on_every_choice(heis3, primes):
 def test_lift_solutions_two_coordinate_a_with_order_9_images():
     # A = C3 x C3 packs two coordinates into one integer; the images have
     # order 9 > exp(A), so the characters are taken mod 9
-    from lemfact.cocycle import _bilinear_table
-
     gab, a = AbGroup((9, 9)), AbGroup((3, 3))
     ext = CentralExtension(gab, a, _bilinear_table(gab, a, 0, 1, (1, 2)))
     h = subgroup_generated(gab, [(1, 0)])
@@ -602,8 +756,6 @@ def test_packed_pairing_is_keyed_on_the_layout(heis3):
     # has two, and its pairing here is not a multiple of one vector: the
     # width is 4 bits for three primes and 5 for four.  No choice passes
     # and generates Gab, so the lift test is compared on every choice
-    from lemfact.cocycle import _bilinear_table
-
     gab, a = AbGroup((2, 2, 2)), AbGroup((2, 2))
     table = _bilinear_table(gab, a, 0, 1, (1, 0))
     for key, v in _bilinear_table(gab, a, 1, 2, (0, 1)).items():
