@@ -227,51 +227,63 @@ def _odd_primes(limit: int):
         yield from compress(range(a, b, 2), marks[::2])
 
 
+# the classes of d that can be fundamental, as (residue, modulus, 2-part):
+# d = 1 mod 4 has none; d = 12 mod 16 has -4; d = 8 mod 16 has 8 or -8
+# as d/8 = 1 or 3 mod 4, so it is walked as its two halves mod 32
+_FUNDAMENTAL_CLASSES = ((1, 4, 1), (12, 16, -4), (8, 32, 8), (24, 32, -8))
+
+
 def fundamental_discriminants(lo: int, hi: int):
     """(d, prime_discriminants(d)) for every fundamental d not in {0, 1}
     with lo <= d < hi, d ascending, from one segmented sieve.
 
     d is fundamental iff d = 1 mod 4, d = 8 mod 16 or d = 12 mod 16, and
     the odd part of d is squarefree.  Each block of _SIEVE_BLOCK values
-    is sieved by the odd primes <= isqrt(max |d| in the block): they give
-    the squarefree test and every odd prime factor but at most one, the
-    cofactor.  The bound is checked once, before any sieving.
+    visits only those classes, sieved by the odd primes <= isqrt(max |d|
+    in the block): they give the squarefree test and every odd prime
+    factor but at most one, the cofactor.  The bound is checked once,
+    before any sieving.
     """
     check_disc_bound(max(abs(lo), abs(hi - 1)) if lo < hi else 0)
     a = lo
     while a < hi:
         b = min(hi, (a // _SIEVE_BLOCK + 1) * _SIEVE_BLOCK)
-        size = b - a
-        square = bytearray(size)
-        factors = [[] for _ in range(size)]
+        # per class: first d >= a, step, 2-part, the p* of the sieved
+        # primes dividing each d, and 1 where the odd part is squarefree
+        progs = []
+        for r, m, two in _FUNDAMENTAL_CLASSES:
+            s = a + (r - a) % m
+            n = len(range(s, b, m))
+            squarefree = bytearray(b"\x01") * n
+            if s <= 1 < b and m == 4:
+                squarefree[(1 - s) // 4] = 0
+            progs.append((s, m, two, [[] for _ in range(n)], squarefree))
         for p in _odd_primes(isqrt(max(abs(a), abs(b - 1)))):
-            for i in range(-a % p, size, p):
-                factors[i].append(p)
-            s = -a % (p * p)
-            square[s::p * p] = b"\x01" * len(range(s, size, p * p))
-        for i in range(size):
-            d = a + i
-            if square[i] or d == 1:
-                continue
-            if d % 4 == 1:
-                two = None
-                u = d
-            elif d % 16 == 12:
-                two = -4
-                u = d >> 2
-            elif d % 16 == 8:
-                u = d >> 3
-                two = 8 if u % 4 == 1 else -8
-            else:
-                continue
-            primes = factors[i]
-            rest = abs(u) // prod(primes)
-            parts = [p if p % 4 == 1 else -p for p in primes]
-            if rest > 1:
-                parts.append(rest if rest % 4 == 1 else -rest)
-            if two is not None:
-                parts.append(two)
-            yield d, sorted(parts, key=abs)
+            star = p if p % 4 == 1 else -p
+            pp = p * p
+            for s, m, _, stars, squarefree in progs:
+                # p | s + m*j iff j = -s/m mod p, and p^2 | it iff j = -s/m
+                # mod p^2
+                j = -s * pow(m, -1, pp) % pp
+                for i in range(j % p, len(stars), p):
+                    stars[i].append(star)
+                squarefree[j::pp] = bytes(len(range(j, len(squarefree), pp)))
+        rows = []
+        for s, m, two, stars, squarefree in progs:
+            for d, parts in compress(zip(range(s, b, m), stars), squarefree):
+                # the sieved p* arrive ascending in p; the cofactor q* is
+                # what d leaves, one prime above all of them
+                q = d // two // prod(parts)
+                if q != 1:
+                    parts.append(q)
+                if two != 1:
+                    parts.append(two)
+                    parts.sort(key=abs)
+                rows.append((d, parts))
+        # one ascending run per class: the sort merges them, comparing d
+        # alone as no two rows share it
+        rows.sort()
+        yield from rows
         a = b
 
 

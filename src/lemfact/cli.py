@@ -121,6 +121,9 @@ _SURVEY_COLUMNS = (
     "count_per_witness", "oracle_two_rank", "oracle_four_rank", "redei_rank",
 )
 
+# the rows a --jobs worker takes at a time (pool.map's chunksize)
+_SURVEY_CHUNK = 64
+
 
 def _survey_row(task):
     """One survey row, a tuple in _SURVEY_COLUMNS order."""
@@ -160,9 +163,12 @@ def cmd_survey(args) -> int:
         (d, parts, args.criterion, args.oracle, ranks.get(d))
         for d, parts in arith.fundamental_discriminants(lo, hi + 1)
     ]
-    if args.jobs > 1 and tasks:
-        with Pool(args.jobs) as pool:
-            rows = pool.map(_survey_row, tasks, chunksize=64)
+    # no more workers than chunks of _SURVEY_CHUNK rows, and none for one
+    # chunk; pool.map keeps the row order
+    workers = min(args.jobs, -(-len(tasks) // _SURVEY_CHUNK))
+    if workers > 1:
+        with Pool(workers) as pool:
+            rows = pool.map(_survey_row, tasks, chunksize=_SURVEY_CHUNK)
     else:
         rows = [_survey_row(t) for t in tasks]
 

@@ -146,6 +146,16 @@ def test_sieve_small_blocks(monkeypatch):
         assert dict(fundamental_discriminants(lo, hi)) == per_disc_parts(lo, hi)
 
 
+@pytest.mark.parametrize("r", range(16))
+def test_sieve_progression_starts(monkeypatch, r):
+    # a block size that is no multiple of 16 starts each block at another
+    # residue, so every class's first d moves from block to block
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", 40)
+    for lo in (-800 + r, 800 + r):
+        got = list(fundamental_discriminants(lo, lo + 400))
+        assert got == list(per_disc_parts(lo, lo + 400).items())
+
+
 def test_sieve_covers_even_discriminants():
     got = dict(fundamental_discriminants(-5000, 5000))
     assert {d % 16 for d in got} == {1, 5, 9, 13, 8, 12}

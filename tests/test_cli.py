@@ -217,6 +217,46 @@ def test_survey_oracle_jobs_byte_identical(capsys):
     assert seq == par
 
 
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count asked
+    for and maps in this process, so no process starts."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        assert chunksize == cli._SURVEY_CHUNK
+        return [fn(t) for t in tasks]
+
+
+@pytest.mark.parametrize(
+    "jobs,lo,hi,workers",
+    [
+        ("5000", -20, -3, []),  # 8 rows: one chunk, run in-process
+        ("5000", -300, -3, [2]),  # 94 rows: 2 chunks
+        ("5000", -3000, 3000, [29]),  # 1,820 rows: 29 chunks
+        ("3", -3000, 3000, [3]),
+        ("1", -3000, 3000, []),
+    ],
+)
+def test_survey_jobs_capped_by_chunks(capsys, monkeypatch, jobs, lo, hi, workers):
+    argv = ("survey", f"--range={lo}..{hi}", "--criterion", "h8")
+    _, seq, _ = run(capsys, *argv)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    code, par, _ = run(capsys, "--jobs", jobs, *argv)
+    assert code == 0 and par == seq
+    assert RecordingPool.sizes == workers
+
+
 def test_survey_oracle_bound_fails_before_rows(capsys, monkeypatch):
     monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
 
