@@ -317,6 +317,10 @@ def _selftest_checks():
 
     def oracle_reduced_sweep():
         sweep = oracle.rank_sweep(-1000, -3)
+        windows = {}
+        for lo, hi in ((-1000, -701), (-701, -350), (-350, -3)):
+            windows.update(oracle.rank_sweep(lo, hi))
+        assert list(windows.items()) == list(sweep.items())
         for d, (r2, r4) in sweep.items():
             assert r2 == len(prime_discriminants(d)) - 1
             assert r4 == oracle.redei_rank(d)

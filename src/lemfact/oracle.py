@@ -11,7 +11,10 @@ with f1 = f2) on plain (a, b, c) triples, with the lattice composition
 `compose` as its independent reference.  `rank_sweep` takes
 fundamentality from primitivity: d is fundamental exactly when every
 reduced form of discriminant d is primitive, since g (a, b, c) has
-discriminant g^2 disc(a, b, c).
+discriminant g^2 disc(a, b, c).  It marks the d with an imprimitive
+reduced form as the progressions k^2 d' (k >= 2, d' <= -3 a
+discriminant), since k times the principal form of d' is reduced, and
+it enumerates only the reduced forms whose discriminant is in its window.
 """
 
 from __future__ import annotations
@@ -348,27 +351,27 @@ def four_rank(d: int) -> int:
     return _exact_log2(n, f"ambiguous square count {n} is not a power of 2")
 
 
-def _c_bounds(a: int, bb: int, lo: int, hi: int) -> tuple[int, int]:
-    """The least and the greatest c >= a with lo <= bb - 4ac < hi."""
-    return max(a, (bb - hi) // (4 * a) + 1), (bb - lo) // (4 * a)
-
-
 def rank_sweep(lo: int, hi: int):
     """two_rank and four_rank for every fundamental discriminant in
-    [lo, hi), d < 0, via one global form enumeration.
+    [lo, hi), d < 0, via one enumeration of the reduced forms in range.
 
-    Returns {d: (two_rank, four_rank)}, d ascending.  The enumeration order is
-    transposed, so the whole range costs one pass over all (a, b, c),
-    and only one form of each inverse pair is squared: a reduced form
-    with b < 0 is never ambiguous, and it is the inverse of the reduced
-    form (a, -b, c), whose square has the same ambiguous reduced form.
-    An ambiguous form squares to the principal form (a = 1), which is
-    added directly.  two_rank/four_rank square every form and stay the
-    reference.
+    Returns {d: (two_rank, four_rank)}, d ascending.  The enumeration runs
+    over (a, c) and takes from [lo, hi) the b with 0 <= b <= a, so every
+    b it visits gives a form in the window.  Only one form of each
+    inverse pair is squared: a reduced form with b < 0 is never
+    ambiguous, and it is the inverse of the reduced form (a, -b, c),
+    whose square has the same ambiguous reduced form.  An ambiguous form
+    squares to the principal form (a = 1), which is added directly.
+    two_rank/four_rank square every form and stay the reference.
 
-    A first pass marks each d with an imprimitive reduced form k (a, b, c),
-    k >= 2; every d = 0, 1 mod 4 left unmarked is fundamental, so no form
-    of a non-fundamental d is squared.  Raises ValueError, before any
+    A d = 0, 1 mod 4 has an imprimitive reduced form exactly when
+    d = k^2 d' for some k >= 2 and some discriminant d' <= -3: then
+    k (1, b0, c0), k times the principal form of d', is reduced, and
+    conversely k (a, b, c) reduced makes (a, b, c) reduced of
+    discriminant d / k^2.  So a first pass marks, for each k, the two
+    progressions k^2 d' (d' = 0 and 1 mod 4) with step 4 k^2, and every
+    d = 0, 1 mod 4 left unmarked is fundamental; no form of a
+    non-fundamental d is squared.  Raises ValueError, before any
     enumeration, when the range holds a fundamental discriminant past the
     oracle bound.
     """
@@ -381,43 +384,47 @@ def rank_sweep(lo: int, hi: int):
     amax = isqrt(-lo // 3)
     imprimitive = bytearray(hi - lo)  # index d - lo
     for k in range(2, amax + 1):
-        for a in range(k, amax + 1, k):
-            for b in range(0, a + 1, k):
-                bb = b * b
-                cmin, cmax = _c_bounds(a, bb, lo, hi)
-                # the c in [cmin, cmax] divisible by k, from the largest
-                # (the least index d - lo) down, d rising by 4ak per step
-                cmax -= cmax % k
-                if cmin <= cmax:
-                    first = bb - 4 * a * cmax - lo
-                    last = first + 4 * a * (cmax - cmin)
-                    imprimitive[first:last + 1:4 * a * k] = b"\x01" * ((cmax - cmin) // k + 1)
-    fundamental = [d for d in range(lo, hi) if d % 4 < 2 and not imprimitive[d - lo]]
-    amb_count = dict.fromkeys(fundamental, 0)
-    amb_squares = {d: set() for d in fundamental}
+        step = 4 * k * k
+        # top = k^2 d' for d' = -4 and -3, the greatest d' = 0 and 1 mod 4;
+        # mark the d = top mod step from the least d >= lo up to top
+        for top in (-step, -3 * k * k):
+            start = (top - lo) % step
+            stop = min(top + 1, hi) - lo
+            if start < stop:
+                imprimitive[start:stop:step] = b"\x01" * len(range(start, stop, step))
+    # per d - lo: None for a non-fundamental d, else its ambiguous count
+    # and its set of ambiguous squares
+    amb_count = [
+        None if d % 4 > 1 or imprimitive[d - lo] else 0 for d in range(lo, hi)
+    ]
+    amb_squares = [None if m is None else set() for m in amb_count]
     for a in range(1, amax + 1):
-        for b in range(a + 1):
-            bb = b * b
-            cmin, cmax = _c_bounds(a, bb, lo, hi)
-            for c in range(cmin, cmax + 1):
-                d = bb - 4 * a * c
-                if d not in amb_count:
+        for c in range(max(a, -hi // (4 * a) + 1), (a * a - lo) // (4 * a) + 1):
+            # the b in [0, a] with n <= b^2 < n + hi - lo, where n = lo + 4ac
+            # and b^2 - n = d - lo
+            n = lo + 4 * a * c
+            bmin = isqrt(n - 1) + 1 if n > 0 else 0
+            for b in range(bmin, isqrt(min(a * a, n + hi - lo - 1)) + 1):
+                i = b * b - n
+                squares = amb_squares[i]
+                if squares is None:
                     continue
                 if b == 0 or b == a or a == c:
-                    amb_count[d] += 1
+                    amb_count[i] += 1
                     if a == 1:
-                        amb_squares[d].add((a, b, c))
+                        squares.add((a, b, c))
                     continue
                 sa, sb, sc = _square(a, b, c)
                 if sb == 0 or sa == sb or sa == sc:
-                    amb_squares[d].add((sa, sb, sc))
+                    squares.add((sa, sb, sc))
     out = {}
-    for d in fundamental:
-        message = f"non-power-of-2 ambiguous counts at {d}"
-        out[d] = (
-            _exact_log2(amb_count[d], message),
-            _exact_log2(len(amb_squares[d]), message),
-        )
+    for i, m in enumerate(amb_count):
+        if m is not None:
+            message = f"non-power-of-2 ambiguous counts at {lo + i}"
+            out[lo + i] = (
+                _exact_log2(m, message),
+                _exact_log2(len(amb_squares[i]), message),
+            )
     return out
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import isqrt
 
 import pytest
 
@@ -11,6 +12,7 @@ from lemfact.oracle import (
     _exact_log2,
     _factor,
     _prime_discs,
+    _square,
     class_group_structure,
     class_number,
     compose,
@@ -177,6 +179,76 @@ def test_rank_sweep_windows_match_per_disc(lo, hi):
     assert list(sweep) == discs
     for d in discs:
         assert sweep[d] == (two_rank(d), four_rank(d)), d
+
+
+def _c_bounds(a, bb, lo, hi):
+    """The least and the greatest c >= a with lo <= bb - 4ac < hi."""
+    return max(a, (bb - hi) // (4 * a) + 1), (bb - lo) // (4 * a)
+
+
+def reference_rank_sweep(lo, hi):
+    """rank_sweep in two passes over every (a, b) up to sqrt(|lo| / 3):
+    the first marks each d with an imprimitive reduced form k (a, b, c),
+    the second squares one form of each inverse pair of the other d."""
+    amax = isqrt(-lo // 3)
+    imprimitive = bytearray(hi - lo)  # index d - lo
+    for k in range(2, amax + 1):
+        for a in range(k, amax + 1, k):
+            for b in range(0, a + 1, k):
+                bb = b * b
+                cmin, cmax = _c_bounds(a, bb, lo, hi)
+                # the c in [cmin, cmax] divisible by k, from the largest
+                # (the least index d - lo) down, d rising by 4ak per step
+                cmax -= cmax % k
+                if cmin <= cmax:
+                    first = bb - 4 * a * cmax - lo
+                    last = first + 4 * a * (cmax - cmin)
+                    imprimitive[first:last + 1:4 * a * k] = b"\x01" * ((cmax - cmin) // k + 1)
+    fundamental = [d for d in range(lo, hi) if d % 4 < 2 and not imprimitive[d - lo]]
+    amb_count = dict.fromkeys(fundamental, 0)
+    amb_squares = {d: set() for d in fundamental}
+    for a in range(1, amax + 1):
+        for b in range(a + 1):
+            bb = b * b
+            cmin, cmax = _c_bounds(a, bb, lo, hi)
+            for c in range(cmin, cmax + 1):
+                d = bb - 4 * a * c
+                if d not in amb_count:
+                    continue
+                if b == 0 or b == a or a == c:
+                    amb_count[d] += 1
+                    if a == 1:
+                        amb_squares[d].add((a, b, c))
+                    continue
+                sa, sb, sc = _square(a, b, c)
+                if sb == 0 or sa == sb or sa == sc:
+                    amb_squares[d].add((sa, sb, sc))
+    out = {}
+    for d in fundamental:
+        message = f"non-power-of-2 ambiguous counts at {d}"
+        out[d] = (
+            _exact_log2(amb_count[d], message),
+            _exact_log2(len(amb_squares[d]), message),
+        )
+    return out
+
+
+def test_rank_sweep_matches_reference_on_windows():
+    rng = random.Random(1729)
+    windows = []
+    for _ in range(200):
+        lo = rng.randint(-30000, -4)
+        windows.append((lo, min(lo + rng.randint(1, 400), 0)))
+    # windows with an end on e = k^2 d', from lo at each residue mod 4
+    for k in (2, 3, 5):
+        for dp in (-3, -4, -7, -8, -1103, -1104):
+            e = k * k * dp
+            for r in range(4):
+                windows += [(e - 1 - r, e), (e - 40 - r, e + 1)]
+                windows += [(e, min(e + 40 + r, 0)), (e + 1 + r, min(e + 60, 0))]
+    for lo, hi in windows:
+        sweep = rank_sweep(lo, hi)
+        assert list(sweep.items()) == list(reference_rank_sweep(lo, hi).items()), (lo, hi)
 
 
 @pytest.mark.parametrize(
