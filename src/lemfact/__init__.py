@@ -2,7 +2,7 @@
 abelian base fields, by discriminant factorizations and power-residue
 characters, with an independent class-group oracle."""
 
-from .abelian import AbGroup, AbHom, cyclic, smith_normal_form
+from .abelian import AbGroup, AbHom, cyclic
 from .arith import (
     PrimePower,
     factorize,
@@ -47,8 +47,6 @@ from .solver import (
     Report,
     classify,
     count_extensions,
-    enumerate_assignments,
-    has_unramified_lift,
 )
 
 __version__ = "0.1.0"

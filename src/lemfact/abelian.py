@@ -228,119 +228,3 @@ def enumerate_automorphisms(A: AbGroup) -> list[AbHom]:
         if {h(x) for x in elements} == full:
             auts.append(h)
     return auts
-
-
-# --- integer linear algebra -------------------------------------------------
-
-def smith_normal_form(M):
-    """Smith normal form over Z.
-
-    Returns (D, U, V) with D = U*M*V, U and V unimodular and D diagonal
-    (nonnegative; no divisibility chain).  Input is a list of rows; plain
-    Python ints, so no overflow.
-    """
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    D = [list(r) for r in M]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        Dd, Ds = D[dst], D[src]
-        for k in range(cols):
-            Dd[k] += q * Ds[k]
-        Ud, Us = U[dst], U[src]
-        for k in range(rows):
-            Ud[k] += q * Us[k]
-
-    def addmul_col(dst, src, q):
-        for r in D:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # pivot on the smallest nonzero |entry| of the remaining block: the
-        # first nonzero one lets the entries grow without bound
-        pivot = min(
-            ((abs(D[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if D[i][j]),
-            default=None,
-        )
-        if pivot is None:
-            break
-        swap_rows(t, pivot[1])
-        swap_cols(t, pivot[2])
-        while True:
-            # clear column t
-            for i in range(t + 1, rows):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    addmul_row(i, t, -q)
-                    if D[i][t] != 0:
-                        swap_rows(i, t)
-            if any(D[i][t] != 0 for i in range(t + 1, rows)):
-                continue
-            # clear row t
-            for j in range(t + 1, cols):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    addmul_col(j, t, -q)
-                    if D[t][j] != 0:
-                        swap_cols(j, t)
-            if all(D[i][t] == 0 for i in range(t + 1, rows)) and all(
-                D[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-        t += 1
-
-    # positive diagonal (divisibility chain is not needed by any caller)
-    for i in range(min(rows, cols)):
-        if D[i][i] < 0:
-            for k in range(cols):
-                D[i][k] = -D[i][k]
-            for k in range(rows):
-                U[i][k] = -U[i][k]
-    return D, U, V
-
-
-def solve_modular_linear(M, target, moduli):
-    """Solve M*x = target where row i is read mod moduli[i].
-
-    Returns an integer solution vector or None.  Reduced to an exact
-    integer system by adjoining modulus columns, then Smith reduction.
-    """
-    rows = len(M)
-    if rows != len(target) or rows != len(moduli):
-        raise ValueError("dimension mismatch")
-    cols = len(M[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    # [M | diag(moduli)] * (x, y) = target over Z
-    A = [list(M[i]) + [moduli[i] if j == i else 0 for j in range(rows)] for i in range(rows)]
-    D, U, V = smith_normal_form(A)
-    s = [sum(U[i][k] * target[k] for k in range(rows)) for i in range(rows)]
-    total = cols + rows
-    w = [0] * total
-    for i in range(rows):
-        d = D[i][i] if i < min(rows, total) else 0
-        if d == 0:
-            if s[i] != 0:
-                return None
-        else:
-            q, r = divmod(s[i], d)
-            if r != 0:
-                return None
-            w[i] = q
-    z = [sum(V[i][k] * w[k] for k in range(total)) for i in range(total)]
-    return z[:cols]

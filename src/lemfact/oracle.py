@@ -236,10 +236,9 @@ def _check_disc(d: int):
 def _exact_log2(n: int, message: str) -> int:
     """log2 of an ambiguous count, which genus theory makes a power of 2;
     AssertionError(message) when it is not."""
-    r = n.bit_length() - 1
-    if 1 << r != n:
+    if n <= 0 or n & (n - 1):
         raise AssertionError(message)
-    return r
+    return n.bit_length() - 1
 
 
 def reduced_forms(d: int) -> list[QuadForm]:

@@ -74,12 +74,6 @@ class RamAssignment:
     def primes(self):
         return [q for q, _ in self.entries]
 
-    def image_of(self, p: int) -> Elem:
-        for q, y in self.entries:
-            if q == p:
-                return y
-        raise KeyError(p)
-
 
 @dataclass(frozen=True)
 class DiscFactorization:
@@ -101,100 +95,6 @@ class DiscFactorization:
         for _, d in self.factors:
             if d % 4 not in (0, 1):
                 raise ValueError(f"factor {d} is not a discriminant")
-
-
-def factorization_of(assignment: RamAssignment) -> DiscFactorization:
-    """Group the prime discriminants by inertia image:
-    d_y = prod over {q : y_q = y} of (q*)^(|y|-1)."""
-    gab = assignment.ext.gab
-    by_y: dict[Elem, int] = {}
-    for q, y in assignment.entries:
-        n = elem_order(gab, y)
-        by_y[y] = by_y.get(y, 1) * prime_star(q) ** (n - 1)
-    return DiscFactorization(assignment.ext, tuple(by_y.items()))
-
-
-def infinite_place_ok(ext: CentralExtension, fact: DiscFactorization) -> bool:
-    """Sign condition at the infinite place: the product of y^(|y|/2) over
-    negative factors must land in Y_E."""
-    gab = ext.gab
-    acc = gab.zero()
-    for y, d in fact.factors:
-        if d < 0:
-            n = elem_order(gab, y)
-            if n % 2 != 0:
-                raise ValueError(f"negative factor {d} at odd-order {y}")
-            acc = gab.add(acc, gab.smul(n // 2, y))
-    return acc in ext.y_set()
-
-
-def frobenius_pairing_sum(ext: CentralExtension, assignment: RamAssignment, p: int) -> Elem:
-    """Character-weighted commutator sum at a ramified prime p, with the
-    characters taken mod exp(A) as in the factorized existence criterion.
-
-    The self term q = p has vanishing pairing and is omitted.
-    """
-    y_p = assignment.image_of(p)
-    gab, a = ext.gab, ext.a
-    n = a.exponent
-    acc = a.zero()
-    for q, y_q in assignment.entries:
-        if q == p:
-            continue
-        b_q = elem_order(gab, y_q) - 1
-        chi = power_residue_char(p, PrimePower(q, b_q), n)
-        acc = a.add(acc, a.smul(chi, ext.pairing(y_q, y_p)))
-    return acc
-
-
-def frobenius_pairing_sum_direct(
-    ext: CentralExtension, assignment: RamAssignment, p: int
-) -> Elem:
-    """Independent evaluation: assemble the Frobenius image coordinatewise
-    in the product of the <y_q> and pair it with the inertia image, i.e.
-    weight each pairing by the discrete-log class of p mod |y_q|."""
-    y_p = assignment.image_of(p)
-    gab, a = ext.gab, ext.a
-    acc = a.zero()
-    for q, y_q in assignment.entries:
-        if q == p:
-            continue
-        n_q = elem_order(gab, y_q)
-        k = power_residue_char(p, PrimePower(q, n_q - 1), n_q)
-        acc = a.add(acc, a.smul(k, ext.pairing(y_q, y_p)))
-    return acc
-
-
-def has_unramified_lift(
-    ext: CentralExtension, assignment: RamAssignment, check_infinity: bool = False
-):
-    """Whether the assignment admits an unramified solution: every
-    Frobenius pairing sum vanishes (and, optionally, the infinite-place
-    sign condition holds).
-
-    Returns (bool, failing_primes).  Decisions use the intrinsic
-    (discrete-log) evaluation; a disagreement with the literal mod-exp(A)
-    character sum is possible only for composite exponents and is logged,
-    never silently resolved.  classify decides with a compiled form of
-    this test; this per-assignment evaluation is its reference.
-    """
-    failing = []
-    for p in assignment.primes:
-        direct = frobenius_pairing_sum_direct(ext, assignment, p)
-        literal = frobenius_pairing_sum(ext, assignment, p)
-        if literal != direct:
-            logger.warning(
-                "character scaling mismatch at p=%d: literal %s vs direct %s",
-                p,
-                literal,
-                direct,
-            )
-        if direct != ext.a.zero():
-            failing.append(p)
-    ok = not failing
-    if ok and check_infinity:
-        ok = infinite_place_ok(ext, factorization_of(assignment))
-    return ok, failing
 
 
 @dataclass(frozen=True)
@@ -307,16 +207,6 @@ def _assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldD
     return primes, tuple(candidates), choices
 
 
-def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
-    """All assignments compatible with the base field: y_q in Y_E outside
-    H, congruent to the given inertia image mod H, with the y_q jointly
-    generating Gab.  Deterministic order (primes sorted, candidates in
-    lexicographic order)."""
-    primes, _, choices = _assignment_space(ext, h_sub, kdata)
-    for choice in choices:
-        yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))
-
-
 def _character_keys(gab: AbGroup, qs, candidates) -> list:
     """The (p, q, n) of the lift test's characters, in their order: for
     each pair of primes p = p_i, q = p_j with i != j, each order n of the
@@ -388,8 +278,9 @@ def _packed_pairing(ext: CentralExtension, union: frozenset, width: int) -> Mapp
 
 def _lift_solutions(ext: CentralExtension, candidates, chars):
     """The choices (one candidate per prime, in lexicographic order) that
-    pass the Frobenius-sum test of has_unramified_lift, given the
-    characters of _characters.
+    pass the Frobenius-sum test, given the characters of _characters: at
+    each prime p_i, the sum over j != i of the character of p_i at q_j
+    times <y_j, y_i> vanishes.
 
     The pairing is bilinear, so every term k * <y_q, y_p> is read from
     tables built here on the pairing of the candidate images, packed for
@@ -543,18 +434,25 @@ def _trusted(cls, **fields):
     return obj
 
 
-def classify(
-    ext: CentralExtension,
-    h_sub: frozenset,
-    kdata: BaseFieldData,
-    check_infinity: bool = False,
-) -> Report:
+def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> Report:
     """Existence report: every enumerated assignment that passes the
     unramified-lift test, with its factorization and counts.
 
+    The lift test is the paper's criterion: the Frobenius pairing sums
+    vanish at every ramified prime.  Nothing is tested at the infinite
+    place, as the finite primes decide it: a global lift f~ maps complex
+    conjugation c to an involution over f(c), so f(c) lies in Y_E.  By
+    Poitou-Tate (Neukirch-Schmidt-Wingberg, Cohomology of Number Fields,
+    Thm. 8.6.10), the local obstructions of a global class pair to 0 with
+    H^0(Q, A') = Hom(A, {1, -1}), perfectly at R, and the unramified
+    primes carry none; so when the finite ones vanish, the one at R does
+    too.  At a real place of K, where f(c) = 0, being unramified in the
+    narrow sense also needs f~(c) = 0; that depends on the lift and is
+    not tested.
+
     The lift test is solved for the last prime (_lift_solutions), and
     only its solutions are tested for generating Gab; it decides exactly
-    as has_unramified_lift, which stays as the reference.  Each call
+    as the per-assignment reference in the tests.  Each call
     computes the direct characters; the survivors are memoised on them
     and the candidates (_lift_survivors).  When exp(A) is composite, each
     character whose literal value mod exp(A) differs from the direct one
@@ -607,8 +505,6 @@ def classify(
         for y, (_, f) in zip(choice, parts):
             by_y[y] = by_y.get(y, 1) * f
         fact = _trusted(DiscFactorization, ext=ext, factors=tuple(sorted(by_y.items())))
-        if check_infinity and not infinite_place_ok(ext, fact):
-            continue
         assignment = _trusted(RamAssignment, ext=ext, entries=entries)
         orders = tuple(sorted(n for n, _ in parts))
         if orders not in counts:

@@ -1,0 +1,142 @@
+"""The per-assignment reference for lemfact.solver.classify.
+
+classify enumerates the choices of inertia images and decides the lift
+test for all of them at once (solver._lift_solutions).  The functions
+here take one assignment at a time, through the checking RamAssignment
+and DiscFactorization constructors, and evaluate each Frobenius pairing
+sum term by term, in two independent ways: the tests compare classify
+against them.  infinite_place_ok is the sign condition at the infinite
+place, which classify does not test (see its docstring).
+"""
+
+from __future__ import annotations
+
+import logging
+
+from lemfact.abelian import elem_order
+from lemfact.arith import PrimePower, power_residue_char, prime_star
+from lemfact.cocycle import CentralExtension
+from lemfact.solver import BaseFieldData, DiscFactorization, RamAssignment, _assignment_space
+
+logger = logging.getLogger("lemfact")
+
+
+def factorization_of(assignment: RamAssignment) -> DiscFactorization:
+    """Group the prime discriminants by inertia image:
+    d_y = prod over {q : y_q = y} of (q*)^(|y|-1)."""
+    gab = assignment.ext.gab
+    by_y = {}
+    for q, y in assignment.entries:
+        n = elem_order(gab, y)
+        by_y[y] = by_y.get(y, 1) * prime_star(q) ** (n - 1)
+    return DiscFactorization(assignment.ext, tuple(by_y.items()))
+
+
+def sign_image(ext: CentralExtension, fact: DiscFactorization):
+    """The sum of (|y|/2) * y over the negative factors d_y: the element of
+    Gab that infinite_place_ok tests."""
+    gab = ext.gab
+    acc = gab.zero()
+    for y, d in fact.factors:
+        if d < 0:
+            n = elem_order(gab, y)
+            if n % 2 != 0:
+                raise ValueError(f"negative factor {d} at odd-order {y}")
+            acc = gab.add(acc, gab.smul(n // 2, y))
+    return acc
+
+
+def conjugation_image(ext: CentralExtension, assignment: RamAssignment):
+    """f(c), the image of complex conjugation c: the sum of ((q-1)/2) * y_q,
+    as -1 has discrete log (q-1)/2 mod q.
+
+    It is sign_image unless some image has order divisible by 4: an image
+    y of order 4 at q = 5 mod 8 adds 2y here, and its d_y = q^3 is
+    positive."""
+    gab = ext.gab
+    acc = gab.zero()
+    for q, y in assignment.entries:
+        acc = gab.add(acc, gab.smul((q - 1) // 2, y))
+    return acc
+
+
+def infinite_place_ok(ext: CentralExtension, fact: DiscFactorization) -> bool:
+    """Sign condition at the infinite place: sign_image must land in Y_E.
+
+    While no image has order divisible by 4, sign_image is f(c), and the
+    condition says that the local embedding problem at R is solvable.
+    classify does not test it: by Poitou-Tate (Neukirch-Schmidt-Wingberg,
+    Cohomology of Number Fields, Thm. 8.6.10) the condition on f(c)
+    follows from the conditions at the finite primes, which the lift test
+    decides."""
+    return sign_image(ext, fact) in ext.y_set()
+
+
+def frobenius_pairing_sum(ext: CentralExtension, assignment: RamAssignment, p: int):
+    """Character-weighted commutator sum at a ramified prime p, with the
+    characters taken mod exp(A) as in the factorized existence criterion.
+
+    The self term q = p has vanishing pairing and is omitted.
+    """
+    y_p = dict(assignment.entries)[p]
+    gab, a = ext.gab, ext.a
+    n = a.exponent
+    acc = a.zero()
+    for q, y_q in assignment.entries:
+        if q == p:
+            continue
+        b_q = elem_order(gab, y_q) - 1
+        chi = power_residue_char(p, PrimePower(q, b_q), n)
+        acc = a.add(acc, a.smul(chi, ext.pairing(y_q, y_p)))
+    return acc
+
+
+def frobenius_pairing_sum_direct(ext: CentralExtension, assignment: RamAssignment, p: int):
+    """Independent evaluation: assemble the Frobenius image coordinatewise
+    in the product of the <y_q> and pair it with the inertia image, i.e.
+    weight each pairing by the discrete-log class of p mod |y_q|."""
+    y_p = dict(assignment.entries)[p]
+    gab, a = ext.gab, ext.a
+    acc = a.zero()
+    for q, y_q in assignment.entries:
+        if q == p:
+            continue
+        n_q = elem_order(gab, y_q)
+        k = power_residue_char(p, PrimePower(q, n_q - 1), n_q)
+        acc = a.add(acc, a.smul(k, ext.pairing(y_q, y_p)))
+    return acc
+
+
+def has_unramified_lift(ext: CentralExtension, assignment: RamAssignment):
+    """Whether the assignment admits an unramified solution: every
+    Frobenius pairing sum vanishes.
+
+    Returns (bool, failing_primes).  Decisions use the intrinsic
+    (discrete-log) evaluation; a disagreement with the literal mod-exp(A)
+    character sum is possible only for composite exponents and is logged,
+    once per prime, never silently resolved.
+    """
+    failing = []
+    for p in assignment.primes:
+        direct = frobenius_pairing_sum_direct(ext, assignment, p)
+        literal = frobenius_pairing_sum(ext, assignment, p)
+        if literal != direct:
+            logger.warning(
+                "character scaling mismatch at p=%d: literal %s vs direct %s",
+                p,
+                literal,
+                direct,
+            )
+        if direct != ext.a.zero():
+            failing.append(p)
+    return not failing, failing
+
+
+def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
+    """All assignments compatible with the base field: y_q in Y_E outside
+    H, congruent to the given inertia image mod H, with the y_q jointly
+    generating Gab.  Deterministic order (primes sorted, candidates in
+    lexicographic order)."""
+    primes, _, choices = _assignment_space(ext, h_sub, kdata)
+    for choice in choices:
+        yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))

@@ -21,9 +21,8 @@ from lemfact.cocycle import (
 )
 from lemfact.criteria import c4_criterion, heisenberg_criterion
 from lemfact.oracle import class_group_structure, class_number, naive_form_count, rank_sweep, redei_rank
-from lemfact.solver import (
-    BaseFieldData,
-    classify,
+from lemfact.solver import BaseFieldData, classify
+from solver_reference import (
     enumerate_assignments,
     frobenius_pairing_sum,
     frobenius_pairing_sum_direct,

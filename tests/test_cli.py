@@ -513,6 +513,19 @@ def test_classify_composite_exponent_data(capsys):
     assert out.count("\nwitness ") == 4
 
 
+def test_classify_check_infinity_is_not_a_flag(tmp_path, capsys):
+    # classify tests no condition at the infinite place, so it has no
+    # switch for one
+    kdata = tmp_path / "k.json"
+    kdata.write_text(json.dumps({"H": [[1, 0]], "primes": [{"q": 5, "image": [0, 1]}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--check-infinity", "--ext", "C4_D4", "--kdata", str(kdata)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith("lemfact: error: unrecognized arguments: --check-infinity\n")
+
+
 def test_classify_not_admissible_exits_2(tmp_path, capsys):
     # over the split extension of C2 x C2 by C4 with H = <(1, 0)>, the lifts
     # of order |pi(x)| outside H generate half of E: the counting formula of
@@ -580,8 +593,6 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out == (
-        "ok   smith normal form factorization\n"
-        "ok   modular linear solver vs brute force\n"
         "ok   kronecker symbol vs euler criterion\n"
         "ok   prime discriminant factorization product\n"
         "ok   cocycle identity and pairing antisymmetry\n"

@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 from math import isqrt
@@ -282,7 +281,7 @@ def test_rank_sweep_enforces_oracle_bound(monkeypatch):
 
 def test_exact_log2():
     assert [_exact_log2(n, "unused") for n in (1, 2, 4, 1024)] == [0, 1, 2, 10]
-    for n in (3, 6, 12):
+    for n in (3, 6, 12, 0, -1):
         with pytest.raises(AssertionError, match=f"^count {n}$"):
             _exact_log2(n, f"count {n}")
 

@@ -41,12 +41,16 @@ from lemfact.solver import (
     _lift_survivors,
     classify,
     count_extensions,
+)
+from solver_reference import (
+    conjugation_image,
     enumerate_assignments,
     factorization_of,
     frobenius_pairing_sum,
     frobenius_pairing_sum_direct,
     has_unramified_lift,
     infinite_place_ok,
+    sign_image,
 )
 
 
@@ -172,6 +176,86 @@ def test_infinite_place(d4):
     hfact = factorization_of(RamAssignment(hext, ((7, (0, 0, 1)),)))
     assert factor_of(hfact, (0, 0, 1)) == 49
     assert infinite_place_ok(hext, hfact)
+
+
+# (Gab, A) of the infinite-place sweep: images of order 2, 4 and 6, A
+# cyclic and not, classes with A inside the Frattini subgroup of E and
+# classes without
+INFINITE_PLACE_SHAPES = (
+    ((2, 2), (2,)),
+    ((2, 2, 2), (2,)),
+    ((2, 4), (4,)),
+    ((2, 4), (2,)),
+    ((4, 4), (2,)),
+    ((2, 2), (4,)),
+    ((2, 2), (2, 2)),
+    ((4,), (2,)),
+    ((2, 6), (2,)),
+    ((4, 4), (4,)),
+)
+
+
+def admissible_pairs(gab: AbGroup, a: AbGroup):
+    """Each (extension, H) over (Gab, A) that is an admissible pair: one
+    extension per class of H^2(Gab, A), and each subgroup H of Gab."""
+    els = list(gab.elements())
+    # each proper subgroup of the shapes above is generated by two
+    # elements, and H = Gab leaves no lift outside it
+    subgroups = {subgroup_generated(gab, [x, y]) for x in els for y in els}
+    subgroups = sorted(subgroups, key=lambda s: (len(s), sorted(s)))
+    for ext in enumerate_central_extensions(gab, a):
+        # a larger H leaves fewer lifts outside it, so no H that contains an
+        # inadmissible one is admissible
+        inadmissible = []
+        for h in subgroups:
+            if any(k < h for k in inadmissible):
+                continue
+            if is_admissible_pair(ext, h)[0]:
+                yield ext, h
+            else:
+                inadmissible.append(h)
+
+
+def test_infinite_place_holds_on_every_lift_survivor():
+    # classify tests no condition at the infinite place, as the finite
+    # primes decide it.  Survivors of the lift test, taken before the
+    # counting (which raises on some of these pairs), on ten random fields
+    # per admissible pair: each passes infinite_place_ok, and its f(c)
+    # lies in Y_E
+    pairs = [p for g, a in INFINITE_PLACE_SHAPES for p in admissible_pairs(AbGroup(g), AbGroup(a))]
+    assert len(pairs) == 687
+    pairs += [preset("C4_D4"), preset("H8_pair")]
+    pool = [q for q in range(3, 1300) if is_prime(q)]
+    rng = random.Random(3)
+    survivors = signed = conjugated = 0
+    for ext, h in pairs:
+        gab = ext.gab
+        tame = [q for q in pool if gab.order * ext.a.order % q]
+        images = [g for g in gab.elements() if g not in h]
+        made = 0
+        while made < 10:
+            drawn = rng.sample(tame, rng.randint(2, 4))
+            kdata = BaseFieldData(h, tuple((q, rng.choice(images)) for q in drawn))
+            try:
+                kdata.validate(ext)
+            except ValueError:
+                # the images do not generate Gab/H, or |y| does not divide q - 1
+                continue
+            made += 1
+            primes, candidates, _ = _assignment_space(ext, h, kdata)
+            if not candidates:
+                continue
+            qs = [q for q, _ in primes]
+            for choice in _lift_survivors(ext, candidates, _characters(gab, qs, candidates)):
+                asg = RamAssignment(ext, tuple(zip(qs, choice)))
+                fact = factorization_of(asg)
+                assert infinite_place_ok(ext, fact), asg.entries
+                fc = conjugation_image(ext, asg)
+                assert fc in ext.y_set(), asg.entries
+                survivors += 1
+                signed += sign_image(ext, fact) != gab.zero()
+                conjugated += fc != gab.zero()
+    assert survivors > 10_000 and signed > 1000 and conjugated > 1000
 
 
 def test_classify_c4_205(d4):
@@ -318,24 +402,10 @@ def test_basefield_from_json(d4):
     assert kdata.primes == ((5, (0, 1)), (41, (0, 1)))
 
 
-def test_check_infinity_filters_negative_c4(d4):
-    ext, h = d4
-    # d = -3 * -7 = 21: both factors negative, and the infinite-place sum
-    # of a split into (0, 1) and (1, 1) is (1, 0), outside Y_E.  No such
-    # split passes the lift test, though: it needs (3/7) = (7/3) = 1, and
-    # by reciprocity (3/7)(7/3) = -1 for two primes 3 mod 4.  So there is
-    # no witness, with the filter or without it
-    kdata = c4_kdata(ext, h, 21)
-    for check_infinity in (False, True):
-        rep = classify(ext, h, kdata, check_infinity=check_infinity)
-        assert rep.to_json() == {"exists": False, "witnesses": []}
-        assert rep.to_json() == reference_report(ext, h, kdata, check_infinity)
-
-
 # --- classify against the reference path ----------------------------------
 
 
-def reference_witnesses(ext, h, kdata, check_infinity=False) -> tuple:
+def reference_witnesses(ext, h, kdata) -> tuple:
     """classify's witnesses rebuilt from enumerate_assignments and
     has_unramified_lift, through the checking RamAssignment and
     factorization_of, counting each witness by trial division of its
@@ -343,7 +413,7 @@ def reference_witnesses(ext, h, kdata, check_infinity=False) -> tuple:
     prod_y #A[|y|]^omega(d_y) / (stabilizer order * #Hom(Gab, A))."""
     witnesses = []
     for asg in enumerate_assignments(ext, h, kdata):
-        if not has_unramified_lift(ext, asg, check_infinity=check_infinity)[0]:
+        if not has_unramified_lift(ext, asg)[0]:
             continue
         fact = factorization_of(asg)
         witnesses.append(Witness(asg, fact, reference_count(ext, fact), class_orbit_size(ext)))
@@ -351,8 +421,8 @@ def reference_witnesses(ext, h, kdata, check_infinity=False) -> tuple:
     return tuple(witnesses)
 
 
-def reference_report(ext, h, kdata, check_infinity=False) -> dict:
-    witnesses = reference_witnesses(ext, h, kdata, check_infinity)
+def reference_report(ext, h, kdata) -> dict:
+    witnesses = reference_witnesses(ext, h, kdata)
     return Report(bool(witnesses), witnesses).to_json()
 
 
@@ -366,9 +436,9 @@ def reference_count(ext, fact) -> int:
     return count
 
 
-def assert_matches_reference(ext, h, kdata, check_infinity=False) -> dict:
-    rep = classify(ext, h, kdata, check_infinity=check_infinity)
-    expected = reference_witnesses(ext, h, kdata, check_infinity)
+def assert_matches_reference(ext, h, kdata) -> dict:
+    rep = classify(ext, h, kdata)
+    expected = reference_witnesses(ext, h, kdata)
     # dataclass equality: classify builds its witnesses without the checks,
     # the reference through them
     assert rep.witnesses == expected, kdata.primes
@@ -400,14 +470,13 @@ def test_classify_matches_reference_heisenberg5():
     assert len(got["witnesses"]) == 2400
 
 
-@pytest.mark.parametrize("check_infinity", [False, True])
-def test_classify_matches_reference_c4(d4, check_infinity):
+def test_classify_matches_reference_c4(d4):
     ext, h = d4
     n = 0
     for d in range(-1999, 2000, 2):
         if d in (-1, 1) or not is_fundamental_discriminant(d):
             continue
-        assert_matches_reference(ext, h, c4_kdata(ext, h, d), check_infinity)
+        assert_matches_reference(ext, h, c4_kdata(ext, h, d))
         n += 1
     assert n > 500
 
@@ -629,7 +698,6 @@ def test_classify_decides_without_the_reference(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("classify ran the per-assignment reference")
 
-    monkeypatch.setattr(solver, "has_unramified_lift", refuse)
     monkeypatch.setattr(solver.RamAssignment, "__init__", refuse)
     # solved here, not read from an earlier test's memo
     _lift_survivors.cache_clear()
