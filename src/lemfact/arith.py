@@ -322,9 +322,20 @@ def power_residue_char(p: int, qp: PrimePower, n: int) -> int:
     log k (base the engine-wide smallest primitive root g) reduced mod m,
     then embedded into Z/nZ via multiplication by n/m.  Only k mod m is
     needed: p^(phi/m) = zeta^k with zeta = g^(phi/m) of order m, so a scan
-    of the m powers of zeta finds it in O(m) steps, m dividing n.
+    of the m powers of zeta finds it in O(m) steps, m dividing n.  For
+    m = 2, zeta = -1 whatever g is (Euler's criterion), and no primitive
+    root is computed.
     """
-    q, e = qp.q, qp.e
+    return _power_residue_char.__wrapped__(p, qp.q, qp.e, n)
+
+
+@lru_cache(maxsize=1 << 18)
+def _power_residue_char(p: int, q: int, e: int, n: int) -> int:
+    """power_residue_char(p, PrimePower(q, e), n), keyed on plain integers
+    for the solver: q must be prime and e >= 1, which PrimePower would
+    check."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if q == 2:
         raise ValueError("power-residue characters require odd q")
     if p % q == 0:
@@ -337,6 +348,12 @@ def power_residue_char(p: int, qp: PrimePower, n: int) -> int:
         return 0
     mod = q**e
     x = pow(p, phi // m, mod)
+    if m == 2:
+        if x == 1:
+            return 0
+        if x == mod - 1:
+            return n // 2
+        raise AssertionError(f"{x} is not a square root of 1 mod {mod}")
     zeta = pow(primitive_root(q), phi // m, mod)
     cur = 1
     for k in range(m):

@@ -38,7 +38,7 @@ class CentralExtension:
         self.a = a
         self.table = table
         self._ye = None
-        self._stab_order = None
+        self._aut_counts = None
 
     def c(self, g: Elem, h: Elem) -> Elem:
         v = self.table.get((g, h))
@@ -279,24 +279,31 @@ def aut_stabilizer_order(ext: CentralExtension) -> int:
     """Number of automorphisms of A fixing the class [c] (i.e. alpha∘c
     cohomologous to c).  alpha is additive, so it moves the class key
     coordinate by coordinate and maps x + m*A into alpha(x) + m*A."""
-    if ext._stab_order is None:
+    return _aut_counts(ext)[1]
+
+
+def class_orbit_size(ext: CentralExtension) -> int:
+    n_aut, stab = _aut_counts(ext)
+    assert n_aut % stab == 0
+    return n_aut // stab
+
+
+def _aut_counts(ext: CentralExtension) -> tuple[int, int]:
+    """(|Aut(A)|, aut_stabilizer_order(ext)), from one enumeration of
+    Aut(A), kept on ext: both depend on the extension alone."""
+    if ext._aut_counts is None:
         pairs, powers = key = _class_key(ext)
         moduli = ext.gab.moduli
-        ext._stab_order = sum(
+        auts = enumerate_automorphisms(ext.a)
+        stab = sum(
             (
                 tuple(map(alpha, pairs)),
                 tuple(_mod_multiples(ext.a, m, alpha(x)) for m, x in zip(moduli, powers)),
             ) == key
-            for alpha in enumerate_automorphisms(ext.a)
+            for alpha in auts
         )
-    return ext._stab_order
-
-
-def class_orbit_size(ext: CentralExtension) -> int:
-    n_aut = len(enumerate_automorphisms(ext.a))
-    stab = aut_stabilizer_order(ext)
-    assert n_aut % stab == 0
-    return n_aut // stab
+        ext._aut_counts = (len(auts), stab)
+    return ext._aut_counts
 
 
 # --- admissible pairs ----------------------------------------------------

@@ -29,7 +29,7 @@ from .abelian import (
     subgroup_generated,
     torsion_count,
 )
-from .arith import PrimePower, is_prime, power_residue_char, prime_star
+from .arith import _power_residue_char, is_prime, prime_star
 from .cocycle import (
     CentralExtension,
     _json_ints,
@@ -124,7 +124,7 @@ class BaseFieldData:
                 raise ValueError(f"{q} is not an odd prime")
             if g in self.h_sub:
                 raise ValueError(f"prime {q} is unramified in K (image in H)")
-            n = _coset_order(ext, self.h_sub, g)
+            n = _coset_order(ext, frozenset(self.h_sub), g)
             if (q - 1) % n != 0:
                 raise ValueError(f"inertia order {n} at {q} does not divide {q}-1")
 
@@ -156,7 +156,10 @@ def _is_subgroup(gab: AbGroup, h_sub: frozenset) -> bool:
     return is_subgroup(gab, h_sub)
 
 
+@lru_cache(maxsize=1 << 10)
 def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
+    # memoised: the classify calls over one H ask for the orders of the
+    # same few cosets
     gab = ext.gab
     n = 1
     cur = g
@@ -226,8 +229,7 @@ def _characters(gab: AbGroup, qs, candidates) -> tuple:
     _character_keys, the character of p at q^(n-1) mod n.  The test
     depends on the candidates and these alone."""
     return tuple(
-        power_residue_char(p, PrimePower(q, n - 1), n)
-        for p, q, n in _character_keys(gab, qs, candidates)
+        _power_residue_char(p, q, n - 1, n) for p, q, n in _character_keys(gab, qs, candidates)
     )
 
 
@@ -240,7 +242,7 @@ def _log_character_mismatches(ext: CentralExtension, keys, chars) -> None:
     direct one."""
     e = ext.a.exponent
     for (p, q, n), direct in zip(keys, chars):
-        literal = power_residue_char(p, PrimePower(q, n - 1), e)
+        literal = _power_residue_char(p, q, n - 1, e)
         if (literal - direct) % gcd(n, e):
             logger.warning(
                 "character scaling mismatch at p=%d: q=%d |y|=%d literal %d vs direct %d",

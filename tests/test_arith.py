@@ -261,6 +261,43 @@ def test_power_residue_char_prime_power_modulus():
     assert vals == {0, 1, 2}
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_power_residue_char_rejects_n_below_1(n):
+    for run in (power_residue_char, power_residue_char.__wrapped__):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run(3, PrimePower(7, 1), n)
+
+
+def test_order_two_characters_match_the_primitive_root_scan(monkeypatch):
+    # where m = gcd(n, phi) = 2, zeta = g^(phi/2) = -1 for every generator
+    # g, so Euler's criterion decides the character without a primitive
+    # root; the reference scans the powers of zeta as the general path does
+    primes = [q for q in range(3, 200) if is_prime(q)]
+    roots = {q: primitive_root(q) for q in primes}
+
+    def refuse(q):
+        raise AssertionError(f"primitive root of {q} computed")
+
+    monkeypatch.setattr(arith, "primitive_root", refuse)
+    check = arith._power_residue_char.__wrapped__  # the sweep would flood the cache
+    cases = 0
+    for q in primes:
+        for e in (1, 2, 3):
+            mod = q**e
+            phi = mod - mod // q
+            zeta = pow(roots[q], phi // 2, mod)
+            for n in range(2, 25, 2):
+                if gcd(n, phi) != 2:
+                    continue
+                for p in [*range(1, 2 * q), mod + 2, 10**6 + 3]:
+                    if p % q == 0:
+                        continue
+                    k = [1, zeta].index(pow(p, phi // 2, mod))
+                    assert check(p, q, e, n) == (n // 2) * k, (p, q, e, n)
+                    cases += 1
+    assert cases > 10**5
+
+
 def test_max_disc_env_override(monkeypatch):
     monkeypatch.setenv("LEMFACT_MAX_DISC", "1000")
     assert max_disc() == 1000

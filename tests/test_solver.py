@@ -11,13 +11,14 @@ import pytest
 from lemfact.abelian import (
     AbGroup,
     elem_order,
+    enumerate_automorphisms,
     generates,
     hom_count,
     subgroup_generated,
     torsion_count,
 )
-from lemfact import solver
-from lemfact.arith import factorize, is_fundamental_discriminant, is_prime, power_residue_char
+from lemfact import arith, cocycle, solver
+from lemfact.arith import factorize, is_fundamental_discriminant, is_prime
 from lemfact.cocycle import (
     CentralExtension,
     _bilinear_table,
@@ -491,6 +492,47 @@ def test_classify_matches_reference_h8():
     assert witnesses > 0
 
 
+def test_quadratic_presets_need_no_primitive_root(monkeypatch, d4):
+    # every image of C4_D4 and H8_pair has order 2, so each character is
+    # Euler's criterion: classify runs from cold character caches with
+    # primitive_root refusing
+    ext4, h4 = d4
+    ext8, h8 = preset("H8_pair", None)
+    c4_ds = [d for d in range(-1999, 2000, 2) if d not in (-1, 1) and is_fundamental_discriminant(d)]
+    fields = [(ext4, h4, c4_kdata(ext4, h4, d)) for d in c4_ds[::40]]
+    fields += [(ext8, h8, h8_kdata(ext8, h8, d)) for d in (105, 1105, 1365, 5005, 21945)]
+
+    def refuse(q):
+        raise AssertionError(f"primitive root of {q} computed")
+
+    monkeypatch.setattr(arith, "primitive_root", refuse)
+    arith._power_residue_char.cache_clear()
+    arith.power_residue_char.cache_clear()
+    reports = [assert_matches_reference(*f) for f in fields]
+    assert len(fields) > 12 and any(r["witnesses"] for r in reports)
+
+
+def test_classify_enumerates_aut_a_once_per_extension(monkeypatch, d4):
+    # |Aut(A)| and the stabilizer order depend on the extension alone; a
+    # fresh copy of C4_D4 has neither yet
+    ext, h = d4
+    fresh = CentralExtension(ext.gab, ext.a, dict(ext.table))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return enumerate_automorphisms(a)
+
+    monkeypatch.setattr(cocycle, "enumerate_automorphisms", counted)
+    ds = [d for d in range(-2999, 3000, 2) if d not in (-1, 1) and is_fundamental_discriminant(d)]
+    reports = [classify(fresh, h, c4_kdata(fresh, h, d)) for d in ds[:50]]
+    assert sum(r.exists for r in reports) > 10
+    assert len(calls) == 1
+    assert [r.to_json() for r in reports] == [
+        classify(ext, h, c4_kdata(ext, h, d)).to_json() for d in ds[:50]
+    ]
+
+
 def test_classify_memo_matches_reference_cold_and_warm(d4):
     ext4, h4 = d4
     ext8, h8 = preset("H8_pair", None)
@@ -723,9 +765,9 @@ def test_classify_logs_nothing_for_a_prime_exponent(caplog, monkeypatch, d4, hei
 
     def counted(*args):
         calls.append(args)
-        return power_residue_char(*args)
+        return arith._power_residue_char(*args)
 
-    monkeypatch.setattr(solver, "power_residue_char", counted)
+    monkeypatch.setattr(solver, "_power_residue_char", counted)
     for ext, h, kdata in cases:
         calls.clear()
         assert logged(caplog, classify, ext, h, kdata) == []
