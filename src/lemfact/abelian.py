@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 DESK_SUBGROUP_BOUND = 2**16
 # candidate matrices of enumerate_automorphisms: C2^3 has 512, C2^4 65536
@@ -119,15 +120,21 @@ def is_subgroup(G: AbGroup, H) -> bool:
 
 
 def generates(G: AbGroup, gens) -> bool:
+    """Whether gens generate G, by the rank of gens mod each prime p
+    dividing |G|; the reference for maximal_subgroup_masks."""
     return _generates(G, frozenset(gens))
 
 
 @lru_cache(maxsize=1 << 16)
 def _generates(G: AbGroup, gens: frozenset) -> bool:
-    # memoised: the same image sets recur across base fields of one extension.
+    # memoised: every classify call over one base field validates the same
+    # H and inertia images, and the reference asks about the same choices.
     # gens generates G iff it generates every G/pG with p prime: a proper
     # subgroup lies in a maximal one, of some prime index p, which contains
     # pG.  G/pG is F_p on the coordinates i with p | m_i.
+    if len(gens) < min_generators(G):
+        # k elements span no layer of dimension above k
+        return False
     return all(
         _rank_mod([[g[i] % p for i in coords] for g in gens], p) == len(coords)
         for p, coords in _prime_layers(G)
@@ -151,6 +158,48 @@ def _prime_layers(G: AbGroup) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(
         (p, tuple(i for i, m in enumerate(G.moduli) if m % p == 0)) for p in sorted(primes)
     )
+
+
+def min_generators(G: AbGroup) -> int:
+    """The fewest elements that generate G: the largest dimension of a
+    layer G/pG."""
+    return max((len(coords) for _, coords in _prime_layers(G)), default=0)
+
+
+def maximal_subgroup_masks(G: AbGroup, elems) -> dict:
+    """x -> the bitmask of the maximal subgroups of G that contain x, for
+    each x in elems.
+
+    A maximal subgroup has prime index p and contains pG, so it is the
+    kernel of a nonzero functional on G/pG, unique up to a scalar.  Bit f
+    stands for the f-th functional, layer by layer (_prime_layers); a
+    layer's functionals are their coefficients on its coordinates with the
+    first nonzero one 1, in lexicographic order.  So there are
+    F = sum over p of (p^k - 1)/(p - 1) bits, k = dim G/pG.  A set
+    generates G exactly when no maximal subgroup contains it (P. Hall,
+    The Eulerian functions of a group, 1936), so when the AND of its masks
+    is 0.
+    """
+    layers = [
+        (p, coords, [
+            (0,) * j + (1,) + tail
+            for j in range(len(coords))
+            for tail in itertools.product(range(p), repeat=len(coords) - j - 1)
+        ])
+        for p, coords in _prime_layers(G)
+    ]
+    masks = {}
+    for x in elems:
+        mask = 0
+        bit = 1
+        for p, coords, functionals in layers:
+            v = [x[i] % p for i in coords]
+            for f in functionals:
+                if not sum(map(mul, f, v)) % p:
+                    mask |= bit
+                bit <<= 1
+        masks[x] = mask
+    return masks
 
 
 def _rank_mod(rows, p: int) -> int:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, prod
-from operator import getitem
+from operator import and_, getitem
 from types import MappingProxyType
 
 from .abelian import (
@@ -26,6 +26,8 @@ from .abelian import (
     generates,
     hom_count,
     is_subgroup,
+    maximal_subgroup_masks,
+    min_generators,
     subgroup_generated,
     torsion_count,
 )
@@ -257,10 +259,32 @@ def _log_character_mismatches(ext: CentralExtension, keys, chars) -> None:
 @lru_cache(maxsize=1 << 10)
 def _lift_survivors(ext: CentralExtension, candidates, chars) -> tuple:
     """The choices that pass the lift test and generate Gab, in
-    lexicographic order."""
+    lexicographic order.
+
+    A choice generates Gab exactly when the AND of its images' masks
+    (_maximal_masks) is 0, so no rank is computed per solution.  Fewer
+    primes than min_generators(Gab) generate nothing: then there is no
+    survivor, and neither the lift test nor a mask is computed."""
     # memoised: many base fields of one extension share the candidates and
     # the characters, and the survivors depend on nothing else
-    return tuple(c for c in _lift_solutions(ext, candidates, chars) if generates(ext.gab, c))
+    if len(candidates) < min_generators(ext.gab):
+        return ()
+    masks = _maximal_masks(ext.gab, frozenset().union(*candidates))
+    return tuple(
+        c
+        for c in _lift_solutions(ext, candidates, chars)
+        if not reduce(and_, map(masks.__getitem__, c))
+    )
+
+
+@lru_cache(maxsize=1 << 8)
+def _maximal_masks(gab: AbGroup, union: frozenset) -> MappingProxyType:
+    """y -> the bitmask of the maximal subgroups of Gab containing y, for
+    y in union (abelian.maximal_subgroup_masks).  Read-only, as every
+    caller with this key shares it."""
+    # memoised: the calls of one extension share few sets of candidate
+    # images
+    return MappingProxyType(maximal_subgroup_masks(gab, union))
 
 
 @lru_cache(maxsize=1 << 8)
@@ -453,8 +477,9 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     not tested.
 
     The lift test is solved for the last prime (_lift_solutions), and
-    only its solutions are tested for generating Gab; it decides exactly
-    as the per-assignment reference in the tests.  Each call
+    only its solutions are tested for generating Gab, by the AND of
+    their images' maximal-subgroup masks (_lift_survivors); it decides
+    exactly as the per-assignment reference in the tests.  Each call
     computes the direct characters; the survivors are memoised on them
     and the candidates (_lift_survivors).  When exp(A) is composite, each
     character whose literal value mod exp(A) differs from the direct one

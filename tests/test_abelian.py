@@ -1,11 +1,14 @@
 import random
 import time
+from functools import reduce
 from math import prod
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemfact import abelian
 from lemfact.abelian import (
     AbGroup,
     AbHom,
@@ -15,6 +18,8 @@ from lemfact.abelian import (
     generates,
     hom_count,
     is_subgroup,
+    maximal_subgroup_masks,
+    min_generators,
     subgroup_generated,
     torsion_count,
 )
@@ -267,6 +272,52 @@ def test_generates_matches_element_set_and_smith_form(moduli, data):
     expected = len(subgroup_generated(g, gens)) == g.order
     assert generates(g, gens) == expected
     assert (smith_subgroup_order(g, gens) == g.order) == expected
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [(1, 2), (12,), (6, 10), (9, 3), (4, 4), (2, 2, 2, 2), (3, 3, 3, 3), (5, 5, 5)],
+    ids=lambda m: "x".join(map(str, m)),
+)
+def test_maximal_subgroup_masks_match_rank_and_closure(moduli):
+    # gens generate G exactly when the AND of their masks is 0; generates
+    # (the rank mod each p) and the element set of <gens> are the references
+    g = AbGroup(moduli)
+    elements = list(g.elements())
+    masks = maximal_subgroup_masks(g, elements)
+    # one bit per maximal subgroup: (p^k - 1)/(p - 1) for each layer G/pG
+    layers = {}  # p -> dim G/pG, for the primes of these shapes
+    for m in moduli:
+        for p in (2, 3, 5):
+            layers[p] = layers.get(p, 0) + (m % p == 0)
+    bits = sum((p**k - 1) // (p - 1) for p, k in layers.items())
+    assert masks[g.zero()] == (1 << bits) - 1
+    rng = random.Random(20)
+    verdicts = set()
+    for size in range(1, g.rank + 2):
+        for _ in range(40):
+            gens = [rng.choice(elements) for _ in range(size)]
+            expected = len(subgroup_generated(g, gens)) == g.order
+            assert (not reduce(and_, (masks[x] for x in gens))) == expected, gens
+            assert generates(g, gens) == expected, gens
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_generates_refuses_too_few_generators_without_rank(monkeypatch):
+    def refuse(rows, p):
+        raise AssertionError("rank computed")
+
+    monkeypatch.setattr(abelian, "_rank_mod", refuse)
+    abelian._generates.cache_clear()
+    c2_4, c6_10 = AbGroup((2, 2, 2, 2)), AbGroup((6, 10))
+    assert min_generators(c2_4) == 4 and min_generators(c6_10) == 2
+    assert not generates(c2_4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    # repeats count once
+    assert not generates(c2_4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)])
+    assert not generates(c6_10, [(1, 1)])
+    with pytest.raises(AssertionError, match="rank computed"):
+        generates(c6_10, [(1, 0), (0, 1)])
 
 
 def test_torsion_and_multiples():

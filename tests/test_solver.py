@@ -17,7 +17,7 @@ from lemfact.abelian import (
     subgroup_generated,
     torsion_count,
 )
-from lemfact import arith, cocycle, solver
+from lemfact import abelian, arith, cocycle, solver
 from lemfact.arith import factorize, is_fundamental_discriminant, is_prime
 from lemfact.cocycle import (
     CentralExtension,
@@ -38,8 +38,12 @@ from lemfact.solver import (
     _character_keys,
     _characters,
     _coset_candidates,
+    _coset_order,
+    _is_subgroup,
     _lift_solutions,
     _lift_survivors,
+    _maximal_masks,
+    _packed_pairing,
     classify,
     count_extensions,
 )
@@ -469,6 +473,48 @@ def test_classify_matches_reference_heisenberg5():
     # the largest report of the benchmark's pool (the others have 0 or 480)
     got = assert_matches_reference(ext, h, heis_kdata(h, (2591, 4261, 7331)))
     assert len(got["witnesses"]) == 2400
+
+
+def test_classify_computes_no_rank_per_solution(monkeypatch):
+    # the benchmark's 2,400-witness triple from cold memos: the survivors
+    # are told apart by their masks, so only validate's generates call
+    # (one rank per layer of Gab) may reach the elimination
+    ext, h = preset("Heisenberg", 5)
+    kdata = heis_kdata(h, (2591, 4261, 7331))
+    calls = []
+
+    def counted(rows, p):
+        calls.append(p)
+        return rank_mod(rows, p)
+
+    rank_mod = abelian._rank_mod
+    monkeypatch.setattr(abelian, "_rank_mod", counted)
+    for memo in (abelian._generates, _is_subgroup, _coset_order, _coset_candidates,
+                 _lift_survivors, _maximal_masks, _packed_pairing):
+        memo.cache_clear()
+    rep = classify(ext, h, kdata)
+    assert len(rep.witnesses) == 2400
+    assert len(calls) <= len(abelian._prime_layers(ext.gab)) == 1
+    assert assert_matches_reference(ext, h, kdata)["exists"]
+
+
+def test_classify_with_fewer_primes_than_a_layer_builds_no_mask(monkeypatch):
+    # Gab = C2^4 needs four generators; H has rank 1 and three primes
+    # ramify, so no choice generates Gab and no mask is built
+    ext, _ = preset("split", ((2, 2, 2, 2), (3,)))
+    h = subgroup_generated(ext.gab, [(0, 0, 0, 1)])
+    kdata = BaseFieldData(h, ((5, (1, 0, 0, 0)), (7, (0, 1, 0, 0)), (11, (0, 0, 1, 0))))
+
+    def refuse(*args):
+        raise AssertionError("mask built")
+
+    monkeypatch.setattr(solver, "maximal_subgroup_masks", refuse)
+    monkeypatch.setattr(solver, "_maximal_masks", refuse)
+    _lift_survivors.cache_clear()
+    candidates = _assignment_space(ext, h, kdata)[1]
+    assert [len(c) for c in candidates] == [2, 2, 2]
+    assert classify(ext, h, kdata).to_json() == {"exists": False, "witnesses": []}
+    assert reference_report(ext, h, kdata) == {"exists": False, "witnesses": []}
 
 
 def test_classify_matches_reference_c4(d4):
