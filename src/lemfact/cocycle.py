@@ -16,6 +16,7 @@ import itertools
 import json
 from functools import lru_cache
 from math import gcd, prod
+from operator import add
 
 from .abelian import (
     DESK_SUBGROUP_BOUND,
@@ -46,23 +47,55 @@ class CentralExtension:
 
     def check_cocycle(self):
         """Raise unless the table is normalized and satisfies the
-        2-cocycle identity.  Cubic in |Gab|; call it in tests, not on
-        every construction."""
-        zero_a = self.a.zero()
+        2-cocycle identity c(g,h) + c(g+h,k) = c(h,k) + c(g,h+k) in A.
+
+        Every triple is tested in row-major (g, h, k) order and the error
+        names the first that fails.  Entries need not be reduced in A, but
+        must have its rank.  Cubic in |Gab|; from_json runs it on every
+        table it reads.  The loop runs on element indices: each entry is
+        one int holding its reduced coordinates (or their negatives) in
+        fields of width 4*max(m), so c(g,h) + c(g+h,k) - c(h,k) - c(g,h+k)
+        is a sum of four such ints without carries, and the identity holds
+        iff every field reads 0, m, 2m or 3m."""
+        a = self.a
+        zero_a = a.zero()
         zero_g = self.gab.zero()
         els = list(self.gab.elements())
         for g in els:
             if self.c(zero_g, g) != zero_a or self.c(g, zero_g) != zero_a:
                 raise ValueError(f"cocycle not normalized at {g}")
-        add = self.gab.add
-        aadd = self.a.add
+        width = 4 * max(a.moduli, default=1)
+
+        def pack(v):
+            return sum(x * width**t for t, x in enumerate(v))
+
+        index = {g: i for i, g in enumerate(els)}
+        sums = [[index[self.gab.add(g, h)] for h in els] for g in els]
+        packed = {}  # entry -> (c, -c), packed
+        vals, negs = [], []
         for g in els:
-            for h in els:
-                gh = add(g, h)
-                cgh = self.c(g, h)
-                for k in els:
-                    if aadd(cgh, self.c(gh, k)) != aadd(self.c(h, k), self.c(g, add(h, k))):
-                        raise ValueError(f"cocycle identity fails at {(g, h, k)}")
+            row = [self.c(g, h) for h in els]
+            for h, v in zip(els, row):
+                if v not in packed:
+                    if len(v) != a.rank:
+                        raise ValueError(f"cocycle entry {v} at {(g, h)} has wrong length for A")
+                    packed[v] = pack(a.reduce(v)), pack(a.neg(v))
+            vals.append([packed[v][0] for v in row])
+            negs.append([packed[v][1] for v in row])
+        zeros = frozenset(
+            pack(j * m for j, m in zip(js, a.moduli))
+            for js in itertools.product(range(4), repeat=a.rank)
+        )
+        n = len(els)
+        neg_flat = [x for row in negs for x in row]  # -c(h, k) at h*n + k
+        sum_flat = [x for row in sums for x in row]  # index of h + k at h*n + k
+        for g, val_g, neg_g, sum_g in zip(els, vals, negs, sums):
+            # c(g,h) + c(g+h,k) - c(h,k) - c(g,h+k) over (h, k) in row-major order
+            lhs = [cgh + x for cgh, gh in zip(val_g, sum_g) for x in vals[gh]]
+            total = list(map(add, lhs, map(add, neg_flat, map(neg_g.__getitem__, sum_flat))))
+            if not zeros.issuperset(total):
+                i = next(i for i, t in enumerate(total) if t not in zeros)
+                raise ValueError(f"cocycle identity fails at {(g, els[i // n], els[i % n])}")
 
     # --- pairing and restriction ------------------------------------
 
@@ -339,9 +372,9 @@ def is_admissible_pair(ext: CentralExtension, h_sub: frozenset):
 
 # --- enumeration of H^2 --------------------------------------------------
 
-# classes of H^2(Gab, A) that enumerate_central_extensions builds: the H8
-# search over (C2^3, C2) has 64, (C2^4, C2) 1024; each is a |Gab|^2-entry
-# table to build
+# classes of H^2(Gab, A) that enumerate_central_extensions builds: the
+# quaternion_pair_hits search over (C2^3, C2) has 64, (C2^4, C2) 1024;
+# each is a |Gab|^2-entry table to build
 DESK_H2_BOUND = 2**7
 
 
@@ -449,6 +482,19 @@ def _d4_extension():
     return ext, h_sub
 
 
+def _triangular_extension(p: int) -> CentralExtension:
+    """The extension of C_p^3 by C_p with c(g, h) = g0*h1 + g0*h2 + g1*h2
+    mod p: no carries, and pairing 1 on every basis pair i < j."""
+    gab = AbGroup((p, p, p))
+    table = {}
+    for g in gab.elements():
+        for h in gab.elements():
+            v = (g[0] * h[1] + g[0] * h[2] + g[1] * h[2]) % p
+            if v:
+                table[(g, h)] = (v,)
+    return CentralExtension(gab, AbGroup((p,)), table)
+
+
 def _heisenberg_extension(ell: int):
     """Extension of C_ell^3 (basis xbar, ybar, sigmabar) by C_ell with
     commutator pairing [e_i, e_j] = z for i < j and all lifts of order ell."""
@@ -459,15 +505,7 @@ def _heisenberg_extension(ell: int):
     if ell**3 > DESK_SUBGROUP_BOUND:
         # the base field check rejects this Gab; the table has ell^6 entries
         raise ValueError(f"group order {ell**3} exceeds bound {DESK_SUBGROUP_BOUND}")
-    gab = AbGroup((ell, ell, ell))
-    a = AbGroup((ell,))
-    table = {}
-    for g in gab.elements():
-        for h in gab.elements():
-            v = (g[0] * h[1] + g[0] * h[2] + g[1] * h[2]) % ell
-            if v:
-                table[(g, h)] = (v,)
-    ext = CentralExtension(gab, a, table)
+    ext = _triangular_extension(ell)
     h_sub = frozenset((i, j, 0) for i in range(ell) for j in range(ell))  # <xbar, ybar>
     return ext, h_sub
 
@@ -540,13 +578,17 @@ def quaternion_pair_class_count() -> int:
     return len(reps)
 
 
+@lru_cache(maxsize=None)
 def _h8_pair():
     """Canonical representative of the unique quaternion pair over
-    (C2^3, C2): the first hit of the deterministic enumeration."""
-    hits = quaternion_pair_hits()
-    if not hits:
-        raise AssertionError("no quaternion pair found over (C2^3, C2)")
-    return hits[0]
+    (C2^3, C2): the class with no carries and pairing 1 on every basis
+    pair, c(g, h) = g0*h1 + g0*h2 + g1*h2 mod 2, with H = <(0,1,1),
+    (1,0,1)>, whose preimage is H8.  It is the first hit of
+    quaternion_pair_hits, which the tests compare it with.  Memoised: the
+    solver memos are keyed on the extension object, so every call returns
+    the same one."""
+    h_sub = frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)})
+    return _triangular_extension(2), h_sub
 
 
 _PRESET_NAMES = ("C4_D4", "H8_pair", "Heisenberg", "split")

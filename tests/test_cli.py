@@ -513,6 +513,18 @@ def test_classify_composite_exponent_data(capsys):
     assert out.count("\nwitness ") == 4
 
 
+def test_classify_h8_pair_data(capsys):
+    # the preset's default H, d = 4305 = 3*5*7*41 with every image
+    # (0, 0, 1); the file was recorded when the preset was still the first
+    # hit of the H^2 search, and CI diffs the installed script against it
+    code, out, err = run(
+        capsys, "classify", "--ext", "H8_pair", "--kdata", str(DATA / "h8_pair_4305_kdata.json"),
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / "h8_pair_4305_classify.txt").read_text()
+    assert out.count("\nwitness ") == 6
+
+
 def test_classify_check_infinity_is_not_a_flag(tmp_path, capsys):
     # classify tests no condition at the infinite place, so it has no
     # switch for one

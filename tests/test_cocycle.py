@@ -12,6 +12,7 @@ from lemfact.abelian import (
     enumerate_automorphisms,
     subgroup_generated,
 )
+from lemfact import cocycle
 from lemfact.cocycle import (
     CentralExtension,
     _bilinear_table,
@@ -113,6 +114,94 @@ def test_preset_cocycles_valid():
     for name, param in (("C4_D4", None), ("H8_pair", None), ("Heisenberg", 3), ("Heisenberg", 5)):
         ext, _ = preset(name, param)
         ext.check_cocycle()
+
+
+def reference_check_cocycle(ext):
+    """check_cocycle as a loop of tuple arithmetic over every (g, h, k):
+    the reference for its index-table version."""
+    zero_a = ext.a.zero()
+    zero_g = ext.gab.zero()
+    els = list(ext.gab.elements())
+    for g in els:
+        if ext.c(zero_g, g) != zero_a or ext.c(g, zero_g) != zero_a:
+            raise ValueError(f"cocycle not normalized at {g}")
+    add = ext.gab.add
+    aadd = ext.a.add
+    for g in els:
+        for h in els:
+            gh = add(g, h)
+            cgh = ext.c(g, h)
+            for k in els:
+                if aadd(cgh, ext.c(gh, k)) != aadd(ext.c(h, k), ext.c(g, add(h, k))):
+                    raise ValueError(f"cocycle identity fails at {(g, h, k)}")
+
+
+def check_outcome(check):
+    """None when check passes, its ValueError message otherwise."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_cocycle_matches_reference(rng):
+    # random cocycles; one entry changed by a nonzero element (a non-cocycle,
+    # or a non-normalized table on the zero row and column); every entry
+    # moved by multiples of the moduli (unreduced, still a cocycle unless a
+    # zero row or column gets a nonzero tuple)
+    cases = [(gab, a, random_cocycle(gab, a, rng)) for gab, a in SMALL_PAIRS for _ in range(12)]
+    cases += [(ext.gab, ext.a, ext.table) for ext, _ in (preset("H8_pair"), preset("Heisenberg", 3))]
+    outcomes = []
+    for gab, a, table in cases:
+        els = list(gab.elements())
+        nonzero = [x for x in a.elements() if x != a.zero()]
+        changed = dict(table)
+        g, h = rng.choice(els), rng.choice(els)
+        changed[(g, h)] = a.add(changed.get((g, h), a.zero()), rng.choice(nonzero))
+        unreduced = {
+            k: tuple(x + m * rng.randrange(-2, 3) for x, m in zip(v, a.moduli))
+            for k, v in table.items()
+        }
+        g, h = rng.choice(els), rng.choice(els)
+        unreduced.setdefault((g, h), tuple(m * rng.randrange(1, 3) for m in a.moduli))
+        for t in (table, changed, unreduced):
+            ext = CentralExtension(gab, a, t)
+            got = check_outcome(ext.check_cocycle)
+            assert got == check_outcome(lambda: reference_check_cocycle(ext)), (gab, a, t)
+            outcomes.append(got)
+    assert outcomes.count(None) > len(cases)
+    assert sum(o is not None and o.startswith("cocycle identity fails") for o in outcomes) > 20
+    assert sum(o is not None and o.startswith("cocycle not normalized") for o in outcomes) > 5
+
+
+def test_check_cocycle_rejects_entries_of_the_wrong_length():
+    # the tuple loop compared such entries through zip, which truncates
+    gab, a = AbGroup((2,)), AbGroup((2,))
+    for v in ((), (1, 0)):
+        ext = CentralExtension(gab, a, {((1,), (1,)): v})
+        with pytest.raises(ValueError, match="wrong length"):
+            ext.check_cocycle()
+
+
+def test_h8_pair_preset_is_the_first_quaternion_hit(monkeypatch):
+    # built from its closed form: no H^2 enumeration, no quaternion or
+    # admissibility test, and one object for every call
+    def refuse(*args):
+        raise AssertionError("the H8_pair preset searched")
+
+    quaternion_pair_hits.cache_clear()
+    cocycle._h8_pair.cache_clear()
+    with monkeypatch.context() as m:
+        for name in ("enumerate_central_extensions", "is_admissible_pair", "_is_quaternion8"):
+            m.setattr(cocycle, name, refuse)
+        ext, h = preset("H8_pair")
+        assert preset("H8_pair")[0] is ext
+    assert quaternion_pair_hits.cache_info().currsize == 0
+    hit, hit_h = quaternion_pair_hits()[0]
+    assert ext.table == hit.table
+    assert h == hit_h == frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)})
+    assert _class_key(ext) == _class_key(hit)
 
 
 def test_pairing_bilinear_and_antisymmetric(rng):

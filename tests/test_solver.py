@@ -46,6 +46,7 @@ from lemfact.solver import (
     _packed_pairing,
     classify,
     count_extensions,
+    primes_from_json,
 )
 from solver_reference import (
     conjugation_image,
@@ -953,6 +954,20 @@ def test_classify_heisenberg5_four_primes():
             ext, RamAssignment(ext, tuple(zip(primes, choice)))
         )[0]
         assert (choice in found) == expected
+
+
+def test_heisenberg5_json_round_trip_classifies_the_same():
+    # from_json checks the cocycle identity on all 125^3 triples of the
+    # table it reads; the extension it returns classifies like the preset
+    ext, h = preset("Heisenberg", 5)
+    start = time.perf_counter()
+    back = CentralExtension.from_json(json.loads(json.dumps(ext.to_json())))
+    assert time.perf_counter() - start < 5
+    with open(Path(__file__).parent / "data" / "heisenberg5_four_primes.json") as fh:
+        kdata = BaseFieldData(h, primes_from_json(json.load(fh)))
+    rep = classify(back, h, kdata)
+    assert len(rep.witnesses) == 960
+    assert rep.to_json() == classify(ext, h, kdata).to_json()
 
 
 @pytest.mark.parametrize(
