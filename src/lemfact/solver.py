@@ -109,24 +109,25 @@ class BaseFieldData:
     primes: tuple[tuple[int, Elem], ...]
 
     def validate(self, ext: CentralExtension):
-        gab = ext.gab
-        if not _is_subgroup(gab, frozenset(self.h_sub)):
-            raise ValueError("H is not a subgroup of Gab")
-        if not self.primes:
-            raise ValueError("base field data needs at least one ramified prime")
-        for _, g in self.primes:
-            gab.check_elem(g)
-        if gab.order > DESK_SUBGROUP_BOUND:
-            # desk scale: the assignment space lists the elements of Gab
-            raise ValueError(f"group order {gab.order} exceeds bound {DESK_SUBGROUP_BOUND}")
-        if not generates(gab, [*self.h_sub, *(g for _, g in self.primes)]):
-            raise ValueError("inertia images do not generate Gab/H: K is too small")
+        """Raise ValueError unless this is base field data over ext.
+
+        In this order: H is a subgroup of Gab; there is a ramified prime;
+        each image has the rank of Gab; Gab is desk-scale; H and the
+        images generate Gab (else K is too small).  These read only (ext,
+        H, the distinct images) and run once per such triple
+        (_image_orders).  Then, per prime in the given order, on every
+        call: q is an odd prime, its image lies outside H, and the order
+        of the image's coset divides q - 1.  The first failing check
+        raises."""
+        orders = _image_orders(
+            ext, frozenset(self.h_sub), tuple(dict.fromkeys(g for _, g in self.primes))
+        )
         for q, g in self.primes:
             if not is_prime(q) or q == 2:
                 raise ValueError(f"{q} is not an odd prime")
-            if g in self.h_sub:
+            n = orders[g]
+            if n == 1:
                 raise ValueError(f"prime {q} is unramified in K (image in H)")
-            n = _coset_order(ext, frozenset(self.h_sub), g)
             if (q - 1) % n != 0:
                 raise ValueError(f"inertia order {n} at {q} does not divide {q}-1")
 
@@ -159,9 +160,30 @@ def _is_subgroup(gab: AbGroup, h_sub: frozenset) -> bool:
 
 
 @lru_cache(maxsize=1 << 10)
+def _image_orders(ext: CentralExtension, h_sub: frozenset, images: tuple) -> MappingProxyType:
+    """g -> the order of g + H in Gab/H, for the distinct inertia images
+    of a base field (1 exactly for g in H), after the checks of
+    BaseFieldData.validate that read nothing but (ext, H, images).
+    Read-only, as every caller with this key shares it."""
+    # memoised: the base fields over one H share few image tuples; a check
+    # that raises caches nothing
+    gab = ext.gab
+    if not _is_subgroup(gab, h_sub):
+        raise ValueError("H is not a subgroup of Gab")
+    if not images:
+        raise ValueError("base field data needs at least one ramified prime")
+    for g in images:
+        gab.check_elem(g)
+    if gab.order > DESK_SUBGROUP_BOUND:
+        # desk scale: the assignment space lists the elements of Gab
+        raise ValueError(f"group order {gab.order} exceeds bound {DESK_SUBGROUP_BOUND}")
+    if not generates(gab, [*h_sub, *images]):
+        raise ValueError("inertia images do not generate Gab/H: K is too small")
+    return MappingProxyType({g: _coset_order(ext, h_sub, g) for g in images})
+
+
 def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
-    # memoised: the classify calls over one H ask for the orders of the
-    # same few cosets
+    """The order of g + H in Gab/H."""
     gab = ext.gab
     n = 1
     cur = g
@@ -172,15 +194,17 @@ def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
 
 
 @lru_cache(maxsize=1 << 10)
-def _coset_candidates(ext: CentralExtension, h_sub: frozenset, g: Elem):
-    """The (y, |y|) with y in Y_E outside H and congruent to g mod H,
-    sorted by y."""
+def _coset_candidates(ext: CentralExtension, h_sub: frozenset, g: Elem, r: int):
+    """The y in Y_E outside H, congruent to g mod H, with |y| dividing r,
+    sorted: the candidates of a prime q with q - 1 = r mod exp(Gab), as
+    every |y| divides exp(Gab)."""
     # memoised: the primes of every base field over one H share few cosets
+    # and residues
     gab = ext.gab
     return tuple(
-        (y, elem_order(gab, y))
+        y
         for y in sorted(ext.y_set())
-        if y not in h_sub and gab.sub(y, g) in h_sub
+        if y not in h_sub and gab.sub(y, g) in h_sub and r % elem_order(gab, y) == 0
     )
 
 
@@ -198,25 +222,33 @@ def _assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldD
         raise ValueError("H does not match the base field data")
     kdata.validate(ext)
     gab = ext.gab
+    e = gab.exponent
     primes = sorted(kdata.primes)
     candidates = []
     for q, g in primes:
-        cands = tuple(y for y, n in _coset_candidates(ext, h_sub, g) if (q - 1) % n == 0)
+        cands = _coset_candidates(ext, h_sub, g, (q - 1) % e)
         if not cands:
             return primes, (), iter(())
         candidates.append(cands)
-    total = prod(len(c) for c in candidates)
+    total = prod(map(len, candidates))
     if total > DEFAULT_ASSIGNMENT_BOUND:
         raise ValueError(f"{total} candidate assignments exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
     choices = (c for c in itertools.product(*candidates) if generates(gab, c))
     return primes, tuple(candidates), choices
 
 
+@lru_cache(maxsize=1 << 10)
+def _candidate_orders(gab: AbGroup, candidates: tuple) -> tuple:
+    """Per prime, the distinct orders of its candidates, ascending."""
+    # memoised: the calls over one extension share few candidate tuples
+    return tuple(tuple(sorted({elem_order(gab, y) for y in cands})) for cands in candidates)
+
+
 def _character_keys(gab: AbGroup, qs, candidates) -> list:
     """The (p, q, n) of the lift test's characters, in their order: for
     each pair of primes p = p_i, q = p_j with i != j, each order n of the
     candidates of q_j, ascending."""
-    orders = [sorted({elem_order(gab, y) for y in cands}) for cands in candidates]
+    orders = _candidate_orders(gab, candidates)
     return [
         (p, q, n)
         for i, p in enumerate(qs)
@@ -230,9 +262,15 @@ def _characters(gab: AbGroup, qs, candidates) -> tuple:
     """The characters of the lift test, flat: for each (p, q, n) of
     _character_keys, the character of p at q^(n-1) mod n.  The test
     depends on the candidates and these alone."""
-    return tuple(
-        _power_residue_char(p, q, n - 1, n) for p, q, n in _character_keys(gab, qs, candidates)
-    )
+    # one pass, in the order of _character_keys, without its key list
+    orders = _candidate_orders(gab, candidates)
+    return tuple([
+        _power_residue_char(p, q, n - 1, n)
+        for i, p in enumerate(qs)
+        for j, (q, oj) in enumerate(zip(qs, orders))
+        if j != i
+        for n in oj
+    ])
 
 
 def _log_character_mismatches(ext: CentralExtension, keys, chars) -> None:
@@ -476,6 +514,13 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     narrow sense also needs f~(c) = 0; that depends on the lift and is
     not tested.
 
+    What depends only on (ext, H, the inertia images) runs once per
+    such triple: the base-field checks that read no prime
+    (BaseFieldData.validate, _image_orders), each prime's candidates,
+    memoised on its coset and (q - 1) mod exp(Gab) (_coset_candidates),
+    and their orders (_candidate_orders).  Each call runs what reads its
+    primes: the per-prime checks, the characters and the witnesses.
+
     The lift test is solved for the last prime (_lift_solutions), and
     only its solutions are tested for generating Gab, by the AND of
     their images' maximal-subgroup masks (_lift_survivors); it decides
@@ -495,7 +540,9 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     qs = [q for q, _ in primes]
     gab = ext.gab
     wild = 2 * gab.order * ext.a.order
-    if len(set(qs)) != len(qs) or any(gcd(q, wild) != 1 for q in qs):
+    # each q is prime (kdata.validate), so it divides wild iff it shares a
+    # factor with it, and some q does iff their product does
+    if len(set(qs)) != len(qs) or gcd(prod(qs), wild) != 1:
         # RamAssignment rejects every choice with an error that depends on
         # the primes alone, raised iff some choice generates Gab; the
         # tables are never built, as a duplicated prime would make its own

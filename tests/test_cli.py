@@ -525,6 +525,22 @@ def test_classify_h8_pair_data(capsys):
     assert out.count("\nwitness ") == 6
 
 
+@pytest.mark.parametrize(
+    "ext,kdata,message",
+    [
+        ("C4_D4", "c4_d4_unramified_kdata.json", "prime 41 is unramified in K (image in H)"),
+        ("Heisenberg:3", "heisenberg3_order_fault_kdata.json",
+         "inertia order 3 at 5 does not divide 5-1"),
+    ],
+    ids=["image-in-h", "order-does-not-divide"],
+)
+def test_classify_prime_fault_data_exits_2(capsys, ext, kdata, message):
+    # the files CI classifies through the installed script: the first
+    # prime passes validate's per-prime checks, the second fails one
+    code, out, err = run(capsys, "classify", "--ext", ext, "--kdata", str(DATA / kdata))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_classify_check_infinity_is_not_a_flag(tmp_path, capsys):
     # classify tests no condition at the infinite place, so it has no
     # switch for one

@@ -316,6 +316,51 @@ def test_split_extension_trivialities():
 
 
 def brute_force_coboundary(gab, a, table):
+    """Whether table is a coboundary, by an exhaustive search over every
+    1-cochain phi (phi(0) = 0, each other value any element of A) for one
+    with table(g, h) = phi(g) + phi(h) - phi(g + h) at every (g, h).
+
+    phi is fixed one element at a time, in the order of gab.elements(),
+    each value in the order of a.elements(), and each (g, h) is tested as
+    soon as phi(g), phi(h) and phi(g + h) are all fixed: a partial phi
+    that fails a test is not extended, as every extension fails it too."""
+    zero = gab.zero()
+    els = [g for g in gab.elements() if g != zero]
+    index = {g: i for i, g in enumerate(els)}
+    index[zero] = -1
+    # tests[i]: the (g, h, g + h, table(g, h)) whose last value fixed is
+    # phi(els[i]); only (0, 0) has none, and phi(0) = 0 must fit it
+    tests = [[] for _ in els]
+    for g in gab.elements():
+        for h in gab.elements():
+            s = gab.add(g, h)
+            want = table.get((g, h), a.zero())
+            last = max(index[g], index[h], index[s])
+            if last < 0:
+                if want != a.zero():
+                    return False
+            else:
+                tests[last].append((g, h, s, want))
+    values = list(a.elements())
+    phi = {zero: a.zero()}
+
+    def extend(i):
+        if i == len(els):
+            return True
+        for v in values:
+            phi[els[i]] = v
+            if all(
+                want == a.sub(a.add(phi[g], phi[h]), phi[s]) for g, h, s, want in tests[i]
+            ) and extend(i + 1):
+                return True
+        return False
+
+    return extend(0)
+
+
+def product_walk_coboundary(gab, a, table):
+    """brute_force_coboundary's reference: every cochain in turn, each
+    tested at every (g, h)."""
     zero = gab.zero()
     els = [g for g in gab.elements() if g != zero]
     for values in itertools.product(list(a.elements()), repeat=len(els)):
@@ -329,6 +374,27 @@ def brute_force_coboundary(gab, a, table):
         ):
             return True
     return False
+
+
+def test_brute_force_coboundary_matches_product_walk(rng):
+    # the pairs with at most 64 cochains, cocycles and tables one entry
+    # away from one, which may not be cocycles
+    pairs = [(gab, a) for gab, a in SMALL_PAIRS + [(AbGroup((2,)), AbGroup((4,))),
+                                                   (AbGroup((2, 2)), AbGroup((2, 2)))]
+             if a.order ** (gab.order - 1) <= 64]
+    assert len(pairs) == 7
+    verdicts = set()
+    for gab, a in pairs:
+        els = list(gab.elements())
+        for n in range(60):
+            table = random_cocycle(gab, a, rng)
+            if n % 2:
+                dv = tuple(rng.randrange(m) for m in a.moduli)
+                table = add_tables(a, table, {(rng.choice(els), rng.choice(els)): dv})
+            got = brute_force_coboundary(gab, a, table)
+            assert got == product_walk_coboundary(gab, a, table), (gab, a, table)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_is_coboundary_matches_brute_force(rng):

@@ -38,7 +38,7 @@ from lemfact.solver import (
     _character_keys,
     _characters,
     _coset_candidates,
-    _coset_order,
+    _image_orders,
     _is_subgroup,
     _lift_solutions,
     _lift_survivors,
@@ -385,16 +385,90 @@ def test_report_json_shape(d4):
     json.dumps(data)
 
 
-def test_basefield_validation(d4):
-    ext, h = d4
-    with pytest.raises(ValueError):
-        BaseFieldData(h, ()).validate(ext)
-    with pytest.raises(ValueError):
-        BaseFieldData(h, ((5, (1, 0)),)).validate(ext)  # image inside H
-    with pytest.raises(ValueError):
-        BaseFieldData(h, ((2, (0, 1)),)).validate(ext)  # even prime
-    with pytest.raises(ValueError):
-        BaseFieldData(frozenset({(0, 0), (0, 1)}), ((5, (0, 1)),)).validate(ext)
+def validate_cases(d4, heis3):
+    """(extension, H, primes, the message validate raises, primes with the
+    same images that pass or None), for each message of validate, in the
+    order it checks them."""
+    ext4, h4 = d4
+    ext3, h3 = heis3
+    big = CentralExtension(AbGroup((1 << 17,)), AbGroup((2,)), {})
+    y3, y3b = (0, 0, 1), (0, 0, 2)
+    return [
+        # the checks on (extension, H, images) come before any prime's
+        (ext4, frozenset({(0, 0), (1, 0), (0, 1)}), ((2, (0, 1)),),
+         "H is not a subgroup of Gab", None),
+        (ext4, h4, (), "base field data needs at least one ramified prime", None),
+        (ext4, h4, ((2, (0, 1)), (5, (0,)), (7, (0, 0, 0))),
+         "element (0,) has wrong length for moduli (2, 2)", None),
+        (big, frozenset({(0,)}), ((2, (1,)),), "group order 131072 exceeds bound 65536", None),
+        (ext4, frozenset({(0, 0)}), ((2, (0, 1)), (5, (0, 1))),
+         "inertia images do not generate Gab/H: K is too small", None),
+        # an image in H adds nothing to H
+        (ext4, h4, ((5, (1, 0)),), "inertia images do not generate Gab/H: K is too small", None),
+        (ext4, frozenset({(0, 0), (0, 1)}), ((5, (0, 1)),),
+         "inertia images do not generate Gab/H: K is too small", None),
+        # the checks per prime, in the order of the primes
+        (ext4, h4, ((2, (0, 1)),), "2 is not an odd prime", ((3, (0, 1)),)),
+        (ext4, h4, ((5, (0, 1)), (9, (0, 1))), "9 is not an odd prime", ((5, (0, 1)), (13, (0, 1)))),
+        (ext4, h4, ((5, (1, 0)), (9, (0, 1))), "prime 5 is unramified in K (image in H)", None),
+        (ext4, h4, ((9, (0, 1)), (5, (1, 0))), "9 is not an odd prime", None),
+        (ext3, h3, ((7, y3), (5, y3)), "inertia order 3 at 5 does not divide 5-1",
+         ((7, y3), (13, y3))),
+        (ext3, h3, ((2, y3), (5, y3)), "2 is not an odd prime", ((7, y3), (13, y3))),
+        (ext3, h3, ((5, y3b), (2, y3)), "inertia order 3 at 5 does not divide 5-1",
+         ((7, y3b), (13, y3))),
+    ]
+
+
+def test_basefield_validation(d4, heis3):
+    for ext, h, primes, message, valid in validate_cases(d4, heis3):
+        kdata = BaseFieldData(h, primes)
+        # twice: a check that raises must leave no memo behind
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                kdata.validate(ext)
+            assert str(exc.value) == message, primes
+        if valid is not None:
+            # the same H and images, validated without error first
+            BaseFieldData(h, valid).validate(ext)
+            with pytest.raises(ValueError) as exc:
+                kdata.validate(ext)
+            assert str(exc.value) == message, primes
+
+
+def test_classify_runs_the_base_field_preamble_once_per_pattern(monkeypatch, d4):
+    # 200 C4_D4 and 200 H8_pair fields, interleaved, with random images
+    # in the one coset outside H: the checks of validate that read only
+    # (extension, H, distinct images) run once per such pattern
+    ext4, h4 = d4
+    ext8, h8 = preset("H8_pair", None)
+    c4_ds = [d for d in range(-2999, 3000, 2) if d not in (-1, 1) and is_fundamental_discriminant(d)]
+    h8_ds = [d for d in range(5, 2 * 10**4, 4)
+             if is_fundamental_discriminant(d) and len(factorize(d)) >= 3]
+    rng = random.Random(22)
+    fields = []
+    for d4_, d8_ in zip(c4_ds[:200], h8_ds[:200]):
+        for ext, h, d in ((ext4, h4, d4_), (ext8, h8, d8_)):
+            coset = [g for g in ext.gab.elements() if g not in h]
+            fields.append((ext, h, BaseFieldData(
+                h, tuple((pp.q, rng.choice(coset)) for pp in factorize(abs(d))))))
+    assert len(fields) == 400
+    expected = [reference_report(*f) for f in fields]
+    patterns = {(id(ext), tuple(dict.fromkeys(g for _, g in kd.primes))) for ext, _, kd in fields}
+    calls = []
+
+    def counted(gab, gens):
+        calls.append((gab, gens))
+        return generates_memo(gab, gens)
+
+    generates_memo = abelian._generates
+    monkeypatch.setattr(abelian, "_generates", counted)
+    _image_orders.cache_clear()
+    assert [classify(*f).to_json() for f in fields] == expected
+    assert _image_orders.cache_info().misses == len(patterns) > 2
+    # one generates call per pattern, none after it
+    assert len(calls) == len(patterns)
+    assert sum(bool(e["witnesses"]) for e in expected) > 20
 
 
 def test_basefield_from_json(d4):
@@ -490,7 +564,7 @@ def test_classify_computes_no_rank_per_solution(monkeypatch):
 
     rank_mod = abelian._rank_mod
     monkeypatch.setattr(abelian, "_rank_mod", counted)
-    for memo in (abelian._generates, _is_subgroup, _coset_order, _coset_candidates,
+    for memo in (abelian._generates, _is_subgroup, _image_orders, _coset_candidates,
                  _lift_survivors, _maximal_masks, _packed_pairing):
         memo.cache_clear()
     rep = classify(ext, h, kdata)
