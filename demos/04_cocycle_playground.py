@@ -1,8 +1,9 @@
-"""Central extensions as 2-cocycle tables.
+"""Central extensions as values of their H^2 class.
 
-Builds the dihedral-type extension by hand, inspects the commutator
-pairing and the set Y_E of elements with liftable inertia, and
-enumerates H^2 for a couple of small pairs (Gab, A).
+Takes the dihedral-type extension, inspects the commutator pairing and
+the set Y_E of elements with liftable inertia, enumerates H^2 for a
+couple of small pairs (Gab, A), and decides that the split extension's
+cocycle table is a coboundary.
 """
 
 from lemfact import (

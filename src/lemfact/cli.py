@@ -215,6 +215,7 @@ def _selftest_checks():
     from .arith import kronecker
     from .cocycle import (
         aut_stabilizer_order,
+        check_cocycle,
         class_orbit_size,
         quaternion_pair_class_count,
     )
@@ -241,7 +242,7 @@ def _selftest_checks():
     def cocycle_identities():
         for name, param in (("C4_D4", None), ("Heisenberg", 3), ("H8_pair", None)):
             ext, _ = preset(name, param)
-            ext.check_cocycle()
+            check_cocycle(ext.gab, ext.a, ext.table)
             gab = ext.gab
             els = list(gab.elements())
             for _ in range(100):

@@ -1,13 +1,20 @@
-"""Central extensions of finite abelian groups via normalized 2-cocycles.
+"""Central extensions of finite abelian groups as values of their H^2 class.
 
-An extension of Gab by A is stored as an explicit table c(g,h) in A with
-c(0,g) = c(g,0) = 0.  The total group E is the set A x Gab with
-(a1,g1)*(a2,g2) = (a1+a2+c(g1,g2), g1+g2); it is materialized on demand.
-Each class of H^2(Gab, A) is named by its universal-coefficient
-coordinates (see _class_key); class equality, the Aut(A) stabilizer and
-Y_E read those coordinates instead of whole tables.  The H^2 enumeration
-builds one table per key, and is_coboundary reads phi off a section
-built from the key: neither solves a linear system.
+For Gab = C_{m_1} x ... x C_{m_k}, universal coefficients give H^2(Gab, A)
+= (+)_i A/m_i*A (+) (+)_{i<j} A[gcd(m_i, m_j)], and a class is named by
+its key: the commutator pairing b_ij on each basis pair i < j, and each
+basis lift power a_i, read mod m_i*A.  Both are additive in a cocycle and
+vanish on coboundaries, so two cocycles are cohomologous iff their keys
+are equal.  A CentralExtension is the value (Gab, A, key): equal keys are
+equal extensions, with one hash, so cohomologous extensions share every
+memo.  Everything is read from the key through the canonical cocycle
+
+    c(g, h) = sum_i [g_i + h_i >= m_i]*a_i + sum_{i<j} g_i*h_j*b_ij,
+
+and the total group E is the set A x Gab with (a1,g1)*(a2,g2) =
+(a1+a2+c(g1,g2), g1+g2), walked on demand.  Tables come in through
+from_table and from_json, which keep only their key; check_cocycle and
+is_coboundary answer about the table they are given.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import itertools
 import json
 from functools import lru_cache
 from math import gcd, prod
-from operator import add
+from operator import add, mul
 
 from .abelian import (
     DESK_SUBGROUP_BOUND,
@@ -34,86 +41,87 @@ Cocycle = dict[tuple[Elem, Elem], Elem]
 
 
 class CentralExtension:
-    def __init__(self, gab: AbGroup, a: AbGroup, table: Cocycle):
+    """The extension of Gab by A with class key (pairs, powers): pairs
+    holds b_ij for i < j in the order of combinations(range(k), 2), powers
+    the a_i.  Both are reduced on construction, each a_i to the first
+    element of its coset of m_i*A, so the value is the class.  Not to be
+    changed after construction, which computes the hash once."""
+
+    def __init__(self, gab: AbGroup, a: AbGroup, pairs, powers):
         self.gab = gab
         self.a = a
-        self.table = table
+        self.pairs = tuple(map(a.reduce, pairs))
+        self.powers = tuple(_mod_multiples(a, m, x) for m, x in zip(gab.moduli, powers))
+        self._hash = hash((gab, a, self.pairs, self.powers))
+        # per coordinate t of A: the t-th coordinates of the b_ij, then the a_i
+        self._cols = [tuple(x[t] for x in self.pairs + self.powers) for t in range(a.rank)]
         self._ye = None
-        self._aut_counts = None
+
+    def __eq__(self, other):
+        if not isinstance(other, CentralExtension):
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and (self.gab, self.a, self.pairs, self.powers)
+            == (other.gab, other.a, other.pairs, other.powers)
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    @classmethod
+    def from_table(cls, gab: AbGroup, a: AbGroup, table: Cocycle) -> "CentralExtension":
+        """The class of a cocycle table, given by its nonzero entries: the
+        pairing on each basis pair and each basis lift power, read off the
+        table.  The table is not checked (check_cocycle)."""
+        zero = a.zero()
+
+        def c(g, h):
+            return table.get((g, h), zero)
+
+        basis = _basis(gab)
+        pairs = [a.sub(c(x, y), c(y, x)) for x, y in itertools.combinations(basis, 2)]
+        return cls(gab, a, pairs, [_lift_power(gab, a, c, e) for e in basis])
+
+    def _combine(self, coefs) -> Elem:
+        """The sum of coefs times b_ij (i < j), then a_i, reduced in A;
+        coefficients left out count 0."""
+        return tuple([sum(map(mul, coefs, col)) % n for col, n in zip(self._cols, self.a.moduli)])
 
     def c(self, g: Elem, h: Elem) -> Elem:
-        v = self.table.get((g, h))
-        return v if v is not None else self.a.zero()
+        """The canonical cocycle at (g, h)."""
+        coefs = [gi * hj for (gi, _), (_, hj) in itertools.combinations(zip(g, h), 2)]
+        coefs += [gi + hi >= m for gi, hi, m in zip(g, h, self.gab.moduli)]
+        return self._combine(coefs)
 
-    def check_cocycle(self):
-        """Raise unless the table is normalized and satisfies the
-        2-cocycle identity c(g,h) + c(g+h,k) = c(h,k) + c(g,h+k) in A.
-
-        Every triple is tested in row-major (g, h, k) order and the error
-        names the first that fails.  Entries need not be reduced in A, but
-        must have its rank.  Cubic in |Gab|; from_json runs it on every
-        table it reads.  The loop runs on element indices: each entry is
-        one int holding its reduced coordinates (or their negatives) in
-        fields of width 4*max(m), so c(g,h) + c(g+h,k) - c(h,k) - c(g,h+k)
-        is a sum of four such ints without carries, and the identity holds
-        iff every field reads 0, m, 2m or 3m."""
-        a = self.a
-        zero_a = a.zero()
-        zero_g = self.gab.zero()
+    @property
+    def table(self) -> Cocycle:
+        """The nonzero entries of the canonical cocycle, |Gab|^2 at most."""
+        zero = self.a.zero()
         els = list(self.gab.elements())
-        for g in els:
-            if self.c(zero_g, g) != zero_a or self.c(g, zero_g) != zero_a:
-                raise ValueError(f"cocycle not normalized at {g}")
-        width = 4 * max(a.moduli, default=1)
-
-        def pack(v):
-            return sum(x * width**t for t, x in enumerate(v))
-
-        index = {g: i for i, g in enumerate(els)}
-        sums = [[index[self.gab.add(g, h)] for h in els] for g in els]
-        packed = {}  # entry -> (c, -c), packed
-        vals, negs = [], []
-        for g in els:
-            row = [self.c(g, h) for h in els]
-            for h, v in zip(els, row):
-                if v not in packed:
-                    if len(v) != a.rank:
-                        raise ValueError(f"cocycle entry {v} at {(g, h)} has wrong length for A")
-                    packed[v] = pack(a.reduce(v)), pack(a.neg(v))
-            vals.append([packed[v][0] for v in row])
-            negs.append([packed[v][1] for v in row])
-        zeros = frozenset(
-            pack(j * m for j, m in zip(js, a.moduli))
-            for js in itertools.product(range(4), repeat=a.rank)
-        )
-        n = len(els)
-        neg_flat = [x for row in negs for x in row]  # -c(h, k) at h*n + k
-        sum_flat = [x for row in sums for x in row]  # index of h + k at h*n + k
-        for g, val_g, neg_g, sum_g in zip(els, vals, negs, sums):
-            # c(g,h) + c(g+h,k) - c(h,k) - c(g,h+k) over (h, k) in row-major order
-            lhs = [cgh + x for cgh, gh in zip(val_g, sum_g) for x in vals[gh]]
-            total = list(map(add, lhs, map(add, neg_flat, map(neg_g.__getitem__, sum_flat))))
-            if not zeros.issuperset(total):
-                i = next(i for i, t in enumerate(total) if t not in zeros)
-                raise ValueError(f"cocycle identity fails at {(g, els[i // n], els[i % n])}")
+        return {(g, h): v for g in els for h in els if (v := self.c(g, h)) != zero}
 
     # --- pairing and restriction ------------------------------------
 
     def pairing(self, x: Elem, y: Elem) -> Elem:
-        """Commutator of lifts of x and y: c(x,y) - c(y,x)."""
+        """Commutator of lifts of x and y: c(x,y) - c(y,x), bilinear,
+        sum_{i<j} (x_i*y_j - x_j*y_i)*b_ij."""
         self.gab.check_elem(x)
         self.gab.check_elem(y)
-        return self.a.sub(self.c(x, y), self.c(y, x))
+        return self._combine(
+            [xi * yj - xj * yi for (xi, yi), (xj, yj) in itertools.combinations(zip(x, y), 2)]
+        )
 
     def power_class(self, y: Elem) -> Elem:
-        """A-part of the |y|-th power of the canonical lift (0, y)."""
+        """A-part of the n-th power of the canonical lift (0, y), n = |y|:
+        sum_i (n*y_i/m_i)*a_i + n(n-1)/2 * sum_{i<j} y_i*y_j*b_ij, as the
+        carries of coordinate i add up to n*y_i/m_i and the bilinear terms
+        to sum_{t<n} t*y_i*y_j*b_ij, b_ij being killed by m_i."""
         n = elem_order(self.gab, y)
-        acc = self.a.zero()
-        cur = y
-        for _ in range(n - 1):
-            acc = self.a.add(acc, self.c(cur, y))
-            cur = self.gab.add(cur, y)
-        return acc
+        t = n * (n - 1) // 2
+        coefs = [t * yi * yj for yi, yj in itertools.combinations(y, 2)]
+        coefs += [n * yi // m for yi, m in zip(y, self.gab.moduli)]
+        return self._combine(coefs)
 
     def y_set(self) -> frozenset:
         """Y_E: elements whose cyclic restriction class vanishes, i.e.
@@ -177,12 +185,84 @@ class CentralExtension:
                     raise ValueError(f"entry {v} not reduced in A")
                 if v != a.zero():
                     table[(g, h)] = v
-        ext = cls(gab, a, table)
-        ext.check_cocycle()
-        return ext
+        check_cocycle(gab, a, table)
+        return cls.from_table(gab, a, table)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _basis(gab: AbGroup) -> list[Elem]:
+    k = gab.rank
+    return [tuple(int(t == i) for t in range(k)) for i in range(k)]
+
+
+def _lift_power(gab: AbGroup, a: AbGroup, c, y: Elem) -> Elem:
+    """A-part of the |y|-th power of the lift (0, y) under the cocycle c:
+    sum_{t=1}^{|y|-1} c(t*y, y)."""
+    acc = a.zero()
+    cur = y
+    for _ in range(elem_order(gab, y) - 1):
+        acc = a.add(acc, c(cur, y))
+        cur = gab.add(cur, y)
+    return acc
+
+
+def check_cocycle(gab: AbGroup, a: AbGroup, table: Cocycle):
+    """Raise unless the table (its nonzero entries) is normalized and
+    satisfies the 2-cocycle identity c(g,h) + c(g+h,k) = c(h,k) + c(g,h+k)
+    in A.
+
+    Every triple is tested in row-major (g, h, k) order and the error
+    names the first that fails.  Entries need not be reduced in A, but
+    must have its rank.  Cubic in |Gab|; from_json runs it on every
+    table it reads.  The loop runs on element indices: each entry is
+    one int holding its reduced coordinates (or their negatives) in
+    fields of width 4*max(m), so c(g,h) + c(g+h,k) - c(h,k) - c(g,h+k)
+    is a sum of four such ints without carries, and the identity holds
+    iff every field reads 0, m, 2m or 3m."""
+    zero_a = a.zero()
+    zero_g = gab.zero()
+
+    def c(g, h):
+        return table.get((g, h), zero_a)
+
+    els = list(gab.elements())
+    for g in els:
+        if c(zero_g, g) != zero_a or c(g, zero_g) != zero_a:
+            raise ValueError(f"cocycle not normalized at {g}")
+    width = 4 * max(a.moduli, default=1)
+
+    def pack(v):
+        return sum(x * width**t for t, x in enumerate(v))
+
+    index = {g: i for i, g in enumerate(els)}
+    sums = [[index[gab.add(g, h)] for h in els] for g in els]
+    packed = {}  # entry -> (c, -c), packed
+    vals, negs = [], []
+    for g in els:
+        row = [c(g, h) for h in els]
+        for h, v in zip(els, row):
+            if v not in packed:
+                if len(v) != a.rank:
+                    raise ValueError(f"cocycle entry {v} at {(g, h)} has wrong length for A")
+                packed[v] = pack(a.reduce(v)), pack(a.neg(v))
+        vals.append([packed[v][0] for v in row])
+        negs.append([packed[v][1] for v in row])
+    zeros = frozenset(
+        pack(j * m for j, m in zip(js, a.moduli))
+        for js in itertools.product(range(4), repeat=a.rank)
+    )
+    n = len(els)
+    neg_flat = [x for row in negs for x in row]  # -c(h, k) at h*n + k
+    sum_flat = [x for row in sums for x in row]  # index of h + k at h*n + k
+    for g, val_g, neg_g, sum_g in zip(els, vals, negs, sums):
+        # c(g,h) + c(g+h,k) - c(h,k) - c(g,h+k) over (h, k) in row-major order
+        lhs = [cgh + x for cgh, gh in zip(val_g, sum_g) for x in vals[gh]]
+        total = list(map(add, lhs, map(add, neg_flat, map(neg_g.__getitem__, sum_flat))))
+        if not zeros.issuperset(total):
+            i = next(i for i, t in enumerate(total) if t not in zeros)
+            raise ValueError(f"cocycle identity fails at {(g, els[i // n], els[i % n])}")
 
 
 def _json_is(value, kind: type) -> bool:
@@ -220,19 +300,6 @@ def _json_ints(value, what: str) -> Elem:
     return tuple(value)
 
 
-# --- table arithmetic ----------------------------------------------------
-
-def add_tables(a: AbGroup, t1: Cocycle, t2: Cocycle) -> Cocycle:
-    out = dict(t1)
-    for k, v in t2.items():
-        w = a.add(out.get(k, a.zero()), v)
-        if w == a.zero():
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
-
-
 # --- class key ------------------------------------------------------------
 
 def _mod_multiples(a: AbGroup, m: int, x: Elem) -> Elem:
@@ -241,58 +308,44 @@ def _mod_multiples(a: AbGroup, m: int, x: Elem) -> Elem:
     return tuple(c % gcd(m, n) for c, n in zip(x, a.moduli))
 
 
-def _class_key(ext: CentralExtension):
-    """Coordinates of [c] under universal coefficients, H^2(Gab, A) =
-    (+)_i A/m_i*A (+) (+)_{i<j} A[gcd(m_i, m_j)] for Gab = C_{m_1} x ... x
-    C_{m_k}: the commutator pairing on each basis pair i < j, and each basis
-    lift power read mod m_i*A.  Both are additive in the table and vanish
-    on coboundaries, so two cocycles are cohomologous iff their keys are
-    equal."""
-    gab = ext.gab
-    k = gab.rank
-    basis = [tuple(int(t == i) for t in range(k)) for i in range(k)]
-    pairs = tuple(ext.pairing(basis[i], basis[j]) for i in range(k) for j in range(i + 1, k))
-    powers = tuple(
-        _mod_multiples(ext.a, m, ext.power_class(e)) for m, e in zip(gab.moduli, basis)
-    )
-    return pairs, powers
-
-
 # --- coboundary decision -------------------------------------------------
 
 def is_coboundary(gab: AbGroup, a: AbGroup, table: Cocycle):
     """Decide whether c(g,h) = phi(g) + phi(h) - phi(g+h) for some
-    1-cochain phi with phi(0) = 0.
+    1-cochain phi with phi(0) = 0, c being the table's entries.
 
     Returns (True, phi) with phi a dict Gab -> A, or (False, None).  A
     nonzero class key rules phi out for any table.  On a zero key each
-    basis vector e_i lifts to (x_i, e_i) with m_i*x_i = -power_class(e_i);
-    the lifts commute, so sigma(g) = prod_i (x_i, e_i)^(g_i) is a section
-    and phi = -(A-part of sigma) when the table is a cocycle.  Checking
-    every entry against phi decides a table that is not a cocycle.
+    basis vector e_i lifts to (x_i, e_i) with m_i*x_i = -(the table's
+    power of (0, e_i)); the lifts commute, so sigma(g) = prod_i (x_i,
+    e_i)^(g_i) is a section and phi = -(A-part of sigma) when the table
+    is a cocycle.  Checking every entry against phi decides a table that
+    is not a cocycle.
     """
-    ext = CentralExtension(gab, a, table)
-    pairs, powers = _class_key(ext)
     zero_a = a.zero()
-    if any(v != zero_a for v in pairs + powers):
+
+    def c(g, h):
+        return table.get((g, h), zero_a)
+
+    ext = CentralExtension.from_table(gab, a, table)
+    if any(v != zero_a for v in ext.pairs + ext.powers):
         return False, None
     lifts = []
-    for i, m in enumerate(gab.moduli):
-        e = tuple(int(t == i) for t in range(gab.rank))
+    for m, e in zip(gab.moduli, _basis(gab)):
         x = []
-        for p, n in zip(ext.power_class(e), a.moduli):
+        for p, n in zip(_lift_power(gab, a, c, e), a.moduli):
             d = gcd(m, n)
             x.append(-(p // d) * pow(m // d, -1, n // d) % (n // d))
         lifts.append((tuple(x), e))
     phi = {}
     for g in gab.elements():
-        s = ext.ext_zero()
-        for lift, gi in zip(lifts, g):
+        s, sg = zero_a, gab.zero()
+        for (x, e), gi in zip(lifts, g):
             for _ in range(gi):
-                s = ext.ext_mul(s, lift)
-        phi[g] = a.neg(s[0])
+                s, sg = a.add(a.add(s, x), c(sg, e)), gab.add(sg, e)
+        phi[g] = a.neg(s)
     if all(
-        ext.c(g, h) == a.sub(a.add(phi[g], phi[h]), phi[gab.add(g, h)])
+        c(g, h) == a.sub(a.add(phi[g], phi[h]), phi[gab.add(g, h)])
         for g in phi
         for h in phi
     ):
@@ -303,7 +356,7 @@ def is_coboundary(gab: AbGroup, a: AbGroup, table: Cocycle):
 def cohomologous(e1: CentralExtension, e2: CentralExtension) -> bool:
     if e1.gab != e2.gab or e1.a != e2.a:
         raise ValueError("extensions live over different groups")
-    return _class_key(e1) == _class_key(e2)
+    return e1 == e2
 
 
 # --- automorphism action -------------------------------------------------
@@ -321,22 +374,17 @@ def class_orbit_size(ext: CentralExtension) -> int:
     return n_aut // stab
 
 
+@lru_cache(maxsize=1 << 10)
 def _aut_counts(ext: CentralExtension) -> tuple[int, int]:
     """(|Aut(A)|, aut_stabilizer_order(ext)), from one enumeration of
-    Aut(A), kept on ext: both depend on the extension alone."""
-    if ext._aut_counts is None:
-        pairs, powers = key = _class_key(ext)
-        moduli = ext.gab.moduli
-        auts = enumerate_automorphisms(ext.a)
-        stab = sum(
-            (
-                tuple(map(alpha, pairs)),
-                tuple(_mod_multiples(ext.a, m, alpha(x)) for m, x in zip(moduli, powers)),
-            ) == key
-            for alpha in auts
-        )
-        ext._aut_counts = (len(auts), stab)
-    return ext._aut_counts
+    Aut(A): both depend on the class alone."""
+    # memoised: every classify call with a witness reads both
+    auts = enumerate_automorphisms(ext.a)
+    stab = sum(
+        CentralExtension(ext.gab, ext.a, map(alpha, ext.pairs), map(alpha, ext.powers)) == ext
+        for alpha in auts
+    )
+    return len(auts), stab
 
 
 # --- admissible pairs ----------------------------------------------------
@@ -372,60 +420,25 @@ def is_admissible_pair(ext: CentralExtension, h_sub: frozenset):
 
 # --- enumeration of H^2 --------------------------------------------------
 
-# classes of H^2(Gab, A) that enumerate_central_extensions builds: the
+# classes of H^2(Gab, A) that enumerate_central_extensions lists: the
 # quaternion_pair_hits search over (C2^3, C2) has 64, (C2^4, C2) 1024;
-# each is a |Gab|^2-entry table to build
+# each class is a key of O(rank^2) values, but a caller such as
+# quaternion_pair_hits walks the total group of each
 DESK_H2_BOUND = 2**7
 
 
-def _carry_table(gab: AbGroup, a: AbGroup, i: int, av: Elem) -> Cocycle:
-    """Cocycle inflated from the standard extension of C_{m_i}: value av
-    times the carry of coordinate i."""
-    table = {}
-    m = gab.moduli[i]
-    if av == a.zero():
-        return table
-    for g in gab.elements():
-        for h in gab.elements():
-            if g[i] + h[i] >= m:
-                table[(g, h)] = av
-    return table
-
-
-def _bilinear_table(gab: AbGroup, a: AbGroup, i: int, j: int, bv: Elem) -> Cocycle:
-    """Cocycle g_i * h_j * bv; bv must be killed by gcd(m_i, m_j)."""
-    table = {}
-    if bv == a.zero():
-        return table
-    for g in gab.elements():
-        if g[i] == 0:
-            continue
-        for h in gab.elements():
-            if h[j] == 0:
-                continue
-            v = a.smul(g[i] * h[j], bv)
-            if v != a.zero():
-                table[(g, h)] = v
-    return table
-
-
 def enumerate_central_extensions(gab: AbGroup, a: AbGroup):
-    """One normalized-cocycle representative per class of H^2(Gab, A).
+    """One extension per class of H^2(Gab, A), built from its key.
 
-    Builds one table per class key: the sum of the carry cocycle of each
-    factor C_{m_i} with value the key's coordinate in A/m_i*A, and the
-    bilinear cocycle of each factor pair i < j with value the key's
-    coordinate in A[gcd(m_i, m_j)].  Each A/m_i*A coordinate is the
-    lexicographically first element of its coset, so coordinate t runs
-    over range(gcd(m_i, n_t)).  Deterministic: classes come in
+    Each A/m_i*A coordinate is the lexicographically first element of its
+    coset, so coordinate t runs over range(gcd(m_i, n_t)); each pair
+    value runs over A[gcd(m_i, m_j)].  Deterministic: classes come in
     lexicographic order of (carries, bilinear values).
     Raises ValueError, before any work, past DESK_H2_BOUND classes:
     prod_i #A[m_i] * prod_{i<j} #A[gcd(m_i, m_j)] for Gab = C_{m_1} x ...
     x C_{m_k}.
     """
-    k = gab.rank
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    orders = [gcd(gab.moduli[i], gab.moduli[j]) for i, j in pairs]
+    orders = [gcd(mi, mj) for mi, mj in itertools.combinations(gab.moduli, 2)]
     classes = prod(torsion_count(a, m) for m in gab.moduli) * prod(
         torsion_count(a, g) for g in orders
     )
@@ -437,62 +450,33 @@ def enumerate_central_extensions(gab: AbGroup, a: AbGroup):
     pair_choices = [
         [x for x in a.elements() if a.smul(g, x) == a.zero()] for g in orders
     ]
-    out = []
-    for carries in itertools.product(*carry_choices):
-        base = {}
-        for i, av in enumerate(carries):
-            base = add_tables(a, base, _carry_table(gab, a, i, av))
-        for bils in itertools.product(*pair_choices):
-            table = base
-            for (i, j), bv in zip(pairs, bils):
-                table = add_tables(a, table, _bilinear_table(gab, a, i, j, bv))
-            out.append(CentralExtension(gab, a, table))
-    return out
+    return [
+        CentralExtension(gab, a, bils, carries)
+        for carries in itertools.product(*carry_choices)
+        for bils in itertools.product(*pair_choices)
+    ]
 
 
 # --- presets -------------------------------------------------------------
 
 def split_extension(gab: AbGroup, a: AbGroup) -> CentralExtension:
-    return CentralExtension(gab, a, {})
+    zero, k = a.zero(), gab.rank
+    return CentralExtension(gab, a, [zero] * (k * (k - 1) // 2), [zero] * k)
 
 
 def _d4_extension():
     """D4 = <r, s | r^4 = s^2 = 1, srs = r^-1> as a central extension of
-    C2 x C2 (images of r, s) by <r^2> = C2, via the section (i,j) -> r^i s^j."""
-    gab = AbGroup((2, 2))
-    a = AbGroup((2,))
-
-    def mul(x, y):
-        # (r^i s^j)(r^k s^l) = r^(i + (-1)^j k) s^(j+l)
-        i, j = x
-        k, l = y
-        return ((i + (k if j == 0 else -k)) % 4, (j + l) % 2)
-
-    table = {}
-    for g in gab.elements():
-        for h in gab.elements():
-            i, j = mul((g[0], g[1]), (h[0], h[1]))
-            ref = ((g[0] + h[0]) % 2, (g[1] + h[1]) % 2)
-            diff = (i - ref[0]) % 4
-            assert diff in (0, 2) and j == ref[1]
-            if diff:
-                table[(g, h)] = (1,)
-    ext = CentralExtension(gab, a, table)
+    C2 x C2 (images of r, s) by <r^2> = C2: the commutator of r and s
+    and the square of r are r^2, the square of s is 1."""
+    ext = CentralExtension(AbGroup((2, 2)), AbGroup((2,)), [(1,)], [(1,), (0,)])
     h_sub = frozenset({(0, 0), (1, 0)})  # <rbar>; preimage is <r> = C4
     return ext, h_sub
 
 
 def _triangular_extension(p: int) -> CentralExtension:
-    """The extension of C_p^3 by C_p with c(g, h) = g0*h1 + g0*h2 + g1*h2
-    mod p: no carries, and pairing 1 on every basis pair i < j."""
-    gab = AbGroup((p, p, p))
-    table = {}
-    for g in gab.elements():
-        for h in gab.elements():
-            v = (g[0] * h[1] + g[0] * h[2] + g[1] * h[2]) % p
-            if v:
-                table[(g, h)] = (v,)
-    return CentralExtension(gab, AbGroup((p,)), table)
+    """The extension of C_p^3 by C_p with pairing 1 on every basis pair
+    i < j and no lift powers: c(g, h) = g0*h1 + g0*h2 + g1*h2 mod p."""
+    return CentralExtension(AbGroup((p, p, p)), AbGroup((p,)), [(1,)] * 3, [(0,)] * 3)
 
 
 def _heisenberg_extension(ell: int):
@@ -503,7 +487,7 @@ def _heisenberg_extension(ell: int):
     if ell == 2 or not is_prime(ell):
         raise ValueError("Heisenberg preset needs an odd prime")
     if ell**3 > DESK_SUBGROUP_BOUND:
-        # the base field check rejects this Gab; the table has ell^6 entries
+        # the base field check rejects this Gab, and Y_E lists its elements
         raise ValueError(f"group order {ell**3} exceeds bound {DESK_SUBGROUP_BOUND}")
     ext = _triangular_extension(ell)
     h_sub = frozenset((i, j, 0) for i in range(ell) for j in range(ell))  # <xbar, ybar>
@@ -523,15 +507,17 @@ def _is_quaternion8(ext: CentralExtension, subset) -> bool:
     )
 
 
-def _pullback_table(ext: CentralExtension, phi) -> Cocycle:
-    """Pull the cocycle back along an automorphism of Gab."""
-    table = {}
-    for g in ext.gab.elements():
-        for h in ext.gab.elements():
-            v = ext.c(phi(g), phi(h))
-            if v != ext.a.zero():
-                table[(g, h)] = v
-    return table
+def _pullback(ext: CentralExtension, phi) -> CentralExtension:
+    """The extension pulled back along an automorphism phi of Gab, with
+    cocycle c(phi(g), phi(h)): its key is the pairing and the lift powers
+    at the images of the basis."""
+    images = [phi(e) for e in _basis(ext.gab)]
+    return CentralExtension(
+        ext.gab,
+        ext.a,
+        [ext.pairing(x, y) for x, y in itertools.combinations(images, 2)],
+        map(ext.power_class, images),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -561,16 +547,11 @@ def quaternion_pair_class_count() -> int:
     """Number of quaternion (class, H) hits up to simultaneous relabeling
     of the C2^3 basis: cohomology distinguishes base-changed copies of
     one pair, so uniqueness of the pair means a single orbit here."""
-    hits = quaternion_pair_hits()
-    gab = AbGroup((2, 2, 2))
-    a = AbGroup((2,))
-    auts = enumerate_automorphisms(gab)
+    auts = enumerate_automorphisms(AbGroup((2, 2, 2)))
     reps = []
-    for ext, h_sub in hits:
-        key = _class_key(ext)
+    for ext, h_sub in quaternion_pair_hits():
         if not any(
-            frozenset(phi(x) for x in h_sub) == rh
-            and _class_key(CentralExtension(gab, a, _pullback_table(rext, phi))) == key
+            frozenset(phi(x) for x in h_sub) == rh and _pullback(rext, phi) == ext
             for rext, rh in reps
             for phi in auts
         ):
@@ -578,15 +559,12 @@ def quaternion_pair_class_count() -> int:
     return len(reps)
 
 
-@lru_cache(maxsize=None)
 def _h8_pair():
-    """Canonical representative of the unique quaternion pair over
-    (C2^3, C2): the class with no carries and pairing 1 on every basis
-    pair, c(g, h) = g0*h1 + g0*h2 + g1*h2 mod 2, with H = <(0,1,1),
-    (1,0,1)>, whose preimage is H8.  It is the first hit of
-    quaternion_pair_hits, which the tests compare it with.  Memoised: the
-    solver memos are keyed on the extension object, so every call returns
-    the same one."""
+    """The unique quaternion pair over (C2^3, C2): the class with no
+    carries and pairing 1 on every basis pair, c(g, h) = g0*h1 + g0*h2 +
+    g1*h2 mod 2, with H = <(0,1,1), (1,0,1)>, whose preimage is H8.  It is
+    the first hit of quaternion_pair_hits, which the tests compare it
+    with."""
     h_sub = frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)})
     return _triangular_extension(2), h_sub
 

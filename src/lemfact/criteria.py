@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
+from .abelian import DESK_SUBGROUP_BOUND
 from .arith import (
     PrimePower,
     _prime_disc_parts,
@@ -238,7 +239,9 @@ def heisenberg_criterion(ell: int, p: int, q: int, r: int) -> HeisenbergReport:
 
     Decides by brute force over (A, B, C) in (Z/ell)^3 with A+B+C != 0
     against the three linear character equations; when a solution exists
-    there are ell - 1 extensions (one per extension class).
+    there are ell - 1 extensions (one per extension class).  Raises
+    ValueError, after the checks on its input, when ell^3 exceeds
+    DESK_SUBGROUP_BOUND, the limit of the Heisenberg preset.
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError(f"{ell} is not an odd prime")
@@ -252,6 +255,10 @@ def heisenberg_criterion(ell: int, p: int, q: int, r: int) -> HeisenbergReport:
             raise ValueError(f"discriminant must be coprime to {ell}")
         if (x - 1) % ell != 0:
             raise ValueError(f"{x} is not 1 mod {ell}")
+    if ell**3 > DESK_SUBGROUP_BOUND:
+        # the brute force below walks all ell^3 triples, as many as the
+        # Heisenberg preset's Gab has elements
+        raise ValueError(f"{ell**3} triples (A, B, C) exceed bound {DESK_SUBGROUP_BOUND}")
 
     def chi(a: int, b: int) -> int:
         return power_residue_char(a, PrimePower(b, ell - 1), ell)

@@ -515,7 +515,8 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     not tested.
 
     What depends only on (ext, H, the inertia images) runs once per
-    such triple: the base-field checks that read no prime
+    such triple, ext being keyed by its class, so that cohomologous
+    extensions share it: the base-field checks that read no prime
     (BaseFieldData.validate, _image_orders), each prime's candidates,
     memoised on its coset and (q - 1) mod exp(Gab) (_coset_candidates),
     and their orders (_candidate_orders).  Each call runs what reads its

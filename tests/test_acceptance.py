@@ -15,6 +15,7 @@ from lemfact.arith import factorize, is_fundamental_discriminant, is_prime, prim
 from lemfact.cocycle import (
     CentralExtension,
     aut_stabilizer_order,
+    check_cocycle,
     class_orbit_size,
     preset,
     quaternion_pair_class_count,
@@ -22,6 +23,7 @@ from lemfact.cocycle import (
 from lemfact.criteria import c4_criterion, heisenberg_criterion
 from lemfact.oracle import class_group_structure, class_number, naive_form_count, rank_sweep, redei_rank
 from lemfact.solver import BaseFieldData, classify
+from cocycle_reference import TableExtension
 from solver_reference import (
     enumerate_assignments,
     frobenius_pairing_sum,
@@ -168,8 +170,9 @@ def test_criterion_08_cocycle_suite():
     pair_cases = 0
     for gab, a in SMALL_PAIRS:
         for _ in range(6):
-            ext = CentralExtension(gab, a, random_cocycle(gab, a, rng))
-            ext.check_cocycle()
+            table = random_cocycle(gab, a, rng)
+            check_cocycle(gab, a, table)
+            ext = CentralExtension.from_table(gab, a, table)
             els = list(gab.elements())
             for _ in range(25):
                 x, xp, y = (rng.choice(els) for _ in range(3))
@@ -213,7 +216,7 @@ def test_criterion_08_cocycle_suite():
                 out = gab.add(out, gab.smul(coef, y))
             return out
 
-        pulled = CentralExtension(
+        pulled = TableExtension(
             prod_group,
             a,
             {
@@ -222,7 +225,7 @@ def test_criterion_08_cocycle_suite():
                 for v in prod_group.elements()
             },
         )
-        pulled.check_cocycle()
+        check_cocycle(prod_group, a, pulled.table)
         for u in prod_group.elements():
             for v in prod_group.elements():
                 acc = a.zero()

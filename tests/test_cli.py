@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -57,6 +58,14 @@ def test_heisenberg_bad_hypothesis_exits_2(capsys):
     code, _, err = run(capsys, "heisenberg", "3", "11", "13", "43")
     assert code == 2
     assert "11" in err
+
+
+def test_heisenberg_past_the_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "heisenberg", "1009", "10091", "12109", "30271")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "error: 1027243729 triples (A, B, C) exceed bound 65536\n"
 
 
 def test_json_round_trip_byte_identical(capsys):
@@ -511,6 +520,22 @@ def test_classify_composite_exponent_data(capsys):
     assert code == 0
     assert out == (DATA / "composite_exponent_classify.txt").read_text()
     assert out.count("\nwitness ") == 4
+
+
+def test_classify_heisenberg7_data(capsys):
+    # the sha256 CI checks against the installed script, recorded when the
+    # preset was still a cocycle table; the criterion agrees
+    code, out, err = run(
+        capsys, "--format", "json", "classify", "--ext", "Heisenberg:7",
+        "--kdata", str(DATA / "heisenberg7_kdata.json"),
+    )
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["witnesses"]) == 2016
+    digest, name = (DATA / "heisenberg7.sha256").read_text().split()
+    assert name == "heisenberg7.json"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, _ = run(capsys, "heisenberg", "7", "29", "127", "281")
+    assert code == 0 and out.startswith("exists=true\n")
 
 
 def test_classify_h8_pair_data(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import prod
 
 import pytest
@@ -262,6 +263,23 @@ def test_heisenberg_hypothesis_errors():
         heisenberg_criterion(3, 3, 7, 13)
     with pytest.raises(ValueError):
         heisenberg_criterion(3, 7, 13, 45)
+
+
+def test_heisenberg_bound_raises_before_the_brute_force():
+    # 10091, 12109 and 30271 are primes 1 mod 1009: the checks on the input
+    # pass, and the 1009^3 triples (A, B, C) would take minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        heisenberg_criterion(1009, 10091, 12109, 30271)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == "1027243729 triples (A, B, C) exceed bound 65536"
+    # the checks on the input still come first; 37 is the largest ell
+    # within the bound, like the Heisenberg preset's
+    with pytest.raises(ValueError, match="^12111 is not prime$"):
+        heisenberg_criterion(1009, 10091, 12109, 12111)
+    with pytest.raises(ValueError, match="^68921 triples"):
+        heisenberg_criterion(41, 83, 739, 821)
+    assert heisenberg_criterion(37, 149, 223, 593).characters
 
 
 def test_heisenberg_known_example():

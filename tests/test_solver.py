@@ -21,12 +21,14 @@ from lemfact import abelian, arith, cocycle, solver
 from lemfact.arith import factorize, is_fundamental_discriminant, is_prime
 from lemfact.cocycle import (
     CentralExtension,
-    _bilinear_table,
+    _aut_counts,
     aut_stabilizer_order,
+    check_cocycle,
     class_orbit_size,
     enumerate_central_extensions,
     is_admissible_pair,
     preset,
+    split_extension,
 )
 from lemfact.solver import (
     BaseFieldData,
@@ -48,6 +50,7 @@ from lemfact.solver import (
     count_extensions,
     primes_from_json,
 )
+from cocycle_reference import d4_table
 from solver_reference import (
     conjugation_image,
     enumerate_assignments,
@@ -391,7 +394,7 @@ def validate_cases(d4, heis3):
     order it checks them."""
     ext4, h4 = d4
     ext3, h3 = heis3
-    big = CentralExtension(AbGroup((1 << 17,)), AbGroup((2,)), {})
+    big = split_extension(AbGroup((1 << 17,)), AbGroup((2,)))
     y3, y3b = (0, 0, 1), (0, 0, 2)
     return [
         # the checks on (extension, H, images) come before any prime's
@@ -633,11 +636,24 @@ def test_quadratic_presets_need_no_primitive_root(monkeypatch, d4):
     assert len(fields) > 12 and any(r["witnesses"] for r in reports)
 
 
-def test_classify_enumerates_aut_a_once_per_extension(monkeypatch, d4):
-    # |Aut(A)| and the stabilizer order depend on the extension alone; a
-    # fresh copy of C4_D4 has neither yet
+def test_cohomologous_tables_share_the_memos(monkeypatch, d4):
+    # the D4 multiplication table is cohomologous to the canonical C4_D4
+    # cocycle but not equal to it; read through from_json it is the same
+    # value, so its classify calls hit every memo the preset filled, and
+    # Aut(A) is not enumerated again
     ext, h = d4
-    fresh = CentralExtension(ext.gab, ext.a, dict(ext.table))
+    table = d4_table()
+    assert table[((0, 1), (1, 0))] == (1,) and ext.c((0, 1), (1, 0)) == (0,)
+    els = list(ext.gab.elements())
+    loaded = CentralExtension.from_json({
+        "Gab": [2, 2], "A": [2],
+        "cocycle": [[list(table.get((g, k), (0,))) for k in els] for g in els],
+    })
+    assert loaded == ext and hash(loaded) == hash(ext) and loaded is not ext
+    ds = [d for d in range(-2999, 3000, 2) if d not in (-1, 1) and is_fundamental_discriminant(d)]
+    _aut_counts.cache_clear()
+    expected = [classify(ext, h, c4_kdata(ext, h, d)).to_json() for d in ds[:50]]
+    assert sum(r["exists"] for r in expected) > 10
     calls = []
 
     def counted(a):
@@ -645,13 +661,13 @@ def test_classify_enumerates_aut_a_once_per_extension(monkeypatch, d4):
         return enumerate_automorphisms(a)
 
     monkeypatch.setattr(cocycle, "enumerate_automorphisms", counted)
-    ds = [d for d in range(-2999, 3000, 2) if d not in (-1, 1) and is_fundamental_discriminant(d)]
-    reports = [classify(fresh, h, c4_kdata(fresh, h, d)) for d in ds[:50]]
-    assert sum(r.exists for r in reports) > 10
-    assert len(calls) == 1
-    assert [r.to_json() for r in reports] == [
-        classify(ext, h, c4_kdata(ext, h, d)).to_json() for d in ds[:50]
-    ]
+    memos = (_image_orders, _coset_candidates, _lift_survivors)
+    before = [memo.cache_info() for memo in memos]
+    assert [classify(loaded, h, c4_kdata(loaded, h, d)).to_json() for d in ds[:50]] == expected
+    for memo, info in zip(memos, before):
+        assert memo.cache_info().misses == info.misses
+        assert memo.cache_info().hits >= info.hits + 50
+    assert calls == []
 
 
 def test_classify_memo_matches_reference_cold_and_warm(d4):
@@ -739,9 +755,8 @@ def composite_exponent_extension():
         for h in gab.elements()
         if g[0] * h[1] % 4
     }
-    ext = CentralExtension(gab, a, table)
-    ext.check_cocycle()
-    return ext, subgroup_generated(gab, [(2, 2)])
+    check_cocycle(gab, a, table)
+    return CentralExtension.from_table(gab, a, table), subgroup_generated(gab, [(2, 2)])
 
 
 # three primes with images (1, 0), (0, 1), (2, 0) over
@@ -815,7 +830,7 @@ def composite_exponent_fields():
     ext, h = composite_exponent_extension()
     pairs = [(ext, h), (ext, frozenset({(0, 0)}))]
     for a, value in ((AbGroup((2,)), (1,)), (AbGroup((2, 4)), (1, 1))):
-        e = CentralExtension(c4sq, a, _bilinear_table(c4sq, a, 0, 1, value))
+        e = CentralExtension(c4sq, a, [value], [a.zero()] * 2)
         pairs += [(e, h), (e, frozenset({(0, 0)}))]
     for e in enumerate_central_extensions(c2c4, AbGroup((4,))):
         for hs in (subgroup_generated(c2c4, [(1, 0)]), frozenset({(0, 0)})):
@@ -872,7 +887,7 @@ def test_classify_logs_nothing_for_a_prime_exponent(caplog, monkeypatch, d4, hei
     h8 = preset("H8_pair", None)
     # images of order 9 over A = C3 x C3
     gab9, a9 = AbGroup((9, 9)), AbGroup((3, 3))
-    ext9 = CentralExtension(gab9, a9, _bilinear_table(gab9, a9, 0, 1, (1, 2)))
+    ext9 = CentralExtension(gab9, a9, [(1, 2)], [a9.zero()] * 2)
     h9 = subgroup_generated(gab9, [(1, 0)])
     cases = [
         (*heis3, heis_kdata(heis3[1], (7, 13, 43, 61))),
@@ -959,7 +974,7 @@ def test_lift_solutions_two_coordinate_a_with_order_9_images():
     # A = C3 x C3 packs two coordinates into one integer; the images have
     # order 9 > exp(A), so the characters are taken mod 9
     gab, a = AbGroup((9, 9)), AbGroup((3, 3))
-    ext = CentralExtension(gab, a, _bilinear_table(gab, a, 0, 1, (1, 2)))
+    ext = CentralExtension(gab, a, [(1, 2)], [a.zero()] * 2)
     h = subgroup_generated(gab, [(1, 0)])
     passing = 0
     for primes in ((19, 37, 73), (37, 109, 199), (73, 163, 271)):
@@ -988,10 +1003,8 @@ def test_packed_pairing_is_keyed_on_the_layout(heis3):
     # width is 4 bits for three primes and 5 for four.  No choice passes
     # and generates Gab, so the lift test is compared on every choice
     gab, a = AbGroup((2, 2, 2)), AbGroup((2, 2))
-    table = _bilinear_table(gab, a, 0, 1, (1, 0))
-    for key, v in _bilinear_table(gab, a, 1, 2, (0, 1)).items():
-        table[key] = a.add(table.get(key, a.zero()), v)
-    ext = CentralExtension(gab, a, table)
+    # pairing (1, 0) on the basis pair (0, 1), (0, 1) on (1, 2)
+    ext = CentralExtension(gab, a, [(1, 0), (0, 0), (0, 1)], [a.zero()] * 3)
     h = subgroup_generated(gab, [(1, 1, 0)])
     for primes in ((3, 5, 7), (3, 5, 7, 11)):
         images = ((1, 0, 0), (1, 0, 0), (0, 0, 1), (0, 0, 1))
@@ -1039,6 +1052,7 @@ def test_heisenberg5_json_round_trip_classifies_the_same():
     assert time.perf_counter() - start < 5
     with open(Path(__file__).parent / "data" / "heisenberg5_four_primes.json") as fh:
         kdata = BaseFieldData(h, primes_from_json(json.load(fh)))
+    assert back == ext
     rep = classify(back, h, kdata)
     assert len(rep.witnesses) == 960
     assert rep.to_json() == classify(ext, h, kdata).to_json()
