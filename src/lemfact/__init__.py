@@ -42,7 +42,6 @@ from .oracle import (
 )
 from .solver import (
     BaseFieldData,
-    DiscFactorization,
     RamAssignment,
     Report,
     classify,

@@ -92,16 +92,28 @@ def elem_order(G: AbGroup, x: Elem) -> int:
 
 def _closure(zero, gens, op) -> frozenset:
     """All elements reachable from zero by repeatedly applying op(x, g)
-    with g in gens: the subgroup generated by gens in a finite group."""
+    with g in gens: the subgroup generated by gens in a finite group.
+
+    The generators are taken in turn, and one already reached is skipped.
+    Each kept g extends the subgroup S of those kept before it: no x*g
+    with x in S lies in S, and the new elements are closed under every
+    kept generator.  So an element meets the generators kept when it is
+    reached, and each one kept later once, not every generator given."""
     seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = op(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
+    kept = []
+    for g in gens:
+        if g in seen:
+            continue
+        kept.append(g)
+        frontier = [op(x, g) for x in seen]
+        seen.update(frontier)
+        while frontier:
+            x = frontier.pop()
+            for k in kept:
+                y = op(x, k)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
     return frozenset(seen)
 
 

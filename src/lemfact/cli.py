@@ -107,8 +107,8 @@ def cmd_classify(args) -> int:
     lines = [f"exists={str(rep.exists).lower()}"]
     for w in rep.witnesses:
         lines.append(
-            f"witness assignment={dict(w.assignment.entries)} "
-            f"factorization={dict(w.factorization.factors)} "
+            f"witness assignment={dict(w.assignment)} "
+            f"factorization={dict(w.factorization)} "
             f"count_per_class={w.count_per_class} classes={w.classes}"
         )
     _emit(rep.to_json(), lines, args.format)

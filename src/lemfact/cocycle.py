@@ -14,7 +14,8 @@ memo.  Everything is read from the key through the canonical cocycle
 and the total group E is the set A x Gab with (a1,g1)*(a2,g2) =
 (a1+a2+c(g1,g2), g1+g2), walked on demand.  Tables come in through
 from_table and from_json, which keep only their key; check_cocycle and
-is_coboundary answer about the table they are given.
+is_coboundary answer about the table they are given.  .table, to_json
+and from_json raise past |Gab|^2 = DESK_SUBGROUP_BOUND entries.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class CentralExtension:
     @property
     def table(self) -> Cocycle:
         """The nonzero entries of the canonical cocycle, |Gab|^2 at most."""
+        _check_table_size(self.gab)
         zero = self.a.zero()
         els = list(self.gab.elements())
         return {(g, h): v for g in els for h in els if (v := self.c(g, h)) != zero}
@@ -162,6 +164,7 @@ class CentralExtension:
     # --- serialization ----------------------------------------------
 
     def to_json(self) -> dict:
+        _check_table_size(self.gab)
         els = list(self.gab.elements())
         return {
             "Gab": list(self.gab.moduli),
@@ -173,6 +176,7 @@ class CentralExtension:
     def from_json(cls, data: dict) -> "CentralExtension":
         gab = AbGroup(tuple(json_field(data, "Gab", list, "extension JSON", int)))
         a = AbGroup(tuple(json_field(data, "A", list, "extension JSON", int)))
+        _check_table_size(gab)
         els = list(gab.elements())
         rows = json_field(data, "cocycle", list, "extension JSON", list)
         if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
@@ -190,6 +194,16 @@ class CentralExtension:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _check_table_size(gab: AbGroup) -> None:
+    """Raise before any work when a table over gab, |Gab|^2 entries, has
+    more than DESK_SUBGROUP_BOUND of them: from_json would check the
+    cocycle identity on |Gab|^3 triples."""
+    if gab.order**2 > DESK_SUBGROUP_BOUND:
+        raise ValueError(
+            f"cocycle table of {gab.order**2} entries exceeds bound {DESK_SUBGROUP_BOUND}"
+        )
 
 
 def _basis(gab: AbGroup) -> list[Elem]:

@@ -1,9 +1,9 @@
-"""Ramification assignments, discriminant factorizations, and the
-existence/counting pipeline for unramified central embedding problems.
+"""Ramification assignments and the existence/counting pipeline for
+unramified central embedding problems.
 
 An assignment maps each ramified odd prime q to an inertia image y_q in
-Y_E; it is the primitive representation, with the signed coprime
-discriminant factorization {d_y} a derived view.  The general engine is
+Y_E; a witness holds it with its signed coprime discriminant
+factorization {d_y}, both as sorted tuples.  The general engine is
 restricted to tame odd ramification: every q must be coprime to
 2 * |Gab| * |A|.
 """
@@ -71,32 +71,6 @@ class RamAssignment:
                 raise ValueError(f"order {n} of {y} does not divide {q}-1")
         if len({q for q, _ in self.entries}) != len(self.entries):
             raise ValueError("duplicate prime in assignment")
-
-    @property
-    def primes(self):
-        return [q for q, _ in self.entries]
-
-
-@dataclass(frozen=True)
-class DiscFactorization:
-    """Signed coprime discriminant factors d_y indexed by Y_E; factors not
-    listed default to 1."""
-
-    ext: CentralExtension
-    factors: tuple[tuple[Elem, int], ...]  # sorted, d_y != 1 only
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "factors", tuple(sorted((y, d) for y, d in self.factors if d != 1))
-        )
-        vals = [abs(d) for _, d in self.factors]
-        for i, a in enumerate(vals):
-            for b in vals[i + 1 :]:
-                if gcd(a, b) != 1:
-                    raise ValueError("discriminant factors are not coprime")
-        for _, d in self.factors:
-            if d % 4 not in (0, 1):
-                raise ValueError(f"factor {d} is not a discriminant")
 
 
 @dataclass(frozen=True)
@@ -423,15 +397,16 @@ def _lift_solutions(ext: CentralExtension, candidates, chars):
                 yield tuple(map(getitem, candidates, (*idx, c)))
 
 
-def count_extensions(ext: CentralExtension, assignment: RamAssignment) -> int:
+def count_extensions(ext: CentralExtension, orders) -> int:
     """Number of unramified solutions per extension class for a witness
-    assignment: prod_y #A[|y|]^omega(d_y) over the automorphism-stabilizer
-    order times #Hom(Gab, A).  omega(d_y) is the number of entries with
-    image y, so the numerator is prod over entries of #A[|y_q|].  Raises
-    if the formula is not integral."""
-    gab, a = ext.gab, ext.a
-    numerator = prod(torsion_count(a, elem_order(gab, y)) for _, y in assignment.entries)
-    denominator = aut_stabilizer_order(ext) * hom_count(gab, a)
+    whose inertia images have the given orders |y_q|, one per ramified
+    prime: prod_y #A[|y|]^omega(d_y) over the automorphism-stabilizer
+    order times #Hom(Gab, A).  omega(d_y) is the number of primes with
+    image y, so the numerator is prod over the primes of #A[|y_q|].
+    Raises if the formula is not integral."""
+    a = ext.a
+    numerator = prod(torsion_count(a, n) for n in orders)
+    denominator = aut_stabilizer_order(ext) * hom_count(ext.gab, a)
     q, r = divmod(numerator, denominator)
     if r != 0 or q <= 0:
         raise ArithmeticError(
@@ -442,19 +417,19 @@ def count_extensions(ext: CentralExtension, assignment: RamAssignment) -> int:
 
 @dataclass(frozen=True)
 class Witness:
-    assignment: RamAssignment
-    factorization: DiscFactorization
+    """A solution: the inertia assignment ((q, y_q), ...) sorted by prime,
+    its factorization ((y, d_y), ...) with d_y != 1 sorted by image, and
+    its counts."""
+
+    assignment: tuple[tuple[int, Elem], ...]
+    factorization: tuple[tuple[Elem, int], ...]
     count_per_class: int
     classes: int
 
     def to_json(self) -> dict:
         return {
-            "assignment": {
-                str(q): list(y) for q, y in self.assignment.entries
-            },
-            "factorization": {
-                ",".join(map(str, y)): d for y, d in self.factorization.factors
-            },
+            "assignment": {str(q): list(y) for q, y in self.assignment},
+            "factorization": {",".join(map(str, y)): d for y, d in self.factorization},
             "count_per_class": self.count_per_class,
             "classes": self.classes,
         }
@@ -484,18 +459,6 @@ class _EntryTable(dict):
         n = elem_order(self.gab, y)
         self[entry] = value = (n, prime_star(q) ** (n - 1))
         return value
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields as given.
-    Neither __init__ nor __post_init__ runs: the caller vouches for every
-    condition they would check."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        # as the dataclass __init__ sets them: filling obj.__dict__ instead
-        # would give each instance a dict of its own
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> Report:
@@ -533,9 +496,7 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     (_log_character_mismatches).  Assignments, factorizations and
     counts are built for witnesses only, from a per-call table of each
     (prime, candidate) entry's order |y| and factor (q*)^(|y|-1), filled
-    on first use; the checks of RamAssignment and DiscFactorization are
-    made once per call instead of once per witness.  h_sub must be the
-    H of kdata.
+    on first use.  h_sub must be the H of kdata.
     """
     primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
     qs = [q for q, _ in primes]
@@ -560,15 +521,6 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
         # reduce to the discrete log of p mod l and agree
         _log_character_mismatches(ext, _character_keys(gab, qs, candidates), chars)
     survivors = _lift_survivors(ext, candidates, chars)
-    # The witnesses are built unchecked, as every check of RamAssignment
-    # holds for every choice of this call: each q is an odd prime
-    # (kdata.validate), tame and distinct from the others (the test
-    # above), and the qs are sorted, so the entries are; each y is in Y_E
-    # and outside H, so |y| > 1, and |y| divides q - 1 (_coset_candidates,
-    # _assignment_space).  So does every check of DiscFactorization: the
-    # d_y are products over disjoint sets of primes, hence coprime and
-    # not 1, and each (q*)^(|y|-1) is 1 mod 4, so each d_y is a
-    # discriminant.
     table = _EntryTable(gab)
     classes = None
     counts = {}  # the count depends on the orders of the images alone
@@ -579,15 +531,12 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
         by_y = {}
         for y, (_, f) in zip(choice, parts):
             by_y[y] = by_y.get(y, 1) * f
-        fact = _trusted(DiscFactorization, ext=ext, factors=tuple(sorted(by_y.items())))
-        assignment = _trusted(RamAssignment, ext=ext, entries=entries)
         orders = tuple(sorted(n for n, _ in parts))
         if orders not in counts:
-            counts[orders] = count_extensions(ext, assignment)
-        count = counts[orders]
+            counts[orders] = count_extensions(ext, orders)
         if classes is None:
             classes = class_orbit_size(ext)
-        witnesses.append(Witness(assignment, fact, count, classes))
+        witnesses.append(Witness(entries, tuple(sorted(by_y.items())), counts[orders], classes))
     # no sort: the survivors come in lexicographic order of the candidates,
     # each sorted, so the witnesses are sorted by their entries
     return Report(bool(witnesses), tuple(witnesses))

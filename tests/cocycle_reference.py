@@ -6,15 +6,31 @@ c(g, h): TableExtension reads the pairing, the lift powers, Y_E and the
 total group off its table, and the generator tables of H^2 (carries and
 bilinear terms) are built entry by entry.  The tests
 compare the closed forms against these on every class they enumerate,
-and on coboundary-shifted copies.
+and on coboundary-shifted copies.  closure is the plain breadth-first
+search that abelian._closure refines.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from lemfact.abelian import AbGroup, Elem, _closure, elem_order
+from lemfact.abelian import AbGroup, Elem, elem_order
 from lemfact.cocycle import Cocycle, _mod_multiples
+
+
+def closure(zero, gens, op) -> frozenset:
+    """All elements reachable from zero by repeatedly applying op(x, g)
+    with g in gens, each element meeting every generator."""
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = op(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
 
 
 class TableExtension:
@@ -85,7 +101,7 @@ class TableExtension:
         return n
 
     def ext_generated(self, gens) -> frozenset:
-        return _closure(self.ext_zero(), list(gens), self.ext_mul)
+        return closure(self.ext_zero(), list(gens), self.ext_mul)
 
 
 def add_tables(a: AbGroup, t1: Cocycle, t2: Cocycle) -> Cocycle:

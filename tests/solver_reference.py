@@ -12,13 +12,37 @@ place, which classify does not test (see its docstring).
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
+from math import gcd
 
-from lemfact.abelian import elem_order
+from lemfact.abelian import Elem, elem_order
 from lemfact.arith import PrimePower, power_residue_char, prime_star
 from lemfact.cocycle import CentralExtension
-from lemfact.solver import BaseFieldData, DiscFactorization, RamAssignment, _assignment_space
+from lemfact.solver import BaseFieldData, RamAssignment, _assignment_space
 
 logger = logging.getLogger("lemfact")
+
+
+@dataclass(frozen=True)
+class DiscFactorization:
+    """Signed coprime discriminant factors d_y indexed by Y_E; factors not
+    listed default to 1."""
+
+    ext: CentralExtension
+    factors: tuple[tuple[Elem, int], ...]  # sorted, d_y != 1 only
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "factors", tuple(sorted((y, d) for y, d in self.factors if d != 1))
+        )
+        vals = [abs(d) for _, d in self.factors]
+        for i, a in enumerate(vals):
+            for b in vals[i + 1 :]:
+                if gcd(a, b) != 1:
+                    raise ValueError("discriminant factors are not coprime")
+        for _, d in self.factors:
+            if d % 4 not in (0, 1):
+                raise ValueError(f"factor {d} is not a discriminant")
 
 
 def factorization_of(assignment: RamAssignment) -> DiscFactorization:
@@ -117,7 +141,7 @@ def has_unramified_lift(ext: CentralExtension, assignment: RamAssignment):
     once per prime, never silently resolved.
     """
     failing = []
-    for p in assignment.primes:
+    for p, _ in assignment.entries:
         direct = frobenius_pairing_sum_direct(ext, assignment, p)
         literal = frobenius_pairing_sum(ext, assignment, p)
         if literal != direct:

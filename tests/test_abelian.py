@@ -23,6 +23,7 @@ from lemfact.abelian import (
     subgroup_generated,
     torsion_count,
 )
+from cocycle_reference import closure
 
 
 def multiple_subgroup(A, n):
@@ -273,6 +274,21 @@ def test_generates_matches_element_set_and_smith_form(moduli, data):
     expected = len(subgroup_generated(g, gens)) == g.order
     assert generates(g, gens) == expected
     assert (smith_subgroup_order(g, gens) == g.order) == expected
+
+
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]), min_size=0, max_size=3),
+    st.data(),
+)
+@settings(max_examples=400)
+def test_subgroup_generated_matches_the_bfs_reference(moduli, data):
+    # the closure skips generators already reached; the reference applies
+    # every generator to every element.  Generators may repeat, be zero or
+    # come unreduced
+    g = AbGroup(tuple(moduli))
+    k = data.draw(st.integers(0, 5))
+    gens = [tuple(data.draw(st.integers(-20, 20)) for _ in moduli) for _ in range(k)]
+    assert subgroup_generated(g, gens) == closure(g.zero(), [g.reduce(x) for x in gens], g.add)
 
 
 @pytest.mark.parametrize(

@@ -249,7 +249,7 @@ def test_criterion_09_dual_frobenius():
     for triple in itertools.combinations(pool3[:6], 3):
         kdata = BaseFieldData(h3, tuple((q, (0, 0, 1)) for q in triple))
         for asg in enumerate_assignments(ext3, h3, kdata):
-            for p in asg.primes:
+            for p, _ in asg.entries:
                 assert frobenius_pairing_sum(ext3, asg, p) == frobenius_pairing_sum_direct(
                     ext3, asg, p
                 )
@@ -276,7 +276,7 @@ def test_criterion_09_dual_frobenius():
             used.add(q)
             entries.append((q, y))
         asg = RamAssignment(ext, tuple(entries))
-        for p in asg.primes:
+        for p, _ in asg.entries:
             assert frobenius_pairing_sum(ext, asg, p) == frobenius_pairing_sum_direct(
                 ext, asg, p
             )

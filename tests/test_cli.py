@@ -510,6 +510,20 @@ def test_classify_malformed_json_exits_2(tmp_path, capsys, ext, kdata, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_classify_oversized_extension_exits_2_at_once(tmp_path, capsys):
+    # the file CI writes: a Gab of 343 elements, whose table of 343^2
+    # entries from_json refuses before it reads the cocycle
+    ext_file = tmp_path / "big.json"
+    ext_file.write_text('{"Gab":[7,7,7],"A":[7],"cocycle":[]}')
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "classify", "--ext", str(ext_file),
+        "--kdata", str(DATA / "heisenberg7_kdata.json"),
+    )
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", "error: cocycle table of 117649 entries exceeds bound 65536\n")
+
+
 def test_classify_composite_exponent_data(capsys):
     # the files CI classifies through the installed script, which also
     # checks the mismatch warning on stderr

@@ -36,6 +36,7 @@ from lemfact.solver import BaseFieldData, Report, Witness, classify
 from cocycle_reference import (
     TableExtension,
     add_tables,
+    closure,
     bilinear_table,
     carry_table,
     coboundary_table,
@@ -557,7 +558,7 @@ def table_report(gab, a, table, h, kdata) -> dict:
         if rest:
             raise ArithmeticError(f"counting formula inconsistency: {numerator}/{denominator}")
         classes = len(enumerate_automorphisms(a)) // stab
-        witnesses.append(Witness(asg, factorization_of(asg), count, classes))
+        witnesses.append(Witness(asg.entries, factorization_of(asg).factors, count, classes))
     return Report(bool(witnesses), tuple(witnesses)).to_json()
 
 
@@ -611,6 +612,39 @@ def test_closed_forms_match_the_table_reference(gab, a):
     assert shifted_differ or gab.order == 2
     # one base field for each admissible pair, classified on both tables
     assert reports == 2 * pairs
+
+
+@pytest.mark.parametrize("gab,a", H2_PAIRS, ids=lambda g: "x".join(map(str, g.moduli)))
+def test_ext_generated_matches_the_bfs_reference(gab, a):
+    # on every class: the order-preserving lifts outside each subgroup, as
+    # is_admissible_pair closes them, and random sets of elements of E
+    rng = random.Random(29)
+    subs = subgroups(gab)
+    for ext in enumerate_central_extensions(gab, a):
+        elements = list(ext.ext_elements())
+        gen_sets = [list(order_preserving_lifts(ext, h)) for h in subs]
+        gen_sets += [rng.choices(elements, k=rng.randint(1, 4)) for _ in range(10)]
+        for gens in gen_sets:
+            assert ext.ext_generated(gens) == closure(ext.ext_zero(), gens, ext.ext_mul)
+
+
+def test_ext_generated_skips_the_generators_it_has_reached(monkeypatch):
+    # Heisenberg 5: the 500 order-preserving lifts outside H generate the
+    # 625 elements of E in fewer than 5 * |E| products, where applying
+    # every lift to every element would take 312,500
+    ext, h = preset("Heisenberg", 5)
+    lifts = list(order_preserving_lifts(ext, h))
+    calls = []
+    ext_mul = CentralExtension.ext_mul
+
+    def counted(self, x, y):
+        calls.append(None)
+        return ext_mul(self, x, y)
+
+    monkeypatch.setattr(CentralExtension, "ext_mul", counted)
+    generated = ext.ext_generated(lifts)
+    assert (len(lifts), len(generated)) == (500, 625)
+    assert len(calls) < 5 * 625
 
 
 def test_aut_stabilizer_order_matches_table_reference():
@@ -771,6 +805,20 @@ def test_json_round_trip():
         back = CentralExtension.from_json(data)
         assert back == ext
         assert back.dumps() == ext.dumps()
+
+
+def test_tables_past_the_bound_raise_at_once():
+    # 343^2 entries > 2^16: nothing lists or reads the table, and from_json
+    # raises on the bound before it looks at the shape of the cocycle
+    ext, _ = preset("Heisenberg", 7)
+    message = "^cocycle table of 117649 entries exceeds bound 65536$"
+    start = time.perf_counter()
+    for run in (lambda: ext.table, ext.to_json, ext.dumps):
+        with pytest.raises(ValueError, match=message):
+            run()
+    with pytest.raises(ValueError, match=message):
+        CentralExtension.from_json({"Gab": [7, 7, 7], "A": [7], "cocycle": []})
+    assert time.perf_counter() - start < 0.1
 
 
 def test_from_json_rejects_bad_tables():
