@@ -150,13 +150,12 @@ class CentralExtension:
         return ((a, g) for a in self.a.elements() for g in self.gab.elements())
 
     def ext_order(self, x) -> int:
-        zero = self.ext_zero()
-        cur = x
-        n = 1
-        while cur != zero:
-            cur = self.ext_mul(cur, x)
-            n += 1
-        return n
+        """|x| for x = (a, g): n times the order in A of n*a +
+        power_class(g), n = |g|, as A is central and x^n is that element
+        of A."""
+        av, g = x
+        n = elem_order(self.gab, g)
+        return n * elem_order(self.a, self.a.add(self.a.smul(n, av), self.power_class(g)))
 
     def ext_generated(self, gens) -> frozenset:
         return _closure(self.ext_zero(), list(gens), self.ext_mul)
@@ -406,13 +405,18 @@ def _aut_counts(ext: CentralExtension) -> tuple[int, int]:
 def order_preserving_lifts(ext: CentralExtension, h_sub: frozenset):
     """Elements x of E with |x| = |pi(x)| and pi(x) outside H: the
     possible inertia generators of an extension unramified over the field
-    cut out by Gab/H."""
-    for x in ext.ext_elements():
-        g = x[1]
-        if g in h_sub:
-            continue
-        if ext.ext_order(x) == elem_order(ext.gab, g):
-            yield x
+    cut out by Gab/H.  In the order of ext_elements: the (a, g) with g
+    outside H and n*a + power_class(g) = 0, n = |g| (ext_order)."""
+    a = ext.a
+    powers = {
+        g: (elem_order(ext.gab, g), ext.power_class(g))
+        for g in ext.gab.elements()
+        if g not in h_sub
+    }
+    for av in a.elements():
+        for g, (n, p) in powers.items():
+            if a.add(a.smul(n, av), p) == a.zero():
+                yield av, g
 
 
 def is_admissible_pair(ext: CentralExtension, h_sub: frozenset):

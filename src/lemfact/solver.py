@@ -5,7 +5,8 @@ An assignment maps each ramified odd prime q to an inertia image y_q in
 Y_E; a witness holds it with its signed coprime discriminant
 factorization {d_y}, both as sorted tuples.  The general engine is
 restricted to tame odd ramification: every q must be coprime to
-2 * |Gab| * |A|.
+2 * |Gab| * |A|.  The lift test reads one character per ordered pair of
+primes (p, q), the discrete log of p mod q, whatever the images at q.
 """
 
 from __future__ import annotations
@@ -211,61 +212,49 @@ def _assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldD
     return primes, tuple(candidates), choices
 
 
-@lru_cache(maxsize=1 << 10)
-def _candidate_orders(gab: AbGroup, candidates: tuple) -> tuple:
-    """Per prime, the distinct orders of its candidates, ascending."""
-    # memoised: the calls over one extension share few candidate tuples
-    return tuple(tuple(sorted({elem_order(gab, y) for y in cands})) for cands in candidates)
-
-
-def _character_keys(gab: AbGroup, qs, candidates) -> list:
-    """The (p, q, n) of the lift test's characters, in their order: for
-    each pair of primes p = p_i, q = p_j with i != j, each order n of the
-    candidates of q_j, ascending."""
-    orders = _candidate_orders(gab, candidates)
-    return [
-        (p, q, n)
-        for i, p in enumerate(qs)
-        for j, (q, oj) in enumerate(zip(qs, orders))
-        if j != i
-        for n in oj
-    ]
-
-
-def _characters(gab: AbGroup, qs, candidates) -> tuple:
-    """The characters of the lift test, flat: for each (p, q, n) of
-    _character_keys, the character of p at q^(n-1) mod n.  The test
-    depends on the candidates and these alone."""
-    # one pass, in the order of _character_keys, without its key list
-    orders = _candidate_orders(gab, candidates)
+def _characters(e: int, qs) -> tuple:
+    """The characters of the lift test, flat: for each ordered pair of
+    primes p = p_i, q = p_j with i != j, row-major, the character
+    L(p, q) of p at q mod gcd(q - 1, e), e = exp(Gab): the discrete log
+    of p mod q, read mod the largest order an image at q can have.  The
+    test depends on the candidates and these alone."""
     return tuple([
-        _power_residue_char(p, q, n - 1, n)
+        _power_residue_char(p, q, 1, gcd(q - 1, e))
         for i, p in enumerate(qs)
-        for j, (q, oj) in enumerate(zip(qs, orders))
+        for j, q in enumerate(qs)
         if j != i
-        for n in oj
     ])
 
 
-def _log_character_mismatches(ext: CentralExtension, keys, chars) -> None:
-    """Log each character of the lift test whose literal value, mod
-    exp(A), differs from the direct one in what a pairing term reads.
+def _log_character_mismatches(ext: CentralExtension, qs, candidates, chars) -> None:
+    """Log each character of the lift test whose literal value, the
+    character of p at q^(n-1) mod exp(A), differs from the direct one,
+    L(p, q) mod n, in what a pairing term reads: for each pair p != q,
+    in the order of _characters, and each order n of the candidates of
+    q, ascending.
 
     A term <y_q, y_p> with |y_q| = n is killed by n and by exp(A), so it
     reads a character mod gcd(n, exp(A)) only; the test decides with the
     direct one."""
     e = ext.a.exponent
-    for (p, q, n), direct in zip(keys, chars):
-        literal = _power_residue_char(p, q, n - 1, e)
-        if (literal - direct) % gcd(n, e):
-            logger.warning(
-                "character scaling mismatch at p=%d: q=%d |y|=%d literal %d vs direct %d",
-                p,
-                q,
-                n,
-                literal,
-                direct,
-            )
+    chars = iter(chars)
+    for i, p in enumerate(qs):
+        for j, (q, cands) in enumerate(zip(qs, candidates)):
+            if j == i:
+                continue
+            char = next(chars)
+            for n in sorted({elem_order(ext.gab, y) for y in cands}):
+                direct = char % n
+                literal = _power_residue_char(p, q, n - 1, e)
+                if (literal - direct) % gcd(n, e):
+                    logger.warning(
+                        "character scaling mismatch at p=%d: q=%d |y|=%d literal %d vs direct %d",
+                        p,
+                        q,
+                        n,
+                        literal,
+                        direct,
+                    )
 
 
 @lru_cache(maxsize=1 << 10)
@@ -316,28 +305,28 @@ def _packed_pairing(ext: CentralExtension, union: frozenset, width: int) -> Mapp
 
 def _lift_solutions(ext: CentralExtension, candidates, chars):
     """The choices (one candidate per prime, in lexicographic order) that
-    pass the Frobenius-sum test, given the characters of _characters: at
-    each prime p_i, the sum over j != i of the character of p_i at q_j
-    times <y_j, y_i> vanishes.
+    pass the Frobenius-sum test, given the characters L of _characters: at
+    each prime p_i, the sum over j != i of L(p_i, q_j) times <y_j, y_i>
+    vanishes.  L is read mod gcd(q_j - 1, exp(Gab)), which |y_j| divides,
+    and |y_j| kills <y_j, y_i>, so each term is the paper's.
 
-    The pairing is bilinear, so every term k * <y_q, y_p> is read from
+    The pairing is bilinear, so every term L * <y_q, y_p> is read from
     tables built here on the pairing of the candidate images, packed for
     this call's field layout.  That pairing table depends on nothing
     else, so _packed_pairing memoises it on (extension, candidate images,
     layout); the layout is in the key because its width grows with the
     number of primes.  The test is solved for the last prime:
     once y_1 .. y_{n-1} are fixed, the sum at p_i (i < n) vanishes exactly
-    when its last term k * <y_n, y_i> cancels the fixed ones.  So each
+    when its last term L * <y_n, y_i> cancels the fixed ones.  So each
     prefix looks up, per i < n, the last prime's candidates giving that
     term, and tests the sum at p_n on the few left.
     """
-    gab, a = ext.gab, ext.a
+    a = ext.a
     n = len(candidates)
     union = set().union(*candidates)
-    orders = [[elem_order(gab, y) for y in cands] for cands in candidates]
     # an element of A as one integer, coordinate t in bits [t*width, ...),
-    # wide enough that no sum of n terms k * <y, z> with k < |y| carries
-    width = (n * max(map(max, orders)) * a.exponent).bit_length()
+    # wide enough that no sum of n terms L * <y, z> with L < exp(Gab) carries
+    width = (n * ext.gab.exponent * a.exponent).bit_length()
     fields = [(t * width, m) for t, m in enumerate(a.moduli)]
     low = (1 << width) - 1
 
@@ -346,26 +335,17 @@ def _lift_solutions(ext: CentralExtension, candidates, chars):
         return sum((sign * ((v >> s) & low) % m) << s for s, m in fields)
 
     pairing = _packed_pairing(ext, frozenset(union), width)
-    # k[i][j][c]: the character of p_i at the order of y, the c-th candidate
-    # of prime j, read off chars in its order; zero at j = i, where the
-    # pairing vanishes.  zip takes from chars only while orders are left.
+    # w[i][b][j][c]: L(p_i, q_j) * <y, z>, unreduced, with y the c-th
+    # candidate of prime j and z the b-th candidate of prime i; zero at
+    # j = i, where the pairing vanishes
     chars = iter(chars)
-    k = [
-        [
-            [0] * len(oj) if j == i else list(map(dict(zip(sorted(set(oj)), chars)).get, oj))
-            for j, oj in enumerate(orders)
-        ]
-        for i in range(n)
-    ]
-    # w[i][b][j][c]: k[i][j][c] * <y, z>, unreduced, with y the c-th
-    # candidate of prime j and z the b-th candidate of prime i
-    w = [
-        [
-            [[kc * pairing[y, z] for kc, y in zip(kj, cands)] for kj, cands in zip(ki, candidates)]
+    w = []
+    for i, zs in enumerate(candidates):
+        row = [0 if j == i else next(chars) for j in range(n)]
+        w.append([
+            [[char * pairing[y, z] for y in cands] for char, cands in zip(row, candidates)]
             for z in zs
-        ]
-        for ki, zs in zip(k, candidates)
-    ]
+        ])
     last = n - 1
     # hits[i][b]: the last prime's term at p_i, reduced -> bitmask of the
     # last prime's candidates giving it, for the b-th candidate of p_i
@@ -481,22 +461,24 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     such triple, ext being keyed by its class, so that cohomologous
     extensions share it: the base-field checks that read no prime
     (BaseFieldData.validate, _image_orders), each prime's candidates,
-    memoised on its coset and (q - 1) mod exp(Gab) (_coset_candidates),
-    and their orders (_candidate_orders).  Each call runs what reads its
-    primes: the per-prime checks, the characters and the witnesses.
+    memoised on its coset and (q - 1) mod exp(Gab) (_coset_candidates).
+    Each call runs what reads its primes: the per-prime checks, the
+    characters and the witnesses.
 
     The lift test is solved for the last prime (_lift_solutions), and
     only its solutions are tested for generating Gab, by the AND of
     their images' maximal-subgroup masks (_lift_survivors); it decides
     exactly as the per-assignment reference in the tests.  Each call
-    computes the direct characters; the survivors are memoised on them
-    and the candidates (_lift_survivors).  When exp(A) is composite, each
+    computes one character per ordered pair of primes, whatever the
+    images (_characters); the survivors are memoised on these and the
+    candidates (_lift_survivors).  When exp(A) is composite, each
     character whose literal value mod exp(A) differs from the direct one
     where a pairing term reads it is logged as a warning, once per call
-    (_log_character_mismatches).  Assignments, factorizations and
-    counts are built for witnesses only, from a per-call table of each
-    (prime, candidate) entry's order |y| and factor (q*)^(|y|-1), filled
-    on first use.  h_sub must be the H of kdata.
+    and order of the candidates at q (_log_character_mismatches).
+    Assignments, factorizations and counts are built for witnesses only,
+    from a per-call table of each (prime, candidate) entry's order |y|
+    and factor (q*)^(|y|-1), filled on first use.  h_sub must be the H
+    of kdata.
     """
     primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
     qs = [q for q, _ in primes]
@@ -514,12 +496,12 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
         return Report(False)
     if not candidates:
         return Report(False)
-    chars = _characters(gab, qs, candidates)
+    chars = _characters(gab.exponent, qs)
     if not is_prime(ext.a.exponent):
         # no literal characters for a prime exp(A) = l: a term reads them
         # mod gcd(n, l), and when l divides n, n divides q - 1, so both
         # reduce to the discrete log of p mod l and agree
-        _log_character_mismatches(ext, _character_keys(gab, qs, candidates), chars)
+        _log_character_mismatches(ext, qs, candidates, chars)
     survivors = _lift_survivors(ext, candidates, chars)
     table = _EntryTable(gab)
     classes = None

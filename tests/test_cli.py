@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import time
 from pathlib import Path
 
@@ -534,6 +535,23 @@ def test_classify_composite_exponent_data(capsys):
     assert code == 0
     assert out == (DATA / "composite_exponent_classify.txt").read_text()
     assert out.count("\nwitness ") == 4
+
+
+def test_classify_mixed_orders_data(capsys, caplog):
+    # the files CI classifies through the installed script, whose stderr
+    # holds the warnings: two primes whose candidates have orders 2 and 4,
+    # and a prime 3 mod 4 whose order-2 characters mismatch their literal
+    # mod-4 values
+    with caplog.at_level(logging.WARNING, logger="lemfact"):
+        code, out, _ = run(
+            capsys, "classify", "--ext", str(DATA / "mixed_orders_extension.json"),
+            "--kdata", str(DATA / "mixed_orders_kdata.json"),
+        )
+    assert code == 0
+    assert out == (DATA / "mixed_orders_classify.txt").read_text()
+    warnings = [r.getMessage() + "\n" for r in caplog.records]
+    assert "".join(warnings) == (DATA / "mixed_orders_classify.err").read_text()
+    assert out.count("\nwitness ") == 8 and len(warnings) == 3
 
 
 def test_classify_heisenberg7_data(capsys):

@@ -614,6 +614,35 @@ def test_closed_forms_match_the_table_reference(gab, a):
     assert reports == 2 * pairs
 
 
+def assert_orders_and_lifts_match_the_walk(ext, subs) -> int:
+    """Check, on every element of E, the closed-form order against the
+    repeated ext_mul walk on the canonical table, and the order-preserving
+    lifts outside each subgroup in subs against the elements the walk
+    keeps, in the order of ext_elements.  Returns |E|."""
+    gab = ext.gab
+    ref = TableExtension(gab, ext.a, ext.table)
+    orders = {x: ref.ext_order(x) for x in ref.ext_elements()}
+    assert {x: ext.ext_order(x) for x in ext.ext_elements()} == orders
+    for h in subs:
+        expected = [x for x, n in orders.items() if x[1] not in h and n == elem_order(gab, x[1])]
+        assert list(order_preserving_lifts(ext, h)) == expected
+    return len(orders)
+
+
+@pytest.mark.parametrize("gab,a", H2_PAIRS, ids=lambda g: "x".join(map(str, g.moduli)))
+def test_ext_order_and_lifts_match_the_table_walk(gab, a):
+    subs = subgroups(gab)
+    for ext in enumerate_central_extensions(gab, a):
+        assert_orders_and_lifts_match_the_walk(ext, subs)
+
+
+def test_ext_order_and_lifts_match_the_table_walk_heisenberg5():
+    ext, h = preset("Heisenberg", 5)
+    gab = ext.gab
+    subs = [h, frozenset({gab.zero()}), subgroup_generated(gab, [(0, 0, 1)])]
+    assert assert_orders_and_lifts_match_the_walk(ext, subs) == 625
+
+
 @pytest.mark.parametrize("gab,a", H2_PAIRS, ids=lambda g: "x".join(map(str, g.moduli)))
 def test_ext_generated_matches_the_bfs_reference(gab, a):
     # on every class: the order-preserving lifts outside each subgroup, as

@@ -3,7 +3,7 @@ import json
 import logging
 import random
 import time
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -36,7 +36,6 @@ from lemfact.solver import (
     Report,
     Witness,
     _assignment_space,
-    _character_keys,
     _characters,
     _coset_candidates,
     _image_orders,
@@ -255,7 +254,7 @@ def test_infinite_place_holds_on_every_lift_survivor():
             if not candidates:
                 continue
             qs = [q for q, _ in primes]
-            for choice in _lift_survivors(ext, candidates, _characters(gab, qs, candidates)):
+            for choice in _lift_survivors(ext, candidates, _characters(gab.exponent, qs)):
                 asg = RamAssignment(ext, tuple(zip(qs, choice)))
                 fact = factorization_of(asg)
                 assert infinite_place_ok(ext, fact), asg.entries
@@ -701,7 +700,7 @@ def test_classify_memo_hit_names_its_own_primes(d4):
     for d in (205, 305):
         kdata = c4_kdata(ext, h, d)
         primes, candidates, _ = _assignment_space(ext, h, kdata)
-        keys.append((candidates, _characters(ext.gab, [q for q, _ in primes], candidates)))
+        keys.append((candidates, _characters(ext.gab.exponent, [q for q, _ in primes])))
         reports.append(classify(ext, h, kdata))
     assert keys[0] == keys[1]
     hits = _lift_survivors.cache_info().hits
@@ -879,6 +878,111 @@ def test_classify_decides_without_the_reference(monkeypatch):
     assert [classify(*f).to_json() for f in fields] == expected
 
 
+def mixed_orders_case():
+    """The extension and base field of tests/data/mixed_orders_*.json: the
+    class of composite_exponent_extension with H = <(1, 0)>, image (0, 2)
+    at 53, 17 and 23, and (0, 1) at 149.  53 and 17 are 1 mod 4, so their
+    candidates have orders 2 and 4; 23 is 3 mod 4, so its candidates have
+    order 2 and their literal characters mod 4 are twice the direct ones."""
+    ext, _ = composite_exponent_extension()
+    h = subgroup_generated(ext.gab, [(1, 0)])
+    images = ((0, 2), (0, 2), (0, 2), (0, 1))
+    return ext, h, BaseFieldData(h, tuple(zip((53, 17, 23, 149), images)))
+
+
+def test_mixed_orders_data_files():
+    # the files CI and test_cli classify; the extension file holds the
+    # cocycle -g_1 h_0, cohomologous to g_0 h_1 but not equal to it
+    ext, h, kdata = mixed_orders_case()
+    data = Path(__file__).parent / "data"
+    with open(data / "mixed_orders_extension.json") as fh:
+        loaded = json.load(fh)
+    assert loaded != ext.to_json()
+    assert CentralExtension.from_json(loaded) == ext
+    with open(data / "mixed_orders_kdata.json") as fh:
+        assert BaseFieldData.from_json(json.load(fh), ext) == kdata
+    candidates = _assignment_space(ext, h, kdata)[1]
+    orders = [sorted({elem_order(ext.gab, y) for y in c}) for c in candidates]
+    assert orders == [[2, 4], [2], [2, 4], [4]]
+    # a witness with an order-2 image at a prime whose candidates have
+    # both orders
+    rep = assert_matches_reference(ext, h, kdata)
+    assert any(w["assignment"]["17"] == [2, 2] for w in rep["witnesses"])
+
+
+def test_cold_classify_makes_one_character_call_per_pair_of_primes(monkeypatch):
+    # from cold memos, on two primes whose candidates have orders 2 and 4
+    # and two whose candidates have one order: n primes make n(n - 1)
+    # direct calls, each keyed on the pair and gcd(q - 1, exp(Gab)) alone
+    ext, h, kdata = mixed_orders_case()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return arith._power_residue_char(*args)
+
+    monkeypatch.setattr(solver, "_power_residue_char", counted)
+    # exp(A) = 4 is composite: the mismatch log reads literal characters
+    monkeypatch.setattr(solver, "_log_character_mismatches", lambda *args: None)
+    for memo in (arith._power_residue_char, _image_orders, _coset_candidates, _lift_survivors):
+        memo.cache_clear()
+    assert classify(ext, h, kdata).exists
+    qs = sorted(q for q, _ in kdata.primes)
+    assert calls == [(p, q, 1, gcd(q - 1, 4)) for p in qs for q in qs if q != p]
+    assert len(calls) == 4 * 3
+
+
+def mixed_orders_fields():
+    """(extension, H, base field data) of 300 random base fields over
+    Gab = C4 x C4 with H = <(1, 0)>, spread over every admissible class
+    with A = C4 and with A = C2: image (0, 2) at a prime 1 mod 4, where the
+    candidates can have orders 2 and 4, and (0, 1) at two more.
+    The primes lie below 128, so that the reference can factor every d_y."""
+    gab = AbGroup((4, 4))
+    h = subgroup_generated(gab, [(1, 0)])
+    classes = [
+        e
+        for a in (AbGroup((4,)), AbGroup((2,)))
+        for e in enumerate_central_extensions(gab, a)
+        if is_admissible_pair(e, h)[0]
+    ]
+    pool = [q for q in range(5, 128) if is_prime(q) and q % 4 == 1]
+    rng = random.Random(25)
+    for i in range(300):
+        ext = classes[i % len(classes)]
+        images = ((0, 2), (0, 1), (0, 1))
+        yield ext, h, BaseFieldData(h, tuple(zip(rng.sample(pool, 3), images)))
+
+
+def test_classify_matches_reference_on_mixed_candidate_orders():
+    two_orders = with_witnesses = 0
+    for ext, h, kdata in mixed_orders_fields():
+        candidates = _assignment_space(ext, h, kdata)[1]
+        two_orders += any(len({elem_order(ext.gab, y) for y in c}) == 2 for c in candidates)
+        with_witnesses += assert_matches_reference(ext, h, kdata)["exists"]
+    assert two_orders > 200 and with_witnesses > 80
+
+
+def test_direct_character_is_the_pair_character_mod_the_order():
+    # _power_residue_char(p, q, n - 1, n), the character of p at q^(n-1)
+    # mod n, is L(p, q) = the discrete log of p mod q, read mod any
+    # multiple m of n dividing q - 1
+    rng = random.Random(2025)
+    pool = [q for q in range(3, 2000) if is_prime(q)]
+    checked = 0
+    for _ in range(400):
+        p, q = rng.sample(pool, 2)
+        divisors = [n for n in range(2, 13) if (q - 1) % n == 0]
+        if not divisors:
+            continue
+        n = rng.choice(divisors)
+        m = n * rng.choice([k for k in range(1, 13) if (q - 1) % (n * k) == 0])
+        char = arith._power_residue_char.__wrapped__(p, q, 1, m)
+        assert arith._power_residue_char.__wrapped__(p, q, n - 1, n) == char % n, (p, q, n, m)
+        checked += 1
+    assert checked > 300
+
+
 def test_classify_logs_nothing_for_a_prime_exponent(caplog, monkeypatch, d4, heis3):
     heis5 = preset("Heisenberg", 5)
     h8 = preset("H8_pair", None)
@@ -904,10 +1008,11 @@ def test_classify_logs_nothing_for_a_prime_exponent(caplog, monkeypatch, d4, hei
     for ext, h, kdata in cases:
         calls.clear()
         assert logged(caplog, classify, ext, h, kdata) == []
-        # the direct characters only: no literal one
+        # the direct characters only, no literal one: one per ordered pair
+        # of primes, whatever the candidates
         qs = sorted(q for q, _ in kdata.primes)
-        candidates = _assignment_space(ext, h, kdata)[1]
-        assert len(calls) == len(_character_keys(ext.gab, qs, candidates)) > 0
+        e = ext.gab.exponent
+        assert calls == [(p, q, 1, gcd(q - 1, e)) for p in qs for q in qs if q != p]
 
 
 def test_classify_raises_as_reference_on_bad_primes(heis3):
@@ -963,7 +1068,7 @@ def test_lift_solutions_match_reference_on_every_choice(heis3, primes):
         c for c in choices if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
     ]
     assert expected
-    chars = _characters(ext.gab, primes, candidates)
+    chars = _characters(ext.gab.exponent, primes)
     assert list(_lift_solutions(ext, candidates, chars)) == expected
 
 
@@ -982,7 +1087,7 @@ def test_lift_solutions_two_coordinate_a_with_order_9_images():
             for c in itertools.product(*candidates)
             if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
         ]
-        chars = _characters(gab, primes, candidates)
+        chars = _characters(gab.exponent, primes)
         assert list(_lift_solutions(ext, candidates, chars)) == expected
         passing += len(expected)
     assert 0 < passing < 3 * 9**3
@@ -1012,7 +1117,7 @@ def test_packed_pairing_is_keyed_on_the_layout(heis3):
             if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
         ]
         assert expected
-        chars = _characters(gab, primes, candidates)
+        chars = _characters(gab.exponent, primes)
         assert list(_lift_solutions(ext, candidates, chars)) == expected
 
 
