@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from multiprocessing import Pool
 
 from . import arith, oracle
@@ -30,13 +32,12 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(report_json: dict, text_lines, fmt: str, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(report_json: dict, text_lines, fmt: str):
     if fmt == "json":
-        print(_canonical(report_json), file=out)
+        print(_canonical(report_json))
     else:
         for line in text_lines:
-            print(line, file=out)
+            print(line)
 
 
 def _parse_ext(spec: str):
@@ -120,25 +121,38 @@ _SURVEY_COLUMNS = (
     "count_per_witness", "oracle_two_rank", "oracle_four_rank", "redei_rank",
 )
 
-# the rows a --jobs worker takes at a time (pool.map's chunksize)
-_SURVEY_CHUNK = 64
+# --jobs starts at most one window per _SURVEY_WINDOW integers of the
+# range, so a range that fits in one runs in the calling process
+_SURVEY_WINDOW = 256
 
 
-def _survey_row(task):
-    """One survey row, a tuple in _SURVEY_COLUMNS order."""
-    d, parts, criterion, with_oracle, ranks = task
-    crit = c4_from_parts(parts) if criterion == "c4" else h8_from_parts(parts)
-    # for a fundamental d, omega(d) is the number of prime discriminants
-    omega = len(parts)
-    two_rank = four_rank = redei_rank = ""
-    if with_oracle:
-        redei_rank = oracle.redei_rank(d)
-        if d < 0:
-            two_rank, four_rank = ranks
-    return (
-        d, omega, omega, crit.exists, len(crit.witnesses),
-        crit.count_per_witness, two_rank, four_rank, redei_rank,
-    )
+def _survey_window(window) -> str:
+    """The survey rows of the d in [a, b), as CSV (no header) or JSON text."""
+    a, b, criterion, with_oracle, fmt = window
+    # the oracle sweep of the negative part runs before any row, so its
+    # bound error comes first
+    ranks = oracle.rank_sweep(a, min(b, 0)) if with_oracle and a < 0 else {}
+    from_parts = c4_from_parts if criterion == "c4" else h8_from_parts
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for d, parts in arith.fundamental_discriminants(a, b):
+        crit = from_parts(parts)
+        # for a fundamental d, omega(d) is the number of prime discriminants
+        omega = len(parts)
+        two_rank = four_rank = redei_rank = ""
+        if with_oracle:
+            redei_rank = oracle.redei_rank(d)
+            if d < 0:
+                two_rank, four_rank = ranks[d]
+        row = (
+            d, omega, omega, crit.exists, len(crit.witnesses),
+            crit.count_per_witness, two_rank, four_rank, redei_rank,
+        )
+        if fmt == "json":
+            buf.write(_canonical(dict(zip(_SURVEY_COLUMNS, row))) + "\n")
+        else:
+            writer.writerow(row)
+    return buf.getvalue()
 
 
 def cmd_survey(args) -> int:
@@ -151,40 +165,22 @@ def cmd_survey(args) -> int:
         raise ValueError(f"empty-or-reversed range {args.range!r}")
     if max(abs(lo), abs(hi)) > arith.max_disc():
         raise ValueError("range exceeds the discriminant bound")
-    # one oracle sweep for the negative part of the range, before any
-    # row (its bound error comes first), then one sieve for the whole
-    # range: the ranks and prime discriminants ride along in the tasks,
-    # so --jobs parallelizes only the criterion rows
-    ranks = {}
-    if args.oracle and lo < 0:
-        ranks = oracle.rank_sweep(lo, min(hi, -1) + 1)
-    tasks = [
-        (d, parts, args.criterion, args.oracle, ranks.get(d))
-        for d, parts in arith.fundamental_discriminants(lo, hi + 1)
-    ]
-    # no more workers than chunks of _SURVEY_CHUNK rows, and none for one
-    # chunk; pool.map keeps the row order
-    workers = min(args.jobs, -(-len(tasks) // _SURVEY_CHUNK))
-    if workers > 1:
-        with Pool(workers) as pool:
-            rows = pool.map(_survey_row, tasks, chunksize=_SURVEY_CHUNK)
+    # n windows of equal width, at most one per job and per _SURVEY_WINDOW
+    # discriminants; imap keeps their order, so the first error in range
+    # order is the one raised, and leaving the pool stops the other workers
+    width = hi - lo + 1
+    n = min(args.jobs, -(-width // _SURVEY_WINDOW))
+    cuts = [lo + k * width // n for k in range(n + 1)]
+    windows = [(a, b, args.criterion, args.oracle, args.format) for a, b in zip(cuts, cuts[1:])]
+    if n > 1:
+        with Pool(n) as pool:
+            text = "".join(pool.imap(_survey_window, windows))
     else:
-        rows = [_survey_row(t) for t in tasks]
-
-    def write(out):
-        if args.format == "json":
-            for row in rows:
-                print(_canonical(dict(zip(_SURVEY_COLUMNS, row))), file=out)
-        else:
-            writer = csv.writer(out)
-            writer.writerow(_SURVEY_COLUMNS)
-            writer.writerows(rows)
-
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+        text = _survey_window(windows[0])
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as out:
+        if args.format != "json":
+            csv.writer(out).writerow(_SURVEY_COLUMNS)
+        out.write(text)
     return 0
 
 

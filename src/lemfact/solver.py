@@ -129,12 +129,6 @@ def primes_from_json(data) -> tuple[tuple[int, Elem], ...]:
 
 
 @lru_cache(maxsize=1 << 10)
-def _is_subgroup(gab: AbGroup, h_sub: frozenset) -> bool:
-    # memoised: every classify call over one base field checks the same H
-    return is_subgroup(gab, h_sub)
-
-
-@lru_cache(maxsize=1 << 10)
 def _image_orders(ext: CentralExtension, h_sub: frozenset, images: tuple) -> MappingProxyType:
     """g -> the order of g + H in Gab/H, for the distinct inertia images
     of a base field (1 exactly for g in H), after the checks of
@@ -143,7 +137,7 @@ def _image_orders(ext: CentralExtension, h_sub: frozenset, images: tuple) -> Map
     # memoised: the base fields over one H share few image tuples; a check
     # that raises caches nothing
     gab = ext.gab
-    if not _is_subgroup(gab, h_sub):
+    if not is_subgroup(gab, h_sub):
         raise ValueError("H is not a subgroup of Gab")
     if not images:
         raise ValueError("base field data needs at least one ramified prime")

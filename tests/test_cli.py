@@ -229,9 +229,11 @@ def test_survey_oracle_jobs_byte_identical(capsys):
 
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records the worker count asked
-    for and maps in this process, so no process starts."""
+    for and the windows, and maps them lazily and in order in this
+    process, so no process starts."""
 
     sizes = []
+    windows = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -242,38 +244,65 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize):
-        assert chunksize == cli._SURVEY_CHUNK
-        return [fn(t) for t in tasks]
+    def imap(self, fn, windows):
+        for window in windows:
+            self.windows.append(window)
+            yield fn(window)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "windows", [])
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    return RecordingPool
 
 
 @pytest.mark.parametrize(
     "jobs,lo,hi,workers",
     [
-        ("5000", -20, -3, []),  # 8 rows: one chunk, run in-process
-        ("5000", -300, -3, [2]),  # 94 rows: 2 chunks
-        ("5000", -3000, 3000, [29]),  # 1,820 rows: 29 chunks
+        ("5000", -20, -3, []),  # 18 integers: one window, run in-process
+        ("5000", -300, -3, [2]),  # 298 integers: 2 windows
+        ("5000", -3000, 3000, [24]),  # 6,001 integers: 24 windows
         ("3", -3000, 3000, [3]),
         ("1", -3000, 3000, []),
+        ("2", -3000, 3000, [2]),
     ],
 )
-def test_survey_jobs_capped_by_chunks(capsys, monkeypatch, jobs, lo, hi, workers):
+def test_survey_jobs_capped_by_chunks(capsys, recording_pool, jobs, lo, hi, workers):
+    # the chunks are the windows: at most one per cli._SURVEY_WINDOW integers
     argv = ("survey", f"--range={lo}..{hi}", "--criterion", "h8")
-    _, seq, _ = run(capsys, *argv)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    code, seq, _ = run(capsys, *argv)
+    assert code == 0 and recording_pool.sizes == []
     code, par, _ = run(capsys, "--jobs", jobs, *argv)
     assert code == 0 and par == seq
-    assert RecordingPool.sizes == workers
+    assert recording_pool.sizes == workers
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("criterion,with_oracle", [("h8", False), ("c4", True)])
+def test_survey_windows_match_one_run(capsys, recording_pool, fmt, criterion, with_oracle):
+    # the range crosses 0, and the windows of --jobs 2, 3 and 7 start at
+    # every residue mod 4
+    argv = ["--format", fmt, "survey", "--range=-1201..1500", "--criterion", criterion]
+    argv += ["--oracle"] * with_oracle
+    code, seq, err = run(capsys, "--jobs", "1", *argv)
+    assert (code, err) == (0, "") and seq.count("\n") > 800
+    for jobs in (2, 3, 7):
+        assert run(capsys, "--jobs", str(jobs), *argv) == (0, seq, "")
+    assert recording_pool.sizes == [2, 3, 7]
+    starts = [w[0] for w in recording_pool.windows]
+    assert len(starts) == 12 and starts.count(-1201) == 3
+    assert {a % 4 for a in starts} == {0, 1, 2, 3}
 
 
 def test_survey_oracle_bound_fails_before_rows(capsys, monkeypatch):
     monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
 
-    def no_rows(task):
-        raise AssertionError(f"row for {task[0]} computed past the oracle bound")
+    def no_rows(parts):
+        raise AssertionError(f"row for {parts} computed past the oracle bound")
 
-    monkeypatch.setattr(cli, "_survey_row", no_rows)
+    monkeypatch.setattr(cli, "c4_from_parts", no_rows)
     lo, hi = -1000050, -3
     first = next(d for d in range(lo, hi + 1) if is_fundamental_discriminant(d))
     start = time.perf_counter()
@@ -287,13 +316,25 @@ def test_survey_oracle_bound_fails_before_rows(capsys, monkeypatch):
     assert err == f"error: |{first}| exceeds oracle bound 1000000\n"
 
 
+def test_survey_oracle_bound_fails_in_two_processes(capsys):
+    # a real pool: the first window raises at once, and leaving the pool
+    # stops the worker still sweeping the second
+    argv = ("--max-disc", "2000000", "survey", "--range=-1000050..-3", "--criterion", "c4",
+            "--oracle")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--jobs", "2", *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err == run(capsys, "--jobs", "1", *argv)[2]
+
+
 def test_survey_bound_fails_before_rows(capsys, monkeypatch):
     monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
 
-    def no_rows(task):
-        raise AssertionError(f"row for {task[0]} computed past the bound")
+    def no_rows(parts):
+        raise AssertionError(f"row for {parts} computed past the bound")
 
-    monkeypatch.setattr(cli, "_survey_row", no_rows)
+    monkeypatch.setattr(cli, "h8_from_parts", no_rows)
     code, out, err = run(
         capsys, "--max-disc", "1000", "survey", "--range=3..2000", "--criterion", "h8"
     )

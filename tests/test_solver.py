@@ -39,7 +39,6 @@ from lemfact.solver import (
     _characters,
     _coset_candidates,
     _image_orders,
-    _is_subgroup,
     _lift_solutions,
     _lift_survivors,
     _maximal_masks,
@@ -563,7 +562,7 @@ def test_classify_computes_no_rank_per_solution(monkeypatch):
 
     rank_mod = abelian._rank_mod
     monkeypatch.setattr(abelian, "_rank_mod", counted)
-    for memo in (abelian._generates, _is_subgroup, _image_orders, _coset_candidates,
+    for memo in (abelian._generates, _image_orders, _coset_candidates,
                  _lift_survivors, _maximal_masks, _packed_pairing):
         memo.cache_clear()
     rep = classify(ext, h, kdata)
