@@ -125,15 +125,16 @@ class CentralExtension:
         coefs += [n * yi // m for yi, m in zip(y, self.gab.moduli)]
         return self._combine(coefs)
 
+    def in_y_set(self, y: Elem) -> bool:
+        """Whether y lies in Y_E: its cyclic restriction class vanishes,
+        i.e. power_class(y) lies in |y|*A."""
+        n = elem_order(self.gab, y)
+        return _mod_multiples(self.a, n, self.power_class(y)) == self.a.zero()
+
     def y_set(self) -> frozenset:
-        """Y_E: elements whose cyclic restriction class vanishes, i.e.
-        power_class(y) lies in |y|*A."""
+        """Y_E, the elements y with in_y_set(y)."""
         if self._ye is None:
-            zero = self.a.zero()
-            self._ye = frozenset(
-                y for y in self.gab.elements()
-                if _mod_multiples(self.a, elem_order(self.gab, y), self.power_class(y)) == zero
-            )
+            self._ye = frozenset(filter(self.in_y_set, self.gab.elements()))
         return self._ye
 
     # --- total group -------------------------------------------------

@@ -43,7 +43,7 @@ from .cocycle import (
 
 logger = logging.getLogger("lemfact")
 
-DEFAULT_ASSIGNMENT_BOUND = 10**6
+DEFAULT_ASSIGNMENT_BOUND = 10**6  # lift-test prefixes: choices of all primes but the last
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,14 @@ def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
 def _coset_candidates(ext: CentralExtension, h_sub: frozenset, g: Elem, r: int):
     """The y in Y_E outside H, congruent to g mod H, with |y| dividing r,
     sorted: the candidates of a prime q with q - 1 = r mod exp(Gab), as
-    every |y| divides exp(Gab)."""
+    every |y| divides exp(Gab).  Only the coset g + H is read, not Gab."""
     # memoised: the primes of every base field over one H share few cosets
     # and residues
     gab = ext.gab
     return tuple(
         y
-        for y in sorted(ext.y_set())
-        if y not in h_sub and gab.sub(y, g) in h_sub and r % elem_order(gab, y) == 0
+        for y in sorted({gab.add(g, x) for x in h_sub})
+        if y not in h_sub and r % elem_order(gab, y) == 0 and ext.in_y_set(y)
     )
 
 
@@ -199,9 +199,9 @@ def _assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldD
         if not cands:
             return primes, (), iter(())
         candidates.append(cands)
-    total = prod(map(len, candidates))
-    if total > DEFAULT_ASSIGNMENT_BOUND:
-        raise ValueError(f"{total} candidate assignments exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
+    prefixes = prod(map(len, candidates[:-1]))
+    if prefixes > DEFAULT_ASSIGNMENT_BOUND:
+        raise ValueError(f"{prefixes} lift-test prefixes exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
     choices = (c for c in itertools.product(*candidates) if generates(gab, c))
     return primes, tuple(candidates), choices
 
@@ -253,23 +253,21 @@ def _log_character_mismatches(ext: CentralExtension, qs, candidates, chars) -> N
 
 @lru_cache(maxsize=1 << 10)
 def _lift_survivors(ext: CentralExtension, candidates, chars) -> tuple:
-    """The choices that pass the lift test and generate Gab, in
-    lexicographic order.
+    """The choices that pass the lift test and generate Gab, as index
+    tuples into the candidates, in lexicographic order.
 
     A choice generates Gab exactly when the AND of its images' masks
-    (_maximal_masks) is 0, so no rank is computed per solution.  Fewer
-    primes than min_generators(Gab) generate nothing: then there is no
-    survivor, and neither the lift test nor a mask is computed."""
+    (_maximal_masks) is 0, which _lift_solutions tests first, so no rank
+    is computed and no other choice is built.  Fewer primes than
+    min_generators(Gab) generate nothing: then there is no survivor, and
+    neither the lift test nor a mask is computed."""
     # memoised: many base fields of one extension share the candidates and
     # the characters, and the survivors depend on nothing else
     if len(candidates) < min_generators(ext.gab):
         return ()
     masks = _maximal_masks(ext.gab, frozenset().union(*candidates))
-    return tuple(
-        c
-        for c in _lift_solutions(ext, candidates, chars)
-        if not reduce(and_, map(masks.__getitem__, c))
-    )
+    rows = [list(map(masks.__getitem__, cands)) for cands in candidates]
+    return tuple(_lift_solutions(ext, candidates, chars, rows))
 
 
 @lru_cache(maxsize=1 << 8)
@@ -297,23 +295,26 @@ def _packed_pairing(ext: CentralExtension, union: frozenset, width: int) -> Mapp
     })
 
 
-def _lift_solutions(ext: CentralExtension, candidates, chars):
-    """The choices (one candidate per prime, in lexicographic order) that
-    pass the Frobenius-sum test, given the characters L of _characters: at
-    each prime p_i, the sum over j != i of L(p_i, q_j) times <y_j, y_i>
-    vanishes.  L is read mod gcd(q_j - 1, exp(Gab)), which |y_j| divides,
-    and |y_j| kills <y_j, y_i>, so each term is the paper's.
+def _lift_solutions(ext: CentralExtension, candidates, chars, masks):
+    """The choices (index tuples into the candidates, in lexicographic
+    order) whose masks AND to 0 and that pass the Frobenius-sum test,
+    given the characters L of _characters: at each prime p_i, the sum over
+    j != i of L(p_i, q_j) times <y_j, y_i> vanishes.  L is read mod
+    gcd(q_j - 1, exp(Gab)), which |y_j| divides, and |y_j| kills
+    <y_j, y_i>, so each term is the paper's.  masks[j][c] belongs to the
+    c-th candidate of prime j: the maximal-subgroup masks keep the choices
+    that generate Gab, all-zero masks every choice that passes.
 
     The pairing is bilinear, so every term L * <y_q, y_p> is read from
-    tables built here on the pairing of the candidate images, packed for
-    this call's field layout.  That pairing table depends on nothing
-    else, so _packed_pairing memoises it on (extension, candidate images,
-    layout); the layout is in the key because its width grows with the
-    number of primes.  The test is solved for the last prime:
-    once y_1 .. y_{n-1} are fixed, the sum at p_i (i < n) vanishes exactly
-    when its last term L * <y_n, y_i> cancels the fixed ones.  So each
-    prefix looks up, per i < n, the last prime's candidates giving that
-    term, and tests the sum at p_n on the few left.
+    tables on the pairing of the candidate images, packed for this call's
+    field layout, which _packed_pairing memoises on (extension, candidate
+    images, layout): the layout's width grows with the number of primes.
+    The test is solved for the last prime: the AND of a prefix's masks,
+    y_1 .. y_{n-1}, keeps the last prime's candidates whose mask it
+    leaves 0 (one bitmask per call and AND value).  Then the sum at p_i
+    (i < n) vanishes exactly when its last term L * <y_n, y_i> cancels
+    the fixed ones: per i < n, a lookup keeps the last prime's candidates
+    giving that term, and the sum at p_n is tested on the few left.
     """
     a = ext.a
     n = len(candidates)
@@ -350,9 +351,12 @@ def _lift_solutions(ext: CentralExtension, candidates, chars):
                 key = residue(x, 1)
                 table[key] = table.get(key, 0) | 1 << c
     cancel = {}  # a sum of terms -> the reduced term that cancels it
-    every = (1 << len(candidates[last])) - 1
+    spanning = {}  # AND of a prefix's masks -> the last prime's candidates it spans with
     for idx in itertools.product(*(range(len(cands)) for cands in candidates[:last])):
-        mask = every
+        m = reduce(and_, map(getitem, masks, idx), -1)
+        if m not in spanning:
+            spanning[m] = sum(1 << c for c, x in enumerate(masks[last]) if not m & x)
+        mask = spanning[m]
         for wi, hi, b in zip(w, hits, idx):
             # map stops before the last prime: the terms fixed by the prefix
             s = sum(map(getitem, wi[b], idx))
@@ -368,7 +372,7 @@ def _lift_solutions(ext: CentralExtension, candidates, chars):
             if s not in cancel:
                 cancel[s] = residue(s, -1)
             if not cancel[s]:
-                yield tuple(map(getitem, candidates, (*idx, c)))
+                yield (*idx, c)
 
 
 def count_extensions(ext: CentralExtension, orders) -> int:
@@ -421,20 +425,6 @@ class Report:
         }
 
 
-class _EntryTable(dict):
-    """(q, y) -> (|y|, (q*)^(|y|-1)), computed on first lookup."""
-
-    def __init__(self, gab: AbGroup):
-        super().__init__()
-        self.gab = gab
-
-    def __missing__(self, entry):
-        q, y = entry
-        n = elem_order(self.gab, y)
-        self[entry] = value = (n, prime_star(q) ** (n - 1))
-        return value
-
-
 def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> Report:
     """Existence report: every enumerated assignment that passes the
     unramified-lift test, with its factorization and counts.
@@ -459,20 +449,21 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     Each call runs what reads its primes: the per-prime checks, the
     characters and the witnesses.
 
-    The lift test is solved for the last prime (_lift_solutions), and
-    only its solutions are tested for generating Gab, by the AND of
-    their images' maximal-subgroup masks (_lift_survivors); it decides
-    exactly as the per-assignment reference in the tests.  Each call
-    computes one character per ordered pair of primes, whatever the
-    images (_characters); the survivors are memoised on these and the
-    candidates (_lift_survivors).  When exp(A) is composite, each
+    The lift test is solved for the last prime, which keeps only the
+    candidates that generate Gab with a prefix, by the AND of their
+    maximal-subgroup masks, before testing them (_lift_solutions); it
+    decides exactly as the per-assignment reference in the tests.  Each
+    call computes one character per ordered pair of primes, whatever the
+    images (_characters); the survivors, as index tuples into the
+    candidates, are memoised on these and the candidates
+    (_lift_survivors).  When exp(A) is composite, each
     character whose literal value mod exp(A) differs from the direct one
     where a pairing term reads it is logged as a warning, once per call
     and order of the candidates at q (_log_character_mismatches).
     Assignments, factorizations and counts are built for witnesses only,
-    from a per-call table of each (prime, candidate) entry's order |y|
-    and factor (q*)^(|y|-1), filled on first use.  h_sub must be the H
-    of kdata.
+    from per-prime rows of each candidate's entry (q, y), order |y| and
+    factor (q*)^(|y|-1), built once per call and indexed by the
+    survivors.  h_sub must be the H of kdata.
     """
     primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
     qs = [q for q, _ in primes]
@@ -497,22 +488,28 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
         # reduce to the discrete log of p mod l and agree
         _log_character_mismatches(ext, qs, candidates, chars)
     survivors = _lift_survivors(ext, candidates, chars)
-    table = _EntryTable(gab)
-    classes = None
+    if not survivors:
+        return Report(False)
+    # per prime, per candidate y: the entry (q, y), |y| and (y, (q*)^(|y|-1)),
+    # shared by every witness that picks it
+    entries = [[(q, y) for y in cands] for q, cands in zip(qs, candidates)]
+    orders = [[elem_order(gab, y) for y in cands] for cands in candidates]
+    factors = [
+        [(y, prime_star(q) ** (n - 1)) for (q, y), n in zip(*row)] for row in zip(entries, orders)
+    ]
+    classes = class_orbit_size(ext)
     counts = {}  # the count depends on the orders of the images alone
     witnesses = []
-    for choice in survivors:
-        entries = tuple(zip(qs, choice))
-        parts = [table[e] for e in entries]
-        by_y = {}
-        for y, (_, f) in zip(choice, parts):
-            by_y[y] = by_y.get(y, 1) * f
-        orders = tuple(sorted(n for n, _ in parts))
-        if orders not in counts:
-            counts[orders] = count_extensions(ext, orders)
-        if classes is None:
-            classes = class_orbit_size(ext)
-        witnesses.append(Witness(entries, tuple(sorted(by_y.items())), counts[orders], classes))
+    for idx in survivors:
+        ns = tuple(map(getitem, orders, idx))
+        if ns not in counts:
+            counts[ns] = count_extensions(ext, ns)
+        fact = sorted(map(getitem, factors, idx))
+        for i in range(len(fact) - 1, 0, -1):  # d_y of an image at several primes
+            if fact[i - 1][0] == fact[i][0]:
+                fact[i - 1] = (fact[i][0], fact[i - 1][1] * fact.pop(i)[1])
+        witnesses.append(
+            Witness(tuple(map(getitem, entries, idx)), tuple(fact), counts[ns], classes))
     # no sort: the survivors come in lexicographic order of the candidates,
     # each sorted, so the witnesses are sorted by their entries
-    return Report(bool(witnesses), tuple(witnesses))
+    return Report(True, tuple(witnesses))

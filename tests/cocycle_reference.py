@@ -7,15 +7,47 @@ total group off its table, and the generator tables of H^2 (carries and
 bilinear terms) are built entry by entry.  The tests
 compare the closed forms against these on every class they enumerate,
 and on coboundary-shifted copies.  closure is the plain breadth-first
-search that abelian._closure refines.
+search that abelian._closure refines.  H2_PAIRS are the shapes (Gab, A)
+whose classes the tests enumerate, and subgroups lists the subgroups of
+their Gab.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from lemfact.abelian import AbGroup, Elem, elem_order
+from lemfact.abelian import AbGroup, Elem, elem_order, subgroup_generated
 from lemfact.cocycle import Cocycle, _mod_multiples
+
+
+SMALL_PAIRS = [
+    (AbGroup((2,)), AbGroup((2,))),
+    (AbGroup((2, 2)), AbGroup((2,))),
+    (AbGroup((4,)), AbGroup((2,))),
+    (AbGroup((3,)), AbGroup((3,))),
+    (AbGroup((2, 4)), AbGroup((2,))),
+    (AbGroup((2, 2)), AbGroup((4,))),
+    (AbGroup((2, 2, 2)), AbGroup((2,))),
+    (AbGroup((6,)), AbGroup((2, 2))),
+]
+
+
+# (Gab moduli, A moduli, |H^2(Gab, A)|)
+CLASS_COUNTS = [
+    ((2,), (2,), 2), ((2, 2), (2,), 8), ((3,), (3,), 3), ((2,), (4,), 2), ((4,), (2,), 2),
+    ((2, 3), (6,), 6), ((2, 2, 2), (4,), 64), ((2, 4), (4,), 16),
+]
+
+
+H2_PAIRS = list(dict.fromkeys(SMALL_PAIRS + [(AbGroup(g), AbGroup(a)) for g, a, _ in CLASS_COUNTS]))
+
+
+def subgroups(gab):
+    """Each subgroup of Gab generated by two elements, and Gab: every
+    subgroup, for the shapes of H2_PAIRS."""
+    els = list(gab.elements())
+    subs = {subgroup_generated(gab, [x, y]) for x in els for y in els} | {frozenset(els)}
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def closure(zero, gens, op) -> frozenset:
@@ -68,6 +100,9 @@ class TableExtension:
                 if _mod_multiples(self.a, elem_order(self.gab, y), self.power_class(y)) == zero
             )
         return self._ye
+
+    def in_y_set(self, y: Elem) -> bool:
+        return y in self.y_set()
 
     def key(self):
         """The universal-coefficient coordinates of the class: the pairing

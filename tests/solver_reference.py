@@ -1,7 +1,7 @@
 """The per-assignment reference for lemfact.solver.classify.
 
 classify enumerates the choices of inertia images and decides the lift
-test for all of them at once (solver._lift_solutions).  The functions
+test and "generates Gab" for all of them at once (solver._lift_solutions).  The functions
 here take one assignment at a time, through the checking RamAssignment
 and DiscFactorization constructors, and evaluate each Frobenius pairing
 sum term by term, in two independent ways: the tests compare classify
@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from lemfact.abelian import Elem, elem_order
 from lemfact.arith import PrimePower, power_residue_char, prime_star
 from lemfact.cocycle import CentralExtension
-from lemfact.solver import BaseFieldData, RamAssignment, _assignment_space
+from lemfact.solver import (
+    DEFAULT_ASSIGNMENT_BOUND,
+    BaseFieldData,
+    RamAssignment,
+    _assignment_space,
+)
 
 logger = logging.getLogger("lemfact")
 
@@ -160,7 +165,11 @@ def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFi
     """All assignments compatible with the base field: y_q in Y_E outside
     H, congruent to the given inertia image mod H, with the y_q jointly
     generating Gab.  Deterministic order (primes sorted, candidates in
-    lexicographic order)."""
-    primes, _, choices = _assignment_space(ext, h_sub, kdata)
+    lexicographic order).  Raises before the first one when the choices,
+    which it visits one by one, exceed DEFAULT_ASSIGNMENT_BOUND."""
+    primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
+    total = prod(map(len, candidates))
+    if total > DEFAULT_ASSIGNMENT_BOUND:
+        raise ValueError(f"{total} candidate assignments exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
     for choice in choices:
         yield RamAssignment(ext, tuple((q, y) for (q, _), y in zip(primes, choice)))

@@ -147,6 +147,8 @@ def test_subgroup_machinery():
     h = subgroup_generated(g, [(1, 0, 0), (0, 1, 0)])
     assert len(h) == 4
     assert is_subgroup(g, h)
+    assert not is_subgroup(g, h - {(0, 0, 0)})
+    assert not is_subgroup(g, {(0, 0, 0), (1, 0, 0), (0, 1, 0)})
     assert smith_subgroup_order(g, [(1, 1, 0), (0, 1, 1)]) == 4
     assert generates(g, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert not generates(g, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])

@@ -611,6 +611,22 @@ def test_classify_heisenberg7_data(capsys):
     assert code == 0 and out.startswith("exists=true\n")
 
 
+def test_classify_heisenberg11_data(capsys):
+    # the sha256 CI checks against the installed script: 121^2 lift-test
+    # prefixes, within the bound; the criterion agrees
+    code, out, err = run(
+        capsys, "--format", "json", "classify", "--ext", "Heisenberg:11",
+        "--kdata", str(DATA / "heisenberg11_kdata.json"),
+    )
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["witnesses"]) == 13200
+    digest, name = (DATA / "heisenberg11.sha256").read_text().split()
+    assert name == "heisenberg11.json"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, _ = run(capsys, "heisenberg", "11", "67", "89", "331")
+    assert code == 0 and out.startswith("exists=true\n")
+
+
 def test_classify_h8_pair_data(capsys):
     # the preset's default H, d = 4305 = 3*5*7*41 with every image
     # (0, 0, 1); the file was recorded when the preset was still the first

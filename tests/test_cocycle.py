@@ -34,6 +34,9 @@ from lemfact.cocycle import (
 )
 from lemfact.solver import BaseFieldData, Report, Witness, classify
 from cocycle_reference import (
+    CLASS_COUNTS,
+    H2_PAIRS,
+    SMALL_PAIRS,
     TableExtension,
     add_tables,
     closure,
@@ -42,6 +45,7 @@ from cocycle_reference import (
     coboundary_table,
     key_table,
     sub_tables,
+    subgroups,
 )
 from solver_reference import enumerate_assignments, factorization_of, has_unramified_lift
 
@@ -60,18 +64,6 @@ def commutator_subgroup(ext):
     """Subgroup of A generated by all pairing values; equals [E,E]."""
     els = list(ext.gab.elements())
     return subgroup_generated(ext.a, {ext.pairing(x, y) for x in els for y in els})
-
-
-SMALL_PAIRS = [
-    (AbGroup((2,)), AbGroup((2,))),
-    (AbGroup((2, 2)), AbGroup((2,))),
-    (AbGroup((4,)), AbGroup((2,))),
-    (AbGroup((3,)), AbGroup((3,))),
-    (AbGroup((2, 4)), AbGroup((2,))),
-    (AbGroup((2, 2)), AbGroup((4,))),
-    (AbGroup((2, 2, 2)), AbGroup((2,))),
-    (AbGroup((6,)), AbGroup((2, 2))),
-]
 
 
 def random_cocycle(gab, a, rng):
@@ -466,12 +458,6 @@ def test_orbit_times_stabilizer(rng):
             assert class_orbit_size(ext) * aut_stabilizer_order(ext) == n_aut
 
 
-CLASS_COUNTS = [
-    ((2,), (2,), 2), ((2, 2), (2,), 8), ((3,), (3,), 3), ((2,), (4,), 2), ((4,), (2,), 2),
-    ((2, 3), (6,), 6), ((2, 2, 2), (4,), 64), ((2, 4), (4,), 16),
-]
-
-
 @pytest.mark.parametrize("gab_moduli,a_moduli,classes", CLASS_COUNTS)
 def test_enumerate_central_extensions_class_counts(gab_moduli, a_moduli, classes):
     # |H^2(Gab, A)| = prod |A/m_i A| * prod_{i<j} |A[gcd(m_i, m_j)]|
@@ -516,20 +502,9 @@ def reference_stabilizer_order(gab, a, t):
     )
 
 
-H2_PAIRS = list(dict.fromkeys(SMALL_PAIRS + [(AbGroup(g), AbGroup(a)) for g, a, _ in CLASS_COUNTS]))
-
-
 @pytest.mark.parametrize("gab,a", H2_PAIRS, ids=lambda g: "x".join(map(str, g.moduli)))
 def test_enumerate_central_extensions_matches_table_reference(gab, a):
     assert [e.table for e in enumerate_central_extensions(gab, a)] == reference_h2(gab, a)
-
-
-def subgroups(gab):
-    """Each subgroup of Gab generated by two elements, and Gab: every
-    subgroup, for the shapes of H2_PAIRS."""
-    els = list(gab.elements())
-    subs = {subgroup_generated(gab, [x, y]) for x in els for y in els} | {frozenset(els)}
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def outcome(run):

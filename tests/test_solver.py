@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 import logging
 import random
 import time
 from math import gcd, prod
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from lemfact.cocycle import (
     preset,
     split_extension,
 )
+from lemfact.criteria import heisenberg_criterion
 from lemfact.solver import (
     BaseFieldData,
     RamAssignment,
@@ -47,7 +50,7 @@ from lemfact.solver import (
     count_extensions,
     primes_from_json,
 )
-from cocycle_reference import d4_table
+from cocycle_reference import H2_PAIRS, d4_table, subgroups
 from solver_reference import (
     DiscFactorization,
     conjugation_image,
@@ -253,8 +256,8 @@ def test_infinite_place_holds_on_every_lift_survivor():
             if not candidates:
                 continue
             qs = [q for q, _ in primes]
-            for choice in _lift_survivors(ext, candidates, _characters(gab.exponent, qs)):
-                asg = RamAssignment(ext, tuple(zip(qs, choice)))
+            for idx in _lift_survivors(ext, candidates, _characters(gab.exponent, qs)):
+                asg = RamAssignment(ext, tuple(zip(qs, map(getitem, candidates, idx))))
                 fact = factorization_of(asg)
                 assert infinite_place_ok(ext, fact), asg.entries
                 fc = conjugation_image(ext, asg)
@@ -289,8 +292,6 @@ def test_classify_c4_negative_cases(d4):
 
 def test_classify_heisenberg_duality(heis3):
     ext, h = heis3
-    from lemfact.criteria import heisenberg_criterion
-
     for primes in ((7, 13, 43), (7, 13, 61), (13, 19, 31), (7, 13, 19)):
         rep = classify(ext, h, heis_kdata(h, primes))
         crit = heisenberg_criterion(3, *primes)
@@ -357,8 +358,6 @@ def test_frobenius_literal_equals_direct_prime_exponent(heis3):
 
 def test_has_unramified_lift_reports_failing_primes(heis3):
     ext, h = heis3
-    from lemfact.criteria import heisenberg_criterion
-
     crit = heisenberg_criterion(3, 7, 13, 61)
     assert not crit.exists
     found_failing = False
@@ -1056,19 +1055,39 @@ def test_classify_matches_reference_heisenberg3_four_primes(heis3, primes):
     assert all(w["count_per_class"] == 3 and w["classes"] == 2 for w in got["witnesses"])
 
 
+def kernel_choices(ext, primes, candidates, generating=True) -> list:
+    """The choices _lift_solutions returns for the sorted primes, as
+    images: with the candidates' maximal-subgroup masks, or with all-zero
+    masks when generating is False."""
+    union = frozenset().union(*candidates)
+    masks = _maximal_masks(ext.gab, union) if generating else dict.fromkeys(union, 0)
+    rows = [[masks[y] for y in cands] for cands in candidates]
+    found = _lift_solutions(ext, candidates, _characters(ext.gab.exponent, primes), rows)
+    return [tuple(map(getitem, candidates, idx)) for idx in found]
+
+
+def reference_choices(ext, primes, candidates) -> list:
+    """The choices, in lexicographic order, that pass the per-assignment
+    lift test, generating Gab or not."""
+    return [
+        c
+        for c in itertools.product(*candidates)
+        if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
+    ]
+
+
 @pytest.mark.parametrize("primes", HEIS3_QUADRUPLES)
 def test_lift_solutions_match_reference_on_every_choice(heis3, primes):
     # every choice, generating or not: 9^4 of them
     ext, h = heis3
     candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
-    choices = list(itertools.product(*candidates))
-    assert len(choices) == 9**4
-    expected = [
-        c for c in choices if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
-    ]
+    assert prod(map(len, candidates)) == 9**4
+    expected = reference_choices(ext, primes, candidates)
     assert expected
-    chars = _characters(ext.gab.exponent, primes)
-    assert list(_lift_solutions(ext, candidates, chars)) == expected
+    assert kernel_choices(ext, primes, candidates, generating=False) == expected
+    survivors = [c for c in expected if generates(ext.gab, c)]
+    assert len(survivors) == HEIS3_QUADRUPLES[primes]
+    assert kernel_choices(ext, primes, candidates) == survivors
 
 
 def test_lift_solutions_two_coordinate_a_with_order_9_images():
@@ -1077,19 +1096,104 @@ def test_lift_solutions_two_coordinate_a_with_order_9_images():
     gab, a = AbGroup((9, 9)), AbGroup((3, 3))
     ext = CentralExtension(gab, a, [(1, 2)], [a.zero()] * 2)
     h = subgroup_generated(gab, [(1, 0)])
-    passing = 0
-    for primes in ((19, 37, 73), (37, 109, 199), (73, 163, 271)):
+    passing = generating = 0
+    # no choice of the first three generates Gab; 162 of the fourth do
+    for primes in ((19, 37, 73), (37, 109, 199), (73, 163, 271), (19, 109, 181)):
         kdata = BaseFieldData(h, tuple((q, (0, 1)) for q in primes))
         candidates = _assignment_space(ext, h, kdata)[1]
-        expected = [
-            c
-            for c in itertools.product(*candidates)
-            if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
-        ]
-        chars = _characters(gab.exponent, primes)
-        assert list(_lift_solutions(ext, candidates, chars)) == expected
+        expected = reference_choices(ext, primes, candidates)
+        assert kernel_choices(ext, primes, candidates, generating=False) == expected
+        survivors = [c for c in expected if generates(gab, c)]
+        assert kernel_choices(ext, primes, candidates) == survivors
         passing += len(expected)
-    assert 0 < passing < 3 * 9**3
+        generating += len(survivors)
+    assert 0 < generating < passing < 4 * 9**3
+
+
+@pytest.mark.parametrize("gab,a", H2_PAIRS, ids=lambda g: "x".join(map(str, g.moduli)))
+def test_lift_solutions_match_reference_on_every_class(gab, a):
+    # every class, on up to three random base fields of one to four primes
+    # over random proper subgroups H (40 draws a class; some classes have
+    # no lift outside any H): with the maximal-subgroup masks, the choices
+    # that pass the per-assignment lift test and generate Gab, and with
+    # all-zero masks every choice that passes
+    rng = random.Random(27)
+    subs = [s for s in subgroups(gab) if len(s) < gab.order]
+    pool = [q for q in range(3, 400) if is_prime(q) and gab.order * a.order % q]
+    fields = passing = survivors = 0
+    for ext in enumerate_central_extensions(gab, a):
+        made = 0
+        for _ in range(40):
+            h = rng.choice(subs)
+            images = [g for g in gab.elements() if g not in h]
+            primes = sorted(rng.sample(pool, rng.randint(1, 4)))
+            kdata = BaseFieldData(h, tuple((q, rng.choice(images)) for q in primes))
+            try:
+                kdata.validate(ext)
+            except ValueError:
+                # the images do not generate Gab/H, or |y| does not divide q - 1
+                continue
+            candidates = _assignment_space(ext, h, kdata)[1]
+            if not candidates or prod(map(len, candidates)) > 256:
+                continue
+            solutions = reference_choices(ext, primes, candidates)
+            assert kernel_choices(ext, primes, candidates, generating=False) == solutions, kdata
+            expected = [c for c in solutions if generates(gab, c)]
+            assert kernel_choices(ext, primes, candidates) == expected, kdata
+            passing += len(solutions)
+            survivors += len(expected)
+            made += 1
+            if made == 3:
+                break
+        fields += made
+    assert fields and passing >= survivors > 0
+
+
+def test_lift_solutions_with_fewer_primes_than_generators(heis3):
+    # Heisenberg 3 needs three generators; one and two primes whose images
+    # generate Gab/H: no choice generates Gab, whatever passes
+    ext, h = heis3
+    assert abelian.min_generators(ext.gab) == 3
+    for primes in ((7,), (7, 13), (13, 43)):
+        candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+        passing = reference_choices(ext, primes, candidates)
+        assert passing
+        assert kernel_choices(ext, primes, candidates, generating=False) == passing
+        assert kernel_choices(ext, primes, candidates) == []
+        assert _lift_survivors(ext, candidates, _characters(3, primes)) == ()
+
+
+@pytest.mark.parametrize("primes", COMPOSITE_MISMATCHES)
+def test_lift_solutions_match_reference_composite_exponent(primes):
+    ext, h = composite_exponent_extension()
+    candidates = _assignment_space(ext, h, composite_kdata(h, primes))[1]
+    primes = sorted(primes)
+    passing = reference_choices(ext, primes, candidates)
+    assert kernel_choices(ext, primes, candidates, generating=False) == passing
+    expected = [c for c in passing if generates(ext.gab, c)]
+    assert kernel_choices(ext, primes, candidates) == expected
+
+
+def test_lift_survivors_hold_only_the_generating_solutions():
+    # the benchmark's 2,400-witness triple: of the 3,625 choices that pass
+    # the lift test, the memo holds the 2,400 that generate Gab, as index
+    # tuples, and classify's report is the one pinned by its digest
+    ext, h = preset("Heisenberg", 5)
+    primes = (2591, 4261, 7331)
+    kdata = heis_kdata(h, primes)
+    candidates = _assignment_space(ext, h, kdata)[1]
+    passing = kernel_choices(ext, primes, candidates, generating=False)
+    assert len(passing) == 3625
+    _lift_survivors.cache_clear()
+    survivors = _lift_survivors(ext, candidates, _characters(5, primes))
+    assert all(type(i) is int for idx in survivors for i in idx)
+    choices = [tuple(map(getitem, candidates, idx)) for idx in survivors]
+    assert choices == [c for c in passing if generates(ext.gab, c)]
+    assert len(choices) == 2400
+    text = json.dumps(classify(ext, h, kdata).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5df8c328a70e241a24bf95171a557a61d459af2995d423197a242bfaee603981"
+    )
 
 
 def test_packed_pairing_is_keyed_on_the_layout(heis3):
@@ -1110,14 +1214,10 @@ def test_packed_pairing_is_keyed_on_the_layout(heis3):
     for primes in ((3, 5, 7), (3, 5, 7, 11)):
         images = ((1, 0, 0), (1, 0, 0), (0, 0, 1), (0, 0, 1))
         candidates = _assignment_space(ext, h, BaseFieldData(h, tuple(zip(primes, images))))[1]
-        expected = [
-            c
-            for c in itertools.product(*candidates)
-            if has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
-        ]
+        expected = reference_choices(ext, primes, candidates)
         assert expected
-        chars = _characters(gab.exponent, primes)
-        assert list(_lift_solutions(ext, candidates, chars)) == expected
+        assert kernel_choices(ext, primes, candidates, generating=False) == expected
+        assert kernel_choices(ext, primes, candidates) == []
 
 
 def test_classify_heisenberg5_four_primes():
@@ -1160,16 +1260,63 @@ def test_heisenberg5_json_round_trip_classifies_the_same():
 
 
 @pytest.mark.parametrize(
-    "run",
-    [classify, lambda ext, h, kdata: list(enumerate_assignments(ext, h, kdata))],
+    "run, primes, message",
+    [
+        # classify visits the prefixes: 25 candidates for each of the first
+        # five of six primes
+        (classify, (11, 31, 41, 61, 71, 101), "9765625 lift-test prefixes exceed bound 1000000"),
+        # the reference visits every choice: 25 candidates for each of five
+        (lambda ext, h, kdata: list(enumerate_assignments(ext, h, kdata)), (11, 31, 41, 61, 71),
+         "9765625 candidate assignments exceed bound 1000000"),
+    ],
     ids=["classify", "enumerate_assignments"],
 )
-def test_assignment_bound_raises_before_work(run):
-    # 25 candidates for each of five primes: 25^5 choices
+def test_assignment_bound_raises_before_work(run, primes, message):
     ext, h = preset("Heisenberg", 5)
-    kdata = heis_kdata(h, (11, 31, 41, 61, 71))
+    kdata = heis_kdata(h, primes)
     start = time.perf_counter()
     with pytest.raises(ValueError) as exc:
         run(ext, h, kdata)
     assert time.perf_counter() - start < 1
-    assert str(exc.value) == "9765625 candidate assignments exceed bound 1000000"
+    assert str(exc.value) == message
+
+
+def test_classify_heisenberg37_three_primes_raises_at_once():
+    # 37^2 = 1,369 candidates a prime: 1,369^2 prefixes
+    ext, h = preset("Heisenberg", 37)
+    kdata = heis_kdata(h, (149, 223, 593))
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        classify(ext, h, kdata)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "1874161 lift-test prefixes exceed bound 1000000"
+
+
+def test_classify_heisenberg11_three_primes_matches_the_criterion():
+    # 11^4 = 14,641 prefixes a call, within the bound, where the 11^6
+    # choices are not.  Two triples of each verdict, drawn from a seeded
+    # pool by the criterion; each witness passes the per-assignment lift
+    # test, and random choices are witnesses exactly when they pass it and
+    # generate Gab
+    ext, h = preset("Heisenberg", 11)
+    pool = [q for q in range(23, 2000) if is_prime(q) and q % 11 == 1]
+    rng = random.Random(16)
+    triples = {True: [], False: []}
+    while min(map(len, triples.values())) < 2:
+        primes = tuple(sorted(rng.sample(pool, 3)))
+        triples[heisenberg_criterion(11, *primes).exists].append(primes)
+    for verdict in (True, False):
+        for primes in triples[verdict][:2]:
+            rep = classify(ext, h, heis_kdata(h, primes))
+            assert rep.exists == verdict, primes
+            for w in rep.witnesses[:: max(1, len(rep.witnesses) // 50)]:
+                assert (w.count_per_class, w.classes) == (1, 10)
+                assert has_unramified_lift(ext, RamAssignment(ext, w.assignment))[0]
+            found = {tuple(y for _, y in w.assignment) for w in rep.witnesses}
+            candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+            for _ in range(200):
+                choice = tuple(rng.choice(c) for c in candidates)
+                expected = generates(ext.gab, choice) and has_unramified_lift(
+                    ext, RamAssignment(ext, tuple(zip(primes, choice)))
+                )[0]
+                assert (choice in found) == expected, (primes, choice)
