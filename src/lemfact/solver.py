@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import itertools
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd, prod
-from operator import and_, getitem
+from operator import and_, getitem, mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .abelian import (
     DESK_SUBGROUP_BOUND,
@@ -253,8 +255,11 @@ def _log_character_mismatches(ext: CentralExtension, qs, candidates, chars) -> N
 
 @lru_cache(maxsize=1 << 10)
 def _lift_survivors(ext: CentralExtension, candidates, chars) -> tuple:
-    """The choices that pass the lift test and generate Gab, as index
-    tuples into the candidates, in lexicographic order.
+    """The choices that pass the lift test and generate Gab, as
+    _lift_solutions gives them: one (prefix, bitmask) pair per prefix of
+    the first n - 1 primes' candidate indices with a survivor, in
+    lexicographic order, bit c of the bitmask set when the choice
+    (*prefix, c) survives.
 
     A choice generates Gab exactly when the AND of its images' masks
     (_maximal_masks) is 0, which _lift_solutions tests first, so no rank
@@ -284,26 +289,43 @@ def _maximal_masks(gab: AbGroup, union: frozenset) -> MappingProxyType:
 def _packed_pairing(ext: CentralExtension, union: frozenset, width: int) -> MappingProxyType:
     """(y, z) -> <y, z> for y, z in union, packed as _lift_solutions packs
     A: one integer with coordinate t in bits [t*width, ...).  Read-only,
-    as every caller with this key shares it."""
+    as every caller with this key shares it.
+
+    The pairing is bilinear: <y, z> = sum_i z_i <y, e_i> over the basis
+    e_i of Gab, so each y pairs with the k basis elements only, and each
+    coordinate of <y, z> is a dot product reduced mod its modulus."""
     # memoised: calls of one extension on as many primes with the same
     # candidate images share the table; the width is in the key, as it
     # grows with the number of primes
-    return MappingProxyType({
-        (y, z): sum(c << t * width for t, c in enumerate(ext.pairing(y, z)))
-        for y in union
-        for z in union
-    })
+    k = len(ext.gab.moduli)
+    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    layout = [(t * width, m) for t, m in enumerate(ext.a.moduli)]
+    table = {}
+    for y in union:
+        # per coordinate t of A: the t-th coordinates of the <y, e_i>
+        cols = list(zip(*(ext.pairing(y, e) for e in basis)))
+        for z in union:
+            table[y, z] = sum(
+                (sum(map(mul, z, col)) % m) << s for col, (s, m) in zip(cols, layout)
+            )
+    return MappingProxyType(table)
 
 
 def _lift_solutions(ext: CentralExtension, candidates, chars, masks):
-    """The choices (index tuples into the candidates, in lexicographic
-    order) whose masks AND to 0 and that pass the Frobenius-sum test,
-    given the characters L of _characters: at each prime p_i, the sum over
-    j != i of L(p_i, q_j) times <y_j, y_i> vanishes.  L is read mod
-    gcd(q_j - 1, exp(Gab)), which |y_j| divides, and |y_j| kills
+    """The choices whose masks AND to 0 and that pass the Frobenius-sum
+    test, given the characters L of _characters: at each prime p_i, the
+    sum over j != i of L(p_i, q_j) times <y_j, y_i> vanishes.  L is read
+    mod gcd(q_j - 1, exp(Gab)), which |y_j| divides, and |y_j| kills
     <y_j, y_i>, so each term is the paper's.  masks[j][c] belongs to the
     c-th candidate of prime j: the maximal-subgroup masks keep the choices
     that generate Gab, all-zero masks every choice that passes.
+
+    Yields one pair (prefix, bitmask) per prefix of the first n - 1
+    primes with a passing choice, in lexicographic order of the prefixes:
+    the prefix is the tuple of their candidate indices, and bit c of the
+    bitmask is set when the choice (*prefix, c) passes.  The last
+    prime's candidates that pass with a prefix come out of the test as
+    that bitmask, so no choice is built here.
 
     The pairing is bilinear, so every term L * <y_q, y_p> is read from
     tables on the pairing of the candidate images, packed for this call's
@@ -315,6 +337,7 @@ def _lift_solutions(ext: CentralExtension, candidates, chars, masks):
     (i < n) vanishes exactly when its last term L * <y_n, y_i> cancels
     the fixed ones: per i < n, a lookup keeps the last prime's candidates
     giving that term, and the sum at p_n is tested on the few left.
+    Each distinct unreduced term or sum is reduced once per call.
     """
     a = ext.a
     n = len(candidates)
@@ -345,10 +368,13 @@ def _lift_solutions(ext: CentralExtension, candidates, chars, masks):
     # hits[i][b]: the last prime's term at p_i, reduced -> bitmask of the
     # last prime's candidates giving it, for the b-th candidate of p_i
     hits = [[{} for _ in wi] for wi in w[:last]]
+    reduced = {}  # an unreduced term -> its residue
     for hi, wi in zip(hits, w):
         for table, wb in zip(hi, wi):
             for c, x in enumerate(wb[last]):
-                key = residue(x, 1)
+                if x not in reduced:
+                    reduced[x] = residue(x, 1)
+                key = reduced[x]
                 table[key] = table.get(key, 0) | 1 << c
     cancel = {}  # a sum of terms -> the reduced term that cancels it
     spanning = {}  # AND of a prefix's masks -> the last prime's candidates it spans with
@@ -365,14 +391,17 @@ def _lift_solutions(ext: CentralExtension, candidates, chars, masks):
             mask &= hi[b].get(cancel[s], 0)
             if not mask:
                 break
-        while mask:
-            c = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            s = sum(map(getitem, w[last][c], idx))
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            s = sum(map(getitem, w[last][bit.bit_length() - 1], idx))
             if s not in cancel:
                 cancel[s] = residue(s, -1)
-            if not cancel[s]:
-                yield (*idx, c)
+            if cancel[s]:
+                mask ^= bit
+        if mask:
+            yield idx, mask
 
 
 def count_extensions(ext: CentralExtension, orders) -> int:
@@ -393,8 +422,7 @@ def count_extensions(ext: CentralExtension, orders) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A solution: the inertia assignment ((q, y_q), ...) sorted by prime,
     its factorization ((y, d_y), ...) with d_y != 1 sorted by image, and
     its counts."""
@@ -423,6 +451,9 @@ class Report:
             "exists": self.exists,
             "witnesses": [w.to_json() for w in self.witnesses],
         }
+
+
+_NO_SOLUTION = Report(False)  # frozen, so every call without a witness shares it
 
 
 def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> Report:
@@ -454,16 +485,19 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     maximal-subgroup masks, before testing them (_lift_solutions); it
     decides exactly as the per-assignment reference in the tests.  Each
     call computes one character per ordered pair of primes, whatever the
-    images (_characters); the survivors, as index tuples into the
-    candidates, are memoised on these and the candidates
-    (_lift_survivors).  When exp(A) is composite, each
-    character whose literal value mod exp(A) differs from the direct one
-    where a pairing term reads it is logged as a warning, once per call
-    and order of the candidates at q (_log_character_mismatches).
-    Assignments, factorizations and counts are built for witnesses only,
-    from per-prime rows of each candidate's entry (q, y), order |y| and
-    factor (q*)^(|y|-1), built once per call and indexed by the
-    survivors.  h_sub must be the H of kdata.
+    images (_characters); the survivors, as (prefix, bitmask) pairs, one
+    per prefix of the first n - 1 primes with a survivor, are memoised
+    on these and the candidates (_lift_survivors).  When exp(A) is
+    composite, each character whose literal value mod exp(A) differs
+    from the direct one where a pairing term reads it is logged as a
+    warning, once per call and order of the candidates at q
+    (_log_character_mismatches).  Assignments, factorizations and counts
+    are built for witnesses only, from per-prime rows of each candidate's
+    entry (q, y), order |y| and factor (q*)^(|y|-1), built once per call:
+    per prefix, the first n - 1 entries and their factors, sorted and
+    merged by image; per set bit, the last prime's entry, and its factor
+    merged into those by bisection.  A Witness is a NamedTuple.  h_sub
+    must be the H of kdata.
     """
     primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
     qs = [q for q, _ in primes]
@@ -478,9 +512,9 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
         # character ramified
         for choice in choices:
             RamAssignment(ext, tuple(zip(qs, choice)))
-        return Report(False)
+        return _NO_SOLUTION
     if not candidates:
-        return Report(False)
+        return _NO_SOLUTION
     chars = _characters(gab.exponent, qs)
     if not is_prime(ext.a.exponent):
         # no literal characters for a prime exp(A) = l: a term reads them
@@ -489,7 +523,7 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
         _log_character_mismatches(ext, qs, candidates, chars)
     survivors = _lift_survivors(ext, candidates, chars)
     if not survivors:
-        return Report(False)
+        return _NO_SOLUTION
     # per prime, per candidate y: the entry (q, y), |y| and (y, (q*)^(|y|-1)),
     # shared by every witness that picks it
     entries = [[(q, y) for y in cands] for q, cands in zip(qs, candidates)]
@@ -497,19 +531,35 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     factors = [
         [(y, prime_star(q) ** (n - 1)) for (q, y), n in zip(*row)] for row in zip(entries, orders)
     ]
+    # the last prime's rows are read per bit of a survivor's bitmask
+    last_entries, last_orders, last_factors = entries.pop(), orders.pop(), factors.pop()
     classes = class_orbit_size(ext)
-    counts = {}  # the count depends on the orders of the images alone
+    counts = {}  # the prefix's orders -> the last prime's order -> the count
     witnesses = []
-    for idx in survivors:
+    for idx, mask in survivors:
+        head = tuple(map(getitem, entries, idx))
         ns = tuple(map(getitem, orders, idx))
-        if ns not in counts:
-            counts[ns] = count_extensions(ext, ns)
+        tail_counts = counts.setdefault(ns, {})
         fact = sorted(map(getitem, factors, idx))
         for i in range(len(fact) - 1, 0, -1):  # d_y of an image at several primes
             if fact[i - 1][0] == fact[i][0]:
                 fact[i - 1] = (fact[i][0], fact[i - 1][1] * fact.pop(i)[1])
-        witnesses.append(
-            Witness(tuple(map(getitem, entries, idx)), tuple(fact), counts[ns], classes))
+        keys = [y for y, _ in fact]
+        fact = tuple(fact)
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            c = bit.bit_length() - 1
+            n = last_orders[c]
+            if n not in tail_counts:
+                tail_counts[n] = count_extensions(ext, (*ns, n))
+            y, d = last_factors[c]
+            i = bisect_left(keys, y)
+            if i < len(keys) and keys[i] == y:  # y is a prefix image: merge d_y
+                full = (*fact[:i], (y, fact[i][1] * d), *fact[i + 1:])
+            else:
+                full = (*fact[:i], last_factors[c], *fact[i:])
+            witnesses.append(Witness((*head, last_entries[c]), full, tail_counts[n], classes))
     # no sort: the survivors come in lexicographic order of the candidates,
     # each sorted, so the witnesses are sorted by their entries
     return Report(True, tuple(witnesses))

@@ -595,6 +595,23 @@ def test_classify_mixed_orders_data(capsys, caplog):
     assert out.count("\nwitness ") == 8 and len(warnings) == 3
 
 
+def test_classify_heisenberg5_five_primes_data(capsys):
+    # the sha256 CI checks against the installed script: 25^4 lift-test
+    # prefixes; in 1,440 of the witnesses two primes share an image, so
+    # their factors merge into one d_y
+    code, out, err = run(
+        capsys, "--format", "json", "classify", "--ext", "Heisenberg:5",
+        "--kdata", str(DATA / "heisenberg5_five_primes.json"),
+    )
+    assert (code, err) == (0, "")
+    witnesses = json.loads(out)["witnesses"]
+    assert len(witnesses) == 5760
+    assert sum(len(w["factorization"]) < len(w["assignment"]) for w in witnesses) == 1440
+    digest, name = (DATA / "heisenberg5_five_primes.sha256").read_text().split()
+    assert name == "heisenberg5_five.json"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_heisenberg7_data(capsys):
     # the sha256 CI checks against the installed script, recorded when the
     # preset was still a cocycle table; the criterion agrees

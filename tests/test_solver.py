@@ -79,6 +79,13 @@ def factor_of(fact: DiscFactorization, y) -> int:
     return dict(fact.factors).get(y, 1)
 
 
+def survivor_indices(pairs) -> list:
+    """The choices of the (prefix, bitmask) pairs of _lift_solutions as
+    index tuples, in order: (*prefix, c) for each bit c of the bitmask,
+    lowest first."""
+    return [(*idx, c) for idx, mask in pairs for c in range(mask.bit_length()) if mask >> c & 1]
+
+
 def assignment_from_factorization(ext, fact: DiscFactorization) -> RamAssignment:
     """Inverse of factorization_of: each prime dividing d_y gets inertia
     image y.  Validates the order-divisibility and shape conditions."""
@@ -256,7 +263,8 @@ def test_infinite_place_holds_on_every_lift_survivor():
             if not candidates:
                 continue
             qs = [q for q, _ in primes]
-            for idx in _lift_survivors(ext, candidates, _characters(gab.exponent, qs)):
+            pairs = _lift_survivors(ext, candidates, _characters(gab.exponent, qs))
+            for idx in survivor_indices(pairs):
                 asg = RamAssignment(ext, tuple(zip(qs, map(getitem, candidates, idx))))
                 fact = factorization_of(asg)
                 assert infinite_place_ok(ext, fact), asg.entries
@@ -1063,7 +1071,7 @@ def kernel_choices(ext, primes, candidates, generating=True) -> list:
     masks = _maximal_masks(ext.gab, union) if generating else dict.fromkeys(union, 0)
     rows = [[masks[y] for y in cands] for cands in candidates]
     found = _lift_solutions(ext, candidates, _characters(ext.gab.exponent, primes), rows)
-    return [tuple(map(getitem, candidates, idx)) for idx in found]
+    return [tuple(map(getitem, candidates, idx)) for idx in survivor_indices(found)]
 
 
 def reference_choices(ext, primes, candidates) -> list:
@@ -1176,24 +1184,73 @@ def test_lift_solutions_match_reference_composite_exponent(primes):
 
 def test_lift_survivors_hold_only_the_generating_solutions():
     # the benchmark's 2,400-witness triple: of the 3,625 choices that pass
-    # the lift test, the memo holds the 2,400 that generate Gab, as index
-    # tuples, and classify's report is the one pinned by its digest
+    # the lift test, the memo holds the 2,400 that generate Gab, as one
+    # (prefix, bitmask) pair for each of 504 of the 625 prefixes; they are
+    # the per-assignment reference's choices, and classify's report is the
+    # one pinned by its digest
     ext, h = preset("Heisenberg", 5)
     primes = (2591, 4261, 7331)
     kdata = heis_kdata(h, primes)
     candidates = _assignment_space(ext, h, kdata)[1]
     passing = kernel_choices(ext, primes, candidates, generating=False)
     assert len(passing) == 3625
+    expected = [
+        c
+        for c in itertools.product(*candidates)
+        if generates(ext.gab, c)
+        and has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
+    ]
+    assert expected == [c for c in passing if generates(ext.gab, c)]
     _lift_survivors.cache_clear()
     survivors = _lift_survivors(ext, candidates, _characters(5, primes))
-    assert all(type(i) is int for idx in survivors for i in idx)
-    choices = [tuple(map(getitem, candidates, idx)) for idx in survivors]
-    assert choices == [c for c in passing if generates(ext.gab, c)]
+    assert all(type(i) is int for idx, mask in survivors for i in (*idx, mask))
+    prefixes = [idx for idx, _ in survivors]
+    assert prefixes == sorted(set(prefixes)) and all(mask for _, mask in survivors)
+    index = [{y: c for c, y in enumerate(cands)} for cands in candidates]
+    assert set(prefixes) == {tuple(map(getitem, index, c[:-1])) for c in expected}
+    assert len(survivors) == 504
+    choices = [tuple(map(getitem, candidates, idx)) for idx in survivor_indices(survivors)]
+    assert choices == expected
     assert len(choices) == 2400
     text = json.dumps(classify(ext, h, kdata).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5df8c328a70e241a24bf95171a557a61d459af2995d423197a242bfaee603981"
     )
+
+
+def merge_case(witness) -> str:
+    """Which merges classify makes in a witness's factorization: two
+    primes before the last share an image ("prefix"), the last prime's
+    image is one of theirs ("last"), "both", or "none"."""
+    ys = [y for _, y in witness.assignment]
+    prefix = len(set(ys[:-1])) < len(ys) - 1
+    last = ys[-1] in ys[:-1]
+    return {(True, True): "both", (True, False): "prefix", (False, True): "last"}.get(
+        (prefix, last), "none"
+    )
+
+
+def test_classify_merges_factorizations_as_reference():
+    # classify merges the factors of the first n - 1 primes once per
+    # prefix and the last prime's factor into them per witness; witness
+    # for witness against the reference, on base fields where each merge
+    # occurs.  H8_pair: 66045 = 3 * 5 * 7 * 17 * 37 has witnesses where
+    # the last prime's image is the merged image of two earlier ones
+    ext8, h8 = preset("H8_pair", None)
+    fields = [(ext8, h8, h8_kdata(ext8, h8, d)) for d in (4305, 4845, 36465, 66045)]
+    heis, h = preset("Heisenberg", 3)
+    fields += [(heis, h, heis_kdata(h, (7, 13, 19, 31))), mixed_orders_case()]
+    seen = {}
+    triple = 0
+    for ext, hs, kdata in fields:
+        assert_matches_reference(ext, hs, kdata)
+        for w in classify(ext, hs, kdata).witnesses:
+            case = merge_case(w)
+            seen[case] = seen.get(case, 0) + 1
+            ys = [y for _, y in w.assignment]
+            triple += ys.count(ys[-1]) > 2
+    assert seen.keys() == {"none", "prefix", "last", "both"}, seen
+    assert triple > 0
 
 
 def test_packed_pairing_is_keyed_on_the_layout(heis3):
