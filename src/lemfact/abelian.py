@@ -135,16 +135,10 @@ def is_subgroup(G: AbGroup, H) -> bool:
 def generates(G: AbGroup, gens) -> bool:
     """Whether gens generate G, by the rank of gens mod each prime p
     dividing |G|; the reference for maximal_subgroup_masks."""
-    return _generates(G, frozenset(gens))
-
-
-@lru_cache(maxsize=1 << 16)
-def _generates(G: AbGroup, gens: frozenset) -> bool:
-    # memoised: every classify call over one base field validates the same
-    # H and inertia images, and the reference asks about the same choices.
     # gens generates G iff it generates every G/pG with p prime: a proper
     # subgroup lies in a maximal one, of some prime index p, which contains
     # pG.  G/pG is F_p on the coordinates i with p | m_i.
+    gens = set(gens)
     if len(gens) < min_generators(G):
         # k elements span no layer of dimension above k
         return False

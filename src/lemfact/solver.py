@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .abelian import (
     DESK_SUBGROUP_BOUND,
-    AbGroup,
     Elem,
     elem_order,
     generates,
@@ -146,15 +145,16 @@ def _image_orders(ext: CentralExtension, h_sub: frozenset, images: tuple) -> Map
     for g in images:
         gab.check_elem(g)
     if gab.order > DESK_SUBGROUP_BOUND:
-        # desk scale: the assignment space lists the elements of Gab
+        # desk scale: the coset walks here and each prime's coset g + H in
+        # _plan list up to |Gab| elements
         raise ValueError(f"group order {gab.order} exceeds bound {DESK_SUBGROUP_BOUND}")
     if not generates(gab, [*h_sub, *images]):
         raise ValueError("inertia images do not generate Gab/H: K is too small")
-    return MappingProxyType({g: _coset_order(ext, h_sub, g) for g in images})
+    return MappingProxyType({g: _coset_order(ext, h_sub, gab.reduce(g)) for g in images})
 
 
 def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
-    """The order of g + H in Gab/H."""
+    """The order of g + H in Gab/H, for g reduced."""
     gab = ext.gab
     n = 1
     cur = g
@@ -164,48 +164,89 @@ def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
     return n
 
 
-@lru_cache(maxsize=1 << 10)
-def _coset_candidates(ext: CentralExtension, h_sub: frozenset, g: Elem, r: int):
-    """The y in Y_E outside H, congruent to g mod H, with |y| dividing r,
-    sorted: the candidates of a prime q with q - 1 = r mod exp(Gab), as
-    every |y| divides exp(Gab).  Only the coset g + H is read, not Gab."""
-    # memoised: the primes of every base field over one H share few cosets
-    # and residues
+class _Plan(NamedTuple):
+    """What the lift test and the witnesses read of a base field's shape,
+    per prime of the shape; candidates is empty when some prime has none,
+    masks and pairing are None when no choice can generate Gab."""
+
+    candidates: tuple  # the sorted y in Y_E outside H, y = g mod H, |y| | q - 1
+    orders: tuple  # |y| per candidate
+    masks: tuple | None  # the maximal-subgroup mask per candidate
+    pairing: tuple | None  # [i][j][b][c]: <y_jc, z_ib> packed; None at j = i
+    width: int  # bits per coordinate of A in a packed element
+
+
+@lru_cache(maxsize=1 << 8)
+def _plan(ext: CentralExtension, h_sub: frozenset, shape: tuple) -> _Plan:
+    """The plan of a base field of the given shape, the tuple of (inertia
+    image, (q - 1) mod exp(Gab)) over its primes q sorted.  A prime's
+    candidates read its coset g + H only, and the residue decides which
+    |y| divide q - 1, as every |y| divides exp(Gab).
+
+    Raises before any table is built when the lift-test prefixes, the
+    choices of all primes but the last, exceed DEFAULT_ASSIGNMENT_BOUND.
+    With fewer primes than min_generators(Gab) nothing generates, and no
+    mask or pairing is built.  Else each candidate gets the bitmask of the
+    maximal subgroups containing it (abelian.maximal_subgroup_masks), and
+    each pair of distinct primes a block of pairing rows by candidate
+    index, shared by the pairs with the same candidates."""
+    # memoised: the base fields of one extension and H share few shapes,
+    # and the shape fixes everything here
     gab = ext.gab
-    return tuple(
-        y
-        for y in sorted({gab.add(g, x) for x in h_sub})
-        if y not in h_sub and r % elem_order(gab, y) == 0 and ext.in_y_set(y)
-    )
-
-
-def _assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
-    """The assignments compatible with the base field, as choices.
-
-    Returns (primes, candidates, choices): the ramified primes of kdata
-    sorted, per prime the tuple of sorted y in Y_E outside H, congruent to
-    its inertia image mod H, with |y| dividing q-1, and an iterator over
-    the choices (one candidate per prime, in lexicographic order) whose
-    images generate Gab.  candidates is empty when some prime has none.
-    """
-    h_sub = frozenset(h_sub)
-    if h_sub != frozenset(kdata.h_sub):
-        raise ValueError("H does not match the base field data")
-    kdata.validate(ext)
-    gab = ext.gab
-    e = gab.exponent
-    primes = sorted(kdata.primes)
-    candidates = []
-    for q, g in primes:
-        cands = _coset_candidates(ext, h_sub, g, (q - 1) % e)
-        if not cands:
-            return primes, (), iter(())
-        candidates.append(cands)
+    # an element of A packed as one integer, coordinate t in bits
+    # [t*width, ...), wide enough that no sum of n terms L * <y, z> with
+    # L < exp(Gab) carries
+    width = (len(shape) * gab.exponent * ext.a.exponent).bit_length()
+    coset = {
+        (g, r): tuple(
+            y
+            for y in sorted({gab.add(g, x) for x in h_sub})
+            if y not in h_sub and r % elem_order(gab, y) == 0 and ext.in_y_set(y)
+        )
+        for g, r in set(shape)
+    }
+    candidates = tuple(coset[key] for key in shape)
+    if not all(candidates):
+        return _Plan((), (), None, None, width)
     prefixes = prod(map(len, candidates[:-1]))
     if prefixes > DEFAULT_ASSIGNMENT_BOUND:
         raise ValueError(f"{prefixes} lift-test prefixes exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
-    choices = (c for c in itertools.product(*candidates) if generates(gab, c))
-    return primes, tuple(candidates), choices
+    orders = tuple(tuple([elem_order(gab, y) for y in cands]) for cands in candidates)
+    if len(shape) < min_generators(gab):
+        return _Plan(candidates, orders, None, None, width)
+    masks = maximal_subgroup_masks(gab, frozenset().union(*candidates))
+    pairs = [[(zs, ys) if j != i else None for j, ys in enumerate(candidates)]
+             for i, zs in enumerate(candidates)]
+    blocks = {key: _pairing_rows(ext, *key, width) for key in set().union(*pairs) if key}
+    return _Plan(
+        candidates,
+        orders,
+        tuple(tuple([masks[y] for y in cands]) for cands in candidates),
+        tuple(tuple(blocks.get(key) for key in row) for row in pairs),
+        width,
+    )
+
+
+def _pairing_rows(ext: CentralExtension, zs, ys, width: int) -> tuple:
+    """Per z in zs, the tuple of <y, z> for y in ys, packed as
+    _lift_solutions packs A: one integer with coordinate t in bits
+    [t*width, ...).
+
+    The pairing is bilinear: <y, z> = sum_i z_i <y, e_i> over the basis
+    e_i of Gab, so each y pairs with the k basis elements only, and each
+    coordinate of <y, z> is a dot product reduced mod its modulus."""
+    k = len(ext.gab.moduli)
+    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    layout = [(t * width, m) for t, m in enumerate(ext.a.moduli)]
+    # per y, per coordinate t of A: the t-th coordinates of the <y, e_i>
+    cols = [list(zip(*(ext.pairing(y, e) for e in basis))) for y in ys]
+    return tuple(
+        tuple([
+            sum((sum(map(mul, z, col)) % m) << s for col, (s, m) in zip(ycols, layout))
+            for ycols in cols
+        ])
+        for z in zs
+    )
 
 
 def _characters(e: int, qs) -> tuple:
@@ -222,12 +263,12 @@ def _characters(e: int, qs) -> tuple:
     ])
 
 
-def _log_character_mismatches(ext: CentralExtension, qs, candidates, chars) -> None:
+def _log_character_mismatches(ext: CentralExtension, qs, orders, chars) -> None:
     """Log each character of the lift test whose literal value, the
     character of p at q^(n-1) mod exp(A), differs from the direct one,
     L(p, q) mod n, in what a pairing term reads: for each pair p != q,
     in the order of _characters, and each order n of the candidates of
-    q, ascending.
+    q (orders, per prime), ascending.
 
     A term <y_q, y_p> with |y_q| = n is killed by n and by exp(A), so it
     reads a character mod gcd(n, exp(A)) only; the test decides with the
@@ -235,11 +276,11 @@ def _log_character_mismatches(ext: CentralExtension, qs, candidates, chars) -> N
     e = ext.a.exponent
     chars = iter(chars)
     for i, p in enumerate(qs):
-        for j, (q, cands) in enumerate(zip(qs, candidates)):
+        for j, (q, ns) in enumerate(zip(qs, orders)):
             if j == i:
                 continue
             char = next(chars)
-            for n in sorted({elem_order(ext.gab, y) for y in cands}):
+            for n in sorted(set(ns)):
                 direct = char % n
                 literal = _power_residue_char(p, q, n - 1, e)
                 if (literal - direct) % gcd(n, e):
@@ -254,71 +295,26 @@ def _log_character_mismatches(ext: CentralExtension, qs, candidates, chars) -> N
 
 
 @lru_cache(maxsize=1 << 10)
-def _lift_survivors(ext: CentralExtension, candidates, chars) -> tuple:
-    """The choices that pass the lift test and generate Gab, as
-    _lift_solutions gives them: one (prefix, bitmask) pair per prefix of
-    the first n - 1 primes' candidate indices with a survivor, in
-    lexicographic order, bit c of the bitmask set when the choice
-    (*prefix, c) survives.
-
-    A choice generates Gab exactly when the AND of its images' masks
-    (_maximal_masks) is 0, which _lift_solutions tests first, so no rank
-    is computed and no other choice is built.  Fewer primes than
-    min_generators(Gab) generate nothing: then there is no survivor, and
-    neither the lift test nor a mask is computed."""
-    # memoised: many base fields of one extension share the candidates and
-    # the characters, and the survivors depend on nothing else
-    if len(candidates) < min_generators(ext.gab):
+def _lift_survivors(ext: CentralExtension, h_sub: frozenset, shape: tuple, chars) -> tuple:
+    """The choices of the plan of (ext, H, shape) that pass the lift test
+    with the characters chars and generate Gab, as _lift_solutions yields
+    them; none, and no lift test, when the plan has no masks."""
+    # memoised: many base fields of one extension share the shape and the
+    # characters, and the survivors depend on nothing else
+    plan = _plan(ext, h_sub, shape)
+    if plan.masks is None:
         return ()
-    masks = _maximal_masks(ext.gab, frozenset().union(*candidates))
-    rows = [list(map(masks.__getitem__, cands)) for cands in candidates]
-    return tuple(_lift_solutions(ext, candidates, chars, rows))
+    return tuple(_lift_solutions(ext, plan, chars))
 
 
-@lru_cache(maxsize=1 << 8)
-def _maximal_masks(gab: AbGroup, union: frozenset) -> MappingProxyType:
-    """y -> the bitmask of the maximal subgroups of Gab containing y, for
-    y in union (abelian.maximal_subgroup_masks).  Read-only, as every
-    caller with this key shares it."""
-    # memoised: the calls of one extension share few sets of candidate
-    # images
-    return MappingProxyType(maximal_subgroup_masks(gab, union))
-
-
-@lru_cache(maxsize=1 << 8)
-def _packed_pairing(ext: CentralExtension, union: frozenset, width: int) -> MappingProxyType:
-    """(y, z) -> <y, z> for y, z in union, packed as _lift_solutions packs
-    A: one integer with coordinate t in bits [t*width, ...).  Read-only,
-    as every caller with this key shares it.
-
-    The pairing is bilinear: <y, z> = sum_i z_i <y, e_i> over the basis
-    e_i of Gab, so each y pairs with the k basis elements only, and each
-    coordinate of <y, z> is a dot product reduced mod its modulus."""
-    # memoised: calls of one extension on as many primes with the same
-    # candidate images share the table; the width is in the key, as it
-    # grows with the number of primes
-    k = len(ext.gab.moduli)
-    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    layout = [(t * width, m) for t, m in enumerate(ext.a.moduli)]
-    table = {}
-    for y in union:
-        # per coordinate t of A: the t-th coordinates of the <y, e_i>
-        cols = list(zip(*(ext.pairing(y, e) for e in basis)))
-        for z in union:
-            table[y, z] = sum(
-                (sum(map(mul, z, col)) % m) << s for col, (s, m) in zip(cols, layout)
-            )
-    return MappingProxyType(table)
-
-
-def _lift_solutions(ext: CentralExtension, candidates, chars, masks):
-    """The choices whose masks AND to 0 and that pass the Frobenius-sum
-    test, given the characters L of _characters: at each prime p_i, the
-    sum over j != i of L(p_i, q_j) times <y_j, y_i> vanishes.  L is read
-    mod gcd(q_j - 1, exp(Gab)), which |y_j| divides, and |y_j| kills
-    <y_j, y_i>, so each term is the paper's.  masks[j][c] belongs to the
-    c-th candidate of prime j: the maximal-subgroup masks keep the choices
-    that generate Gab, all-zero masks every choice that passes.
+def _lift_solutions(ext: CentralExtension, plan: _Plan, chars):
+    """The choices of the plan whose masks AND to 0 and that pass the
+    Frobenius-sum test, given the characters L of _characters: at each
+    prime p_i, the sum over j != i of L(p_i, q_j) times <y_j, y_i>
+    vanishes.  L is read mod gcd(q_j - 1, exp(Gab)), which |y_j| divides,
+    and |y_j| kills <y_j, y_i>, so each term is the paper's.  The masks
+    keep the choices that generate Gab, and all-zero characters pass
+    every choice, so with them this yields exactly the generating ones.
 
     Yields one pair (prefix, bitmask) per prefix of the first n - 1
     primes with a passing choice, in lexicographic order of the prefixes:
@@ -328,41 +324,36 @@ def _lift_solutions(ext: CentralExtension, candidates, chars, masks):
     that bitmask, so no choice is built here.
 
     The pairing is bilinear, so every term L * <y_q, y_p> is read from
-    tables on the pairing of the candidate images, packed for this call's
-    field layout, which _packed_pairing memoises on (extension, candidate
-    images, layout): the layout's width grows with the number of primes.
-    The test is solved for the last prime: the AND of a prefix's masks,
-    y_1 .. y_{n-1}, keeps the last prime's candidates whose mask it
-    leaves 0 (one bitmask per call and AND value).  Then the sum at p_i
-    (i < n) vanishes exactly when its last term L * <y_n, y_i> cancels
-    the fixed ones: per i < n, a lookup keeps the last prime's candidates
-    giving that term, and the sum at p_n is tested on the few left.
-    Each distinct unreduced term or sum is reduced once per call.
+    the plan's rows of the pairing by candidate index, packed for the
+    plan's field layout.  The test is solved for the last prime: the AND
+    of a prefix's masks, y_1 .. y_{n-1}, keeps the last prime's
+    candidates whose mask it leaves 0 (one bitmask per call and AND
+    value).  Then the sum at p_i (i < n) vanishes exactly when its last
+    term L * <y_n, y_i> cancels the fixed ones: per i < n, a lookup keeps
+    the last prime's candidates giving that term, and the sum at p_n is
+    tested on the few left.  Each distinct unreduced term or sum is
+    reduced once per call.
     """
-    a = ext.a
+    candidates, masks, width = plan.candidates, plan.masks, plan.width
     n = len(candidates)
-    union = set().union(*candidates)
-    # an element of A as one integer, coordinate t in bits [t*width, ...),
-    # wide enough that no sum of n terms L * <y, z> with L < exp(Gab) carries
-    width = (n * ext.gab.exponent * a.exponent).bit_length()
-    fields = [(t * width, m) for t, m in enumerate(a.moduli)]
+    fields = [(t * width, m) for t, m in enumerate(ext.a.moduli)]
     low = (1 << width) - 1
 
     def residue(v, sign):
         """v with each coordinate times sign, reduced mod its modulus."""
         return sum((sign * ((v >> s) & low) % m) << s for s, m in fields)
 
-    pairing = _packed_pairing(ext, frozenset(union), width)
     # w[i][b][j][c]: L(p_i, q_j) * <y, z>, unreduced, with y the c-th
     # candidate of prime j and z the b-th candidate of prime i; zero at
     # j = i, where the pairing vanishes
     chars = iter(chars)
     w = []
-    for i, zs in enumerate(candidates):
+    for i, (zs, blocks) in enumerate(zip(candidates, plan.pairing)):
+        zero = [0] * len(zs)
         row = [0 if j == i else next(chars) for j in range(n)]
         w.append([
-            [[char * pairing[y, z] for y in cands] for char, cands in zip(row, candidates)]
-            for z in zs
+            [zero if rows is None else [char * x for x in rows[b]] for char, rows in zip(row, blocks)]
+            for b in range(len(zs))
         ])
     last = n - 1
     # hits[i][b]: the last prime's term at p_i, reduced -> bitmask of the
@@ -472,23 +463,26 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     narrow sense also needs f~(c) = 0; that depends on the lift and is
     not tested.
 
-    What depends only on (ext, H, the inertia images) runs once per
-    such triple, ext being keyed by its class, so that cohomologous
-    extensions share it: the base-field checks that read no prime
-    (BaseFieldData.validate, _image_orders), each prime's candidates,
-    memoised on its coset and (q - 1) mod exp(Gab) (_coset_candidates).
-    Each call runs what reads its primes: the per-prime checks, the
-    characters and the witnesses.
+    What depends only on the base field's shape runs once per (ext, H,
+    shape), ext being keyed by its class, so that cohomologous
+    extensions share it; the shape is the tuple of (inertia image,
+    (q - 1) mod exp(Gab)) over the primes sorted.  Three memos hold it:
+    the base-field checks that read no prime and the coset orders, on
+    (ext, H, distinct images) (BaseFieldData.validate, _image_orders);
+    the plan, on (ext, H, shape): per prime its candidates, their orders
+    and maximal-subgroup masks, and the pairing rows by candidate index
+    (_plan); and the survivors of the lift test, on (ext, H, shape,
+    characters) (_lift_survivors).  Each call runs what reads its
+    primes: the per-prime checks, the characters and the witnesses.
 
     The lift test is solved for the last prime, which keeps only the
     candidates that generate Gab with a prefix, by the AND of their
     maximal-subgroup masks, before testing them (_lift_solutions); it
     decides exactly as the per-assignment reference in the tests.  Each
     call computes one character per ordered pair of primes, whatever the
-    images (_characters); the survivors, as (prefix, bitmask) pairs, one
-    per prefix of the first n - 1 primes with a survivor, are memoised
-    on these and the candidates (_lift_survivors).  When exp(A) is
-    composite, each character whose literal value mod exp(A) differs
+    images (_characters); the survivors are (prefix, bitmask) pairs, one
+    per prefix of the first n - 1 primes with a survivor.  When exp(A)
+    is composite, each character whose literal value mod exp(A) differs
     from the direct one where a pairing term reads it is logged as a
     warning, once per call and order of the candidates at q
     (_log_character_mismatches).  Assignments, factorizations and counts
@@ -499,35 +493,43 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     merged into those by bisection.  A Witness is a NamedTuple.  h_sub
     must be the H of kdata.
     """
-    primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
-    qs = [q for q, _ in primes]
+    h_sub = frozenset(h_sub)
+    if h_sub != frozenset(kdata.h_sub):
+        raise ValueError("H does not match the base field data")
+    kdata.validate(ext)
     gab = ext.gab
+    primes = sorted(kdata.primes)
+    qs = [q for q, _ in primes]
+    shape = tuple((g, (q - 1) % gab.exponent) for q, g in primes)
+    plan = _plan(ext, h_sub, shape)
     wild = 2 * gab.order * ext.a.order
     # each q is prime (kdata.validate), so it divides wild iff it shares a
     # factor with it, and some q does iff their product does
     if len(set(qs)) != len(qs) or gcd(prod(qs), wild) != 1:
         # RamAssignment rejects every choice with an error that depends on
-        # the primes alone, raised iff some choice generates Gab; the
-        # tables are never built, as a duplicated prime would make its own
-        # character ramified
-        for choice in choices:
-            RamAssignment(ext, tuple(zip(qs, choice)))
+        # the primes alone, raised iff some choice generates Gab.  With
+        # all-zero characters the kernel passes exactly those; no character
+        # is computed, as a duplicated prime would make its own ramified
+        found = plan.masks and next(_lift_solutions(ext, plan, [0] * len(qs) ** 2), None)
+        if found:
+            idx = (*found[0], found[1].bit_length() - 1)
+            RamAssignment(ext, tuple(zip(qs, map(getitem, plan.candidates, idx))))
         return _NO_SOLUTION
-    if not candidates:
+    if not plan.candidates:
         return _NO_SOLUTION
     chars = _characters(gab.exponent, qs)
     if not is_prime(ext.a.exponent):
         # no literal characters for a prime exp(A) = l: a term reads them
         # mod gcd(n, l), and when l divides n, n divides q - 1, so both
         # reduce to the discrete log of p mod l and agree
-        _log_character_mismatches(ext, qs, candidates, chars)
-    survivors = _lift_survivors(ext, candidates, chars)
+        _log_character_mismatches(ext, qs, plan.orders, chars)
+    survivors = _lift_survivors(ext, h_sub, shape, chars)
     if not survivors:
         return _NO_SOLUTION
     # per prime, per candidate y: the entry (q, y), |y| and (y, (q*)^(|y|-1)),
     # shared by every witness that picks it
-    entries = [[(q, y) for y in cands] for q, cands in zip(qs, candidates)]
-    orders = [[elem_order(gab, y) for y in cands] for cands in candidates]
+    entries = [[(q, y) for y in cands] for q, cands in zip(qs, plan.candidates)]
+    orders = list(plan.orders)
     factors = [
         [(y, prime_star(q) ** (n - 1)) for (q, y), n in zip(*row)] for row in zip(entries, orders)
     ]

@@ -5,24 +5,27 @@ test and "generates Gab" for all of them at once (solver._lift_solutions).  The 
 here take one assignment at a time, through the checking RamAssignment
 and DiscFactorization constructors, and evaluate each Frobenius pairing
 sum term by term, in two independent ways: the tests compare classify
-against them.  infinite_place_ok is the sign condition at the infinite
-place, which classify does not test (see its docstring).
+against them.  assignment_space lists the candidates from Y_E and the
+choices by the rank test, without the solver's plan.  infinite_place_ok
+is the sign condition at the infinite place, which classify does not
+test (see its docstring).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
-from lemfact.abelian import Elem, elem_order
+from lemfact.abelian import AbGroup, Elem, elem_order, generates
 from lemfact.arith import PrimePower, power_residue_char, prime_star
 from lemfact.cocycle import CentralExtension
 from lemfact.solver import (
     DEFAULT_ASSIGNMENT_BOUND,
     BaseFieldData,
     RamAssignment,
-    _assignment_space,
 )
 
 logger = logging.getLogger("lemfact")
@@ -161,13 +164,55 @@ def has_unramified_lift(ext: CentralExtension, assignment: RamAssignment):
     return not failing, failing
 
 
+@lru_cache(maxsize=1 << 16)
+def _generating(G: AbGroup, gens: frozenset) -> bool:
+    return generates(G, gens)
+
+
+def generating(G: AbGroup, gens) -> bool:
+    """abelian.generates, memoised on (G, the set of gens): the reference
+    and the tests ask about the same choices many times."""
+    return _generating(G, frozenset(gens))
+
+
+def assignment_space(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
+    """The assignments compatible with the base field, as choices.
+
+    Returns (primes, candidates, choices): the ramified primes of kdata
+    sorted, per prime the tuple of sorted y in Y_E outside H, congruent to
+    its inertia image mod H, with |y| dividing q-1, and an iterator over
+    the choices (one candidate per prime, in lexicographic order) whose
+    images generate Gab.  candidates is empty when some prime has none.
+    The candidates are Y_E filtered, not the coset of H that the solver's
+    plan walks."""
+    h_sub = frozenset(h_sub)
+    if h_sub != frozenset(kdata.h_sub):
+        raise ValueError("H does not match the base field data")
+    kdata.validate(ext)
+    gab = ext.gab
+    ye = sorted(ext.y_set())
+    primes = sorted(kdata.primes)
+    candidates = tuple(
+        tuple(
+            y
+            for y in ye
+            if y not in h_sub and gab.sub(y, g) in h_sub and (q - 1) % elem_order(gab, y) == 0
+        )
+        for q, g in primes
+    )
+    if not all(candidates):
+        return primes, (), iter(())
+    choices = (c for c in itertools.product(*candidates) if generating(gab, c))
+    return primes, candidates, choices
+
+
 def enumerate_assignments(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData):
     """All assignments compatible with the base field: y_q in Y_E outside
     H, congruent to the given inertia image mod H, with the y_q jointly
     generating Gab.  Deterministic order (primes sorted, candidates in
     lexicographic order).  Raises before the first one when the choices,
     which it visits one by one, exceed DEFAULT_ASSIGNMENT_BOUND."""
-    primes, candidates, choices = _assignment_space(ext, h_sub, kdata)
+    primes, candidates, choices = assignment_space(ext, h_sub, kdata)
     total = prod(map(len, candidates))
     if total > DEFAULT_ASSIGNMENT_BOUND:
         raise ValueError(f"{total} candidate assignments exceed bound {DEFAULT_ASSIGNMENT_BOUND}")

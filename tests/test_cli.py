@@ -628,6 +628,26 @@ def test_classify_heisenberg7_data(capsys):
     assert code == 0 and out.startswith("exists=true\n")
 
 
+def test_classify_heisenberg7_three_images_data(capsys):
+    # the sha256 CI checks against the installed script: three images, so
+    # the pairing rows differ for each pair of primes
+    code, out, err = run(
+        capsys, "--format", "json", "classify", "--ext", "Heisenberg:7",
+        "--kdata", str(DATA / "heisenberg7_three_images_kdata.json"),
+    )
+    assert (code, err) == (0, "")
+    witnesses = json.loads(out)["witnesses"]
+    assert len(witnesses) == 2016
+    # each image stays in its prime's coset of H = {(a, b, 0)}
+    assert all(
+        {q: y[2] for q, y in w["assignment"].items()} == {"29": 1, "113": 2, "281": 3}
+        for w in witnesses
+    )
+    digest, name = (DATA / "heisenberg7_three_images.sha256").read_text().split()
+    assert name == "heisenberg7_three_images.json"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_heisenberg11_data(capsys):
     # the sha256 CI checks against the installed script: 121^2 lift-test
     # prefixes, within the bound; the criterion agrees
@@ -660,10 +680,12 @@ def test_classify_h8_pair_data(capsys):
     "ext,kdata,message",
     [
         ("C4_D4", "c4_d4_unramified_kdata.json", "prime 41 is unramified in K (image in H)"),
+        # the image (2, 0) is 0 once reduced, in H
+        ("C4_D4", "c4_d4_unreduced_kdata.json", "prime 13 is unramified in K (image in H)"),
         ("Heisenberg:3", "heisenberg3_order_fault_kdata.json",
          "inertia order 3 at 5 does not divide 5-1"),
     ],
-    ids=["image-in-h", "order-does-not-divide"],
+    ids=["image-in-h", "unreduced-image-in-h", "order-does-not-divide"],
 )
 def test_classify_prime_fault_data_exits_2(capsys, ext, kdata, message):
     # the files CI classifies through the installed script: the first

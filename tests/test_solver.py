@@ -14,7 +14,6 @@ from lemfact.abelian import (
     AbGroup,
     elem_order,
     enumerate_automorphisms,
-    generates,
     hom_count,
     subgroup_generated,
     torsion_count,
@@ -38,14 +37,12 @@ from lemfact.solver import (
     RamAssignment,
     Report,
     Witness,
-    _assignment_space,
     _characters,
-    _coset_candidates,
     _image_orders,
     _lift_solutions,
     _lift_survivors,
-    _maximal_masks,
-    _packed_pairing,
+    _pairing_rows,
+    _plan,
     classify,
     count_extensions,
     primes_from_json,
@@ -53,11 +50,13 @@ from lemfact.solver import (
 from cocycle_reference import H2_PAIRS, d4_table, subgroups
 from solver_reference import (
     DiscFactorization,
+    assignment_space,
     conjugation_image,
     enumerate_assignments,
     factorization_of,
     frobenius_pairing_sum,
     frobenius_pairing_sum_direct,
+    generating,
     has_unramified_lift,
     infinite_place_ok,
     sign_image,
@@ -84,6 +83,17 @@ def survivor_indices(pairs) -> list:
     index tuples, in order: (*prefix, c) for each bit c of the bitmask,
     lowest first."""
     return [(*idx, c) for idx, mask in pairs for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def shape_of(ext, kdata) -> tuple:
+    """The shape classify keys its plan on: (inertia image, (q - 1) mod
+    exp(Gab)) over the primes sorted."""
+    return tuple((g, (q - 1) % ext.gab.exponent) for q, g in sorted(kdata.primes))
+
+
+def plan_of(ext, h, kdata):
+    """The solver's plan of a base field, as classify reads it."""
+    return _plan(ext, frozenset(h), shape_of(ext, kdata))
 
 
 def assignment_from_factorization(ext, fact: DiscFactorization) -> RamAssignment:
@@ -259,11 +269,11 @@ def test_infinite_place_holds_on_every_lift_survivor():
                 # the images do not generate Gab/H, or |y| does not divide q - 1
                 continue
             made += 1
-            primes, candidates, _ = _assignment_space(ext, h, kdata)
+            candidates = plan_of(ext, h, kdata).candidates
             if not candidates:
                 continue
-            qs = [q for q, _ in primes]
-            pairs = _lift_survivors(ext, candidates, _characters(gab.exponent, qs))
+            qs = sorted(q for q, _ in kdata.primes)
+            pairs = _lift_survivors(ext, h, shape_of(ext, kdata), _characters(gab.exponent, qs))
             for idx in survivor_indices(pairs):
                 asg = RamAssignment(ext, tuple(zip(qs, map(getitem, candidates, idx))))
                 fact = factorization_of(asg)
@@ -416,6 +426,8 @@ def validate_cases(d4, heis3):
         (ext4, h4, ((2, (0, 1)),), "2 is not an odd prime", ((3, (0, 1)),)),
         (ext4, h4, ((5, (0, 1)), (9, (0, 1))), "9 is not an odd prime", ((5, (0, 1)), (13, (0, 1)))),
         (ext4, h4, ((5, (1, 0)), (9, (0, 1))), "prime 5 is unramified in K (image in H)", None),
+        # an unreduced image is read reduced: (2, 0) is 0, in H
+        (ext4, h4, ((5, (0, 1)), (13, (2, 0))), "prime 13 is unramified in K (image in H)", None),
         (ext4, h4, ((9, (0, 1)), (5, (1, 0))), "9 is not an odd prime", None),
         (ext3, h3, ((7, y3), (5, y3)), "inertia order 3 at 5 does not divide 5-1",
          ((7, y3), (13, y3))),
@@ -441,6 +453,18 @@ def test_basefield_validation(d4, heis3):
             assert str(exc.value) == message, primes
 
 
+def test_unreduced_images_classify_as_reduced(d4):
+    # (0, 3) and (0, -1) are (0, 1) in C2 x C2, outside H: the report is
+    # the one of the reduced image (validate_cases has (2, 0), which is 0)
+    ext, h = d4
+    expected = classify(ext, h, c4_kdata(ext, h, 205)).to_json()
+    assert expected["exists"]
+    for image in ((0, 3), (0, -1)):
+        kdata = BaseFieldData(h, ((5, (0, 1)), (41, image)))
+        assert classify(ext, h, kdata).to_json() == expected
+        assert reference_report(ext, h, kdata) == expected
+
+
 def test_classify_runs_the_base_field_preamble_once_per_pattern(monkeypatch, d4):
     # 200 C4_D4 and 200 H8_pair fields, interleaved, with random images
     # in the one coset outside H: the checks of validate that read only
@@ -464,10 +488,9 @@ def test_classify_runs_the_base_field_preamble_once_per_pattern(monkeypatch, d4)
 
     def counted(gab, gens):
         calls.append((gab, gens))
-        return generates_memo(gab, gens)
+        return abelian.generates(gab, gens)
 
-    generates_memo = abelian._generates
-    monkeypatch.setattr(abelian, "_generates", counted)
+    monkeypatch.setattr(solver, "generates", counted)
     _image_orders.cache_clear()
     assert [classify(*f).to_json() for f in fields] == expected
     assert _image_orders.cache_info().misses == len(patterns) > 2
@@ -569,8 +592,7 @@ def test_classify_computes_no_rank_per_solution(monkeypatch):
 
     rank_mod = abelian._rank_mod
     monkeypatch.setattr(abelian, "_rank_mod", counted)
-    for memo in (abelian._generates, _image_orders, _coset_candidates,
-                 _lift_survivors, _maximal_masks, _packed_pairing):
+    for memo in (_image_orders, _plan, _lift_survivors):
         memo.cache_clear()
     rep = classify(ext, h, kdata)
     assert len(rep.witnesses) == 2400
@@ -580,7 +602,7 @@ def test_classify_computes_no_rank_per_solution(monkeypatch):
 
 def test_classify_with_fewer_primes_than_a_layer_builds_no_mask(monkeypatch):
     # Gab = C2^4 needs four generators; H has rank 1 and three primes
-    # ramify, so no choice generates Gab and no mask is built
+    # ramify, so no choice generates Gab and no mask or pairing is built
     ext, _ = preset("split", ((2, 2, 2, 2), (3,)))
     h = subgroup_generated(ext.gab, [(0, 0, 0, 1)])
     kdata = BaseFieldData(h, ((5, (1, 0, 0, 0)), (7, (0, 1, 0, 0)), (11, (0, 0, 1, 0))))
@@ -589,10 +611,12 @@ def test_classify_with_fewer_primes_than_a_layer_builds_no_mask(monkeypatch):
         raise AssertionError("mask built")
 
     monkeypatch.setattr(solver, "maximal_subgroup_masks", refuse)
-    monkeypatch.setattr(solver, "_maximal_masks", refuse)
+    monkeypatch.setattr(solver, "_pairing_rows", refuse)
+    _plan.cache_clear()
     _lift_survivors.cache_clear()
-    candidates = _assignment_space(ext, h, kdata)[1]
-    assert [len(c) for c in candidates] == [2, 2, 2]
+    plan = plan_of(ext, h, kdata)
+    assert [len(c) for c in plan.candidates] == [2, 2, 2]
+    assert plan.masks is None and plan.pairing is None
     assert classify(ext, h, kdata).to_json() == {"exists": False, "witnesses": []}
     assert reference_report(ext, h, kdata) == {"exists": False, "witnesses": []}
 
@@ -663,7 +687,7 @@ def test_cohomologous_tables_share_the_memos(monkeypatch, d4):
         return enumerate_automorphisms(a)
 
     monkeypatch.setattr(cocycle, "enumerate_automorphisms", counted)
-    memos = (_image_orders, _coset_candidates, _lift_survivors)
+    memos = (_image_orders, _plan, _lift_survivors)
     before = [memo.cache_info() for memo in memos]
     assert [classify(loaded, h, c4_kdata(loaded, h, d)).to_json() for d in ds[:50]] == expected
     for memo, info in zip(memos, before):
@@ -687,7 +711,7 @@ def test_classify_memo_matches_reference_cold_and_warm(d4):
     ]
     expected = [reference_report(*f) for f in fields]
     _lift_survivors.cache_clear()
-    _coset_candidates.cache_clear()
+    _plan.cache_clear()
     assert [classify(*f).to_json() for f in fields] == expected
     cold = _lift_survivors.cache_info()
     # most base fields repeat the candidates and characters of an earlier one
@@ -699,14 +723,14 @@ def test_classify_memo_matches_reference_cold_and_warm(d4):
 
 
 def test_classify_memo_hit_names_its_own_primes(d4):
-    # 5 * 41 and 5 * 61 share candidates and characters: every quadratic
+    # 5 * 41 and 5 * 61 share shape and characters: every quadratic
     # character among their primes is trivial
     ext, h = d4
     keys, reports = [], []
     for d in (205, 305):
         kdata = c4_kdata(ext, h, d)
-        primes, candidates, _ = _assignment_space(ext, h, kdata)
-        keys.append((candidates, _characters(ext.gab.exponent, [q for q, _ in primes])))
+        qs = sorted(q for q, _ in kdata.primes)
+        keys.append((shape_of(ext, kdata), _characters(ext.gab.exponent, qs)))
         reports.append(classify(ext, h, kdata))
     assert keys[0] == keys[1]
     hits = _lift_survivors.cache_info().hits
@@ -907,9 +931,9 @@ def test_mixed_orders_data_files():
     assert CentralExtension.from_json(loaded) == ext
     with open(data / "mixed_orders_kdata.json") as fh:
         assert BaseFieldData.from_json(json.load(fh), ext) == kdata
-    candidates = _assignment_space(ext, h, kdata)[1]
-    orders = [sorted({elem_order(ext.gab, y) for y in c}) for c in candidates]
-    assert orders == [[2, 4], [2], [2, 4], [4]]
+    plan = plan_of(ext, h, kdata)
+    assert plan.candidates == assignment_space(ext, h, kdata)[1]
+    assert [sorted(set(ns)) for ns in plan.orders] == [[2, 4], [2], [2, 4], [4]]
     # a witness with an order-2 image at a prime whose candidates have
     # both orders
     rep = assert_matches_reference(ext, h, kdata)
@@ -930,7 +954,7 @@ def test_cold_classify_makes_one_character_call_per_pair_of_primes(monkeypatch):
     monkeypatch.setattr(solver, "_power_residue_char", counted)
     # exp(A) = 4 is composite: the mismatch log reads literal characters
     monkeypatch.setattr(solver, "_log_character_mismatches", lambda *args: None)
-    for memo in (arith._power_residue_char, _image_orders, _coset_candidates, _lift_survivors):
+    for memo in (arith._power_residue_char, _image_orders, _plan, _lift_survivors):
         memo.cache_clear()
     assert classify(ext, h, kdata).exists
     qs = sorted(q for q, _ in kdata.primes)
@@ -963,8 +987,7 @@ def mixed_orders_fields():
 def test_classify_matches_reference_on_mixed_candidate_orders():
     two_orders = with_witnesses = 0
     for ext, h, kdata in mixed_orders_fields():
-        candidates = _assignment_space(ext, h, kdata)[1]
-        two_orders += any(len({elem_order(ext.gab, y) for y in c}) == 2 for c in candidates)
+        two_orders += any(len(set(ns)) == 2 for ns in plan_of(ext, h, kdata).orders)
         with_witnesses += assert_matches_reference(ext, h, kdata)["exists"]
     assert two_orders > 200 and with_witnesses > 80
 
@@ -1050,6 +1073,40 @@ def test_classify_without_generating_choice_ignores_bad_primes(heis3):
         assert reference_report(e, hs, kdata) == {"exists": False, "witnesses": []}
 
 
+def test_classify_ignores_bad_primes_when_the_masks_find_no_generating_choice():
+    # n >= min_generators(Gab) primes, so the plan holds masks, but Y_E or
+    # the order filter removes every candidate that would generate Gab:
+    # the kernel finds no generating choice, so no error and no witness,
+    # as in the reference
+    d4_ext, _ = preset("C4_D4")
+    # Y_E leaves out (1, 0), so the coset (0, 1) + <(1, 1)> keeps (0, 1)
+    # alone; 5 is duplicated
+    h_d4 = frozenset({(0, 0), (1, 1)})
+    dup = BaseFieldData(h_d4, ((5, (0, 1)), (5, (0, 1))))
+    # D4 on the first two coordinates of C2 x C2 x C3, A = C2: the prime 3
+    # divides |Gab|; Y_E leaves out (1, 0, 0) and (1, 0, 1)
+    gab, a = AbGroup((2, 2, 3)), AbGroup((2,))
+    d4c3 = CentralExtension(gab, a, [(1,), (0,), (0,)], [(1,), (0,), (0,)])
+    h_c3 = frozenset({(0, 0, 0), (1, 1, 0)})
+    wild_ye = BaseFieldData(h_c3, ((3, (0, 1, 0)), (7, (0, 1, 1))))
+    # C2 x C4 split by C3: 3 and 7 are 3 mod 4, so the candidates of order
+    # 4, (0, 1) and (0, 3), go, and (1, 0), (1, 2) span one line mod 2
+    split, _ = preset("split", ((2, 4), (3,)))
+    h_c4 = subgroup_generated(split.gab, [(1, 1)])
+    wild_order = BaseFieldData(h_c4, ((3, (1, 0)), (7, (1, 0))))
+    cases = ((d4_ext, h_d4, dup), (d4c3, h_c3, wild_ye), (split, h_c4, wild_order))
+    for ext, h, kdata in cases:
+        assert len(kdata.primes) >= abelian.min_generators(ext.gab)
+        plan = plan_of(ext, h, kdata)
+        assert plan.masks is not None
+        assert plan.candidates == assignment_space(ext, h, kdata)[1]
+        # unfiltered, the cosets hold a choice that generates Gab
+        cosets = [{ext.gab.add(y, x) for x in h} for _, y in sorted(kdata.primes)]
+        assert any(generating(ext.gab, c) for c in itertools.product(*cosets))
+        assert classify(ext, h, kdata).to_json() == {"exists": False, "witnesses": []}
+        assert reference_report(ext, h, kdata) == {"exists": False, "witnesses": []}
+
+
 # four primes = 1 mod 3 and their number of classify witnesses
 HEIS3_QUADRUPLES = {(7, 13, 19, 31): 96, (7, 13, 31, 61): 0, (7, 13, 43, 61): 192}
 
@@ -1063,15 +1120,26 @@ def test_classify_matches_reference_heisenberg3_four_primes(heis3, primes):
     assert all(w["count_per_class"] == 3 and w["classes"] == 2 for w in got["witnesses"])
 
 
-def kernel_choices(ext, primes, candidates, generating=True) -> list:
-    """The choices _lift_solutions returns for the sorted primes, as
-    images: with the candidates' maximal-subgroup masks, or with all-zero
-    masks when generating is False."""
-    union = frozenset().union(*candidates)
-    masks = _maximal_masks(ext.gab, union) if generating else dict.fromkeys(union, 0)
-    rows = [[masks[y] for y in cands] for cands in candidates]
-    found = _lift_solutions(ext, candidates, _characters(ext.gab.exponent, primes), rows)
-    return [tuple(map(getitem, candidates, idx)) for idx in survivor_indices(found)]
+def kernel_choices(ext, h, kdata, masks=True) -> list:
+    """The choices _lift_solutions returns on the plan of the base field,
+    as images: with the plan's maximal-subgroup masks, or with all-zero
+    masks when masks is False.  A plan without tables has fewer primes
+    than min_generators(Gab), so no choice generates; with all-zero
+    masks it gets its pairing rows here."""
+    plan = plan_of(ext, h, kdata)
+    cands = plan.candidates
+    if masks and plan.masks is None:
+        return []
+    if not masks:
+        pairing = plan.pairing or tuple(
+            tuple(None if j == i else _pairing_rows(ext, zs, ys, plan.width)
+                  for j, ys in enumerate(cands))
+            for i, zs in enumerate(cands)
+        )
+        plan = plan._replace(masks=tuple((0,) * len(c) for c in cands), pairing=pairing)
+    qs = sorted(q for q, _ in kdata.primes)
+    found = _lift_solutions(ext, plan, _characters(ext.gab.exponent, qs))
+    return [tuple(map(getitem, cands, idx)) for idx in survivor_indices(found)]
 
 
 def reference_choices(ext, primes, candidates) -> list:
@@ -1088,14 +1156,15 @@ def reference_choices(ext, primes, candidates) -> list:
 def test_lift_solutions_match_reference_on_every_choice(heis3, primes):
     # every choice, generating or not: 9^4 of them
     ext, h = heis3
-    candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+    kdata = heis_kdata(h, primes)
+    candidates = assignment_space(ext, h, kdata)[1]
     assert prod(map(len, candidates)) == 9**4
     expected = reference_choices(ext, primes, candidates)
     assert expected
-    assert kernel_choices(ext, primes, candidates, generating=False) == expected
-    survivors = [c for c in expected if generates(ext.gab, c)]
+    assert kernel_choices(ext, h, kdata, masks=False) == expected
+    survivors = [c for c in expected if generating(ext.gab, c)]
     assert len(survivors) == HEIS3_QUADRUPLES[primes]
-    assert kernel_choices(ext, primes, candidates) == survivors
+    assert kernel_choices(ext, h, kdata) == survivors
 
 
 def test_lift_solutions_two_coordinate_a_with_order_9_images():
@@ -1104,18 +1173,18 @@ def test_lift_solutions_two_coordinate_a_with_order_9_images():
     gab, a = AbGroup((9, 9)), AbGroup((3, 3))
     ext = CentralExtension(gab, a, [(1, 2)], [a.zero()] * 2)
     h = subgroup_generated(gab, [(1, 0)])
-    passing = generating = 0
+    passing = generated = 0
     # no choice of the first three generates Gab; 162 of the fourth do
     for primes in ((19, 37, 73), (37, 109, 199), (73, 163, 271), (19, 109, 181)):
         kdata = BaseFieldData(h, tuple((q, (0, 1)) for q in primes))
-        candidates = _assignment_space(ext, h, kdata)[1]
+        candidates = assignment_space(ext, h, kdata)[1]
         expected = reference_choices(ext, primes, candidates)
-        assert kernel_choices(ext, primes, candidates, generating=False) == expected
-        survivors = [c for c in expected if generates(gab, c)]
-        assert kernel_choices(ext, primes, candidates) == survivors
+        assert kernel_choices(ext, h, kdata, masks=False) == expected
+        survivors = [c for c in expected if generating(gab, c)]
+        assert kernel_choices(ext, h, kdata) == survivors
         passing += len(expected)
-        generating += len(survivors)
-    assert 0 < generating < passing < 4 * 9**3
+        generated += len(survivors)
+    assert 0 < generated < passing < 4 * 9**3
 
 
 @pytest.mark.parametrize("gab,a", H2_PAIRS, ids=lambda g: "x".join(map(str, g.moduli)))
@@ -1141,13 +1210,13 @@ def test_lift_solutions_match_reference_on_every_class(gab, a):
             except ValueError:
                 # the images do not generate Gab/H, or |y| does not divide q - 1
                 continue
-            candidates = _assignment_space(ext, h, kdata)[1]
+            candidates = assignment_space(ext, h, kdata)[1]
             if not candidates or prod(map(len, candidates)) > 256:
                 continue
             solutions = reference_choices(ext, primes, candidates)
-            assert kernel_choices(ext, primes, candidates, generating=False) == solutions, kdata
-            expected = [c for c in solutions if generates(gab, c)]
-            assert kernel_choices(ext, primes, candidates) == expected, kdata
+            assert kernel_choices(ext, h, kdata, masks=False) == solutions, kdata
+            expected = [c for c in solutions if generating(gab, c)]
+            assert kernel_choices(ext, h, kdata) == expected, kdata
             passing += len(solutions)
             survivors += len(expected)
             made += 1
@@ -1157,29 +1226,76 @@ def test_lift_solutions_match_reference_on_every_class(gab, a):
     assert fields and passing >= survivors > 0
 
 
+def candidate_fields():
+    """(extension, H, base field data): for every class of the H2_PAIRS
+    shapes and every proper subgroup H, each image outside H at a prime
+    whose q - 1 its coset order divides, drawn so that q - 1 mod exp(Gab)
+    varies; and on Heisenberg 3, 5, 7 and 11, three primes with images
+    in three cosets of H."""
+    rng = random.Random(29)
+    pool = [q for q in range(3, 400) if is_prime(q)]
+    for gab, a in H2_PAIRS:
+        subs = [s for s in subgroups(gab) if len(s) < gab.order]
+        for ext in enumerate_central_extensions(gab, a):
+            for h in subs:
+                primes = []
+                for g in gab.elements():
+                    if g in h:
+                        continue
+                    n = next(k for k in range(2, gab.order + 1) if gab.smul(k, g) in h)
+                    primes.append((rng.choice([q for q in pool if (q - 1) % n == 0]), g))
+                yield ext, h, BaseFieldData(h, tuple(primes))
+    for ell in (3, 5, 7, 11):
+        ext, h = preset("Heisenberg", ell)
+        qs = rng.sample([q for q in range(3, 1000) if is_prime(q) and q % ell == 1], 3)
+        images = ((0, 0, 1), (0, 0, 2), (1, 2, ell - 1))
+        yield ext, h, BaseFieldData(h, tuple(zip(qs, images)))
+
+
+def test_plan_candidates_match_the_reference():
+    # the plan walks each prime's coset of H; the reference filters Y_E
+    fields = order_cut = ye_cut = 0
+    for ext, h, kdata in candidate_fields():
+        candidates = assignment_space(ext, h, kdata)[1]
+        plan = plan_of(ext, h, kdata)
+        assert plan.candidates == candidates, kdata
+        assert plan.orders == tuple(
+            tuple(elem_order(ext.gab, y) for y in cands) for cands in candidates
+        )
+        # fields where some prime loses a candidate of its coset to
+        # |y| not dividing q - 1, and to Y_E
+        cosets = [(q, {ext.gab.add(g, x) for x in h}) for q, g in kdata.primes]
+        order_cut += any((q - 1) % elem_order(ext.gab, y) for q, ys in cosets for y in ys)
+        ye_cut += any(not ext.in_y_set(y) for _, ys in cosets for y in ys)
+        fields += 1
+    assert fields > 2000 and order_cut > 50 and ye_cut > 500
+
+
 def test_lift_solutions_with_fewer_primes_than_generators(heis3):
     # Heisenberg 3 needs three generators; one and two primes whose images
     # generate Gab/H: no choice generates Gab, whatever passes
     ext, h = heis3
     assert abelian.min_generators(ext.gab) == 3
     for primes in ((7,), (7, 13), (13, 43)):
-        candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+        kdata = heis_kdata(h, primes)
+        candidates = assignment_space(ext, h, kdata)[1]
         passing = reference_choices(ext, primes, candidates)
         assert passing
-        assert kernel_choices(ext, primes, candidates, generating=False) == passing
-        assert kernel_choices(ext, primes, candidates) == []
-        assert _lift_survivors(ext, candidates, _characters(3, primes)) == ()
+        assert kernel_choices(ext, h, kdata, masks=False) == passing
+        assert plan_of(ext, h, kdata).masks is None
+        assert kernel_choices(ext, h, kdata) == []
+        assert _lift_survivors(ext, h, shape_of(ext, kdata), _characters(3, primes)) == ()
 
 
 @pytest.mark.parametrize("primes", COMPOSITE_MISMATCHES)
 def test_lift_solutions_match_reference_composite_exponent(primes):
     ext, h = composite_exponent_extension()
-    candidates = _assignment_space(ext, h, composite_kdata(h, primes))[1]
-    primes = sorted(primes)
-    passing = reference_choices(ext, primes, candidates)
-    assert kernel_choices(ext, primes, candidates, generating=False) == passing
-    expected = [c for c in passing if generates(ext.gab, c)]
-    assert kernel_choices(ext, primes, candidates) == expected
+    kdata = composite_kdata(h, primes)
+    candidates = assignment_space(ext, h, kdata)[1]
+    passing = reference_choices(ext, sorted(primes), candidates)
+    assert kernel_choices(ext, h, kdata, masks=False) == passing
+    expected = [c for c in passing if generating(ext.gab, c)]
+    assert kernel_choices(ext, h, kdata) == expected
 
 
 def test_lift_survivors_hold_only_the_generating_solutions():
@@ -1191,18 +1307,18 @@ def test_lift_survivors_hold_only_the_generating_solutions():
     ext, h = preset("Heisenberg", 5)
     primes = (2591, 4261, 7331)
     kdata = heis_kdata(h, primes)
-    candidates = _assignment_space(ext, h, kdata)[1]
-    passing = kernel_choices(ext, primes, candidates, generating=False)
+    candidates = assignment_space(ext, h, kdata)[1]
+    passing = kernel_choices(ext, h, kdata, masks=False)
     assert len(passing) == 3625
     expected = [
         c
         for c in itertools.product(*candidates)
-        if generates(ext.gab, c)
+        if generating(ext.gab, c)
         and has_unramified_lift(ext, RamAssignment(ext, tuple(zip(primes, c))))[0]
     ]
-    assert expected == [c for c in passing if generates(ext.gab, c)]
+    assert expected == [c for c in passing if generating(ext.gab, c)]
     _lift_survivors.cache_clear()
-    survivors = _lift_survivors(ext, candidates, _characters(5, primes))
+    survivors = _lift_survivors(ext, h, shape_of(ext, kdata), _characters(5, primes))
     assert all(type(i) is int for idx, mask in survivors for i in (*idx, mask))
     prefixes = [idx for idx, _ in survivors]
     assert prefixes == sorted(set(prefixes)) and all(mask for _, mask in survivors)
@@ -1255,8 +1371,8 @@ def test_classify_merges_factorizations_as_reference():
 
 def test_packed_pairing_is_keyed_on_the_layout(heis3):
     # each pair of runs shares the candidate images but not the number of
-    # primes, so not the width of the packed layout; the second run finds
-    # the first one's table in the cache
+    # primes, so not the shape, whose length fixes the width of the packed
+    # layout: each run has its own plan
     ext, h = heis3
     for primes in ((7, 13, 19), (7, 13, 19, 31)):
         assert_matches_reference(ext, h, heis_kdata(h, primes))
@@ -1268,13 +1384,24 @@ def test_packed_pairing_is_keyed_on_the_layout(heis3):
     # pairing (1, 0) on the basis pair (0, 1), (0, 1) on (1, 2)
     ext = CentralExtension(gab, a, [(1, 0), (0, 0), (0, 1)], [a.zero()] * 3)
     h = subgroup_generated(gab, [(1, 1, 0)])
-    for primes in ((3, 5, 7), (3, 5, 7, 11)):
+    for primes, width in (((3, 5, 7), 4), ((3, 5, 7, 11), 5)):
         images = ((1, 0, 0), (1, 0, 0), (0, 0, 1), (0, 0, 1))
-        candidates = _assignment_space(ext, h, BaseFieldData(h, tuple(zip(primes, images))))[1]
-        expected = reference_choices(ext, primes, candidates)
+        kdata = BaseFieldData(h, tuple(zip(primes, images)))
+        plan = plan_of(ext, h, kdata)
+        assert plan.width == width
+        # the rows are <y, z> packed: coordinate t in bits [t * width, ...)
+        for i, zs in enumerate(plan.candidates):
+            for j, ys in enumerate(plan.candidates):
+                if j != i:
+                    assert plan.pairing[i][j] == tuple(
+                        tuple(sum(v << t * width for t, v in enumerate(ext.pairing(y, z)))
+                              for y in ys)
+                        for z in zs
+                    )
+        expected = reference_choices(ext, primes, assignment_space(ext, h, kdata)[1])
         assert expected
-        assert kernel_choices(ext, primes, candidates, generating=False) == expected
-        assert kernel_choices(ext, primes, candidates) == []
+        assert kernel_choices(ext, h, kdata, masks=False) == expected
+        assert kernel_choices(ext, h, kdata) == []
 
 
 def test_classify_heisenberg5_four_primes():
@@ -1291,11 +1418,11 @@ def test_classify_heisenberg5_four_primes():
         assert w.classes == 4
         assert has_unramified_lift(ext, RamAssignment(ext, w.assignment))[0]
     found = {tuple(y for _, y in w.assignment) for w in rep.witnesses}
-    candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+    candidates = assignment_space(ext, h, heis_kdata(h, primes))[1]
     rng = random.Random(5)
     for _ in range(2000):
         choice = tuple(rng.choice(c) for c in candidates)
-        expected = generates(ext.gab, choice) and has_unramified_lift(
+        expected = generating(ext.gab, choice) and has_unramified_lift(
             ext, RamAssignment(ext, tuple(zip(primes, choice)))
         )[0]
         assert (choice in found) == expected
@@ -1370,10 +1497,10 @@ def test_classify_heisenberg11_three_primes_matches_the_criterion():
                 assert (w.count_per_class, w.classes) == (1, 10)
                 assert has_unramified_lift(ext, RamAssignment(ext, w.assignment))[0]
             found = {tuple(y for _, y in w.assignment) for w in rep.witnesses}
-            candidates = _assignment_space(ext, h, heis_kdata(h, primes))[1]
+            candidates = assignment_space(ext, h, heis_kdata(h, primes))[1]
             for _ in range(200):
                 choice = tuple(rng.choice(c) for c in candidates)
-                expected = generates(ext.gab, choice) and has_unramified_lift(
+                expected = generating(ext.gab, choice) and has_unramified_lift(
                     ext, RamAssignment(ext, tuple(zip(primes, choice)))
                 )[0]
                 assert (choice in found) == expected, (primes, choice)
