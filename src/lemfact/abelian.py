@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -31,11 +31,13 @@ class AbGroup:
         if any(m < 1 for m in self.moduli):
             raise ValueError(f"moduli must be >= 1, got {self.moduli}")
 
-    @property
+    # cached in the instance __dict__, which the frozen dataclass does not
+    # guard; eq, hash and repr read the fields only
+    @cached_property
     def order(self) -> int:
         return prod(self.moduli)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         """Smallest n >= 1 with n*x = 0 for all x; 1 for the trivial group."""
         return lcm(*self.moduli) if self.moduli else 1

@@ -14,6 +14,21 @@ _DEFAULT_MAX_DISC = 2**63
 # bases giving a deterministic Miller-Rabin test below _MR_LIMIT; without
 # 41 the strong pseudoprime 318665857834031151167461 passes
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k bases,
+# so below it those k bases decide; listed where psi_k grows (Jaeschke,
+# Math. Comp. 61, 1993; Jiang and Deng, Math. Comp. 83, 2014; Sorenson and
+# Webster, Math. Comp. 86, 2017).  From the last on, all the bases run
+_MR_ROUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
 # the least strong pseudoprime to every base above; from it on, is_prime
 # adds a strong Lucas test (Baillie-PSW)
 _MR_LIMIT = 3317044064679887385961981
@@ -42,7 +57,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    k = next((k for psi, k in _MR_ROUNDS if n < psi), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

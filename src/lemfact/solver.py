@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd, prod
-from operator import and_, getitem, mul
+from operator import add, and_, getitem, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -94,18 +94,24 @@ class BaseFieldData:
         (_image_orders).  Then, per prime in the given order, on every
         call: q is an odd prime, its image lies outside H, and the order
         of the image's coset divides q - 1.  The first failing check
-        raises."""
-        orders = _image_orders(
+        raises.  An image is read reduced."""
+        self._images(ext)
+
+    def _images(self, ext: CentralExtension) -> MappingProxyType:
+        """The checks of validate; returns the map of _image_orders, each
+        distinct image -> (its reduction, the order of its coset)."""
+        images = _image_orders(
             ext, frozenset(self.h_sub), tuple(dict.fromkeys(g for _, g in self.primes))
         )
         for q, g in self.primes:
             if not is_prime(q) or q == 2:
                 raise ValueError(f"{q} is not an odd prime")
-            n = orders[g]
+            n = images[g][1]
             if n == 1:
                 raise ValueError(f"prime {q} is unramified in K (image in H)")
             if (q - 1) % n != 0:
                 raise ValueError(f"inertia order {n} at {q} does not divide {q}-1")
+        return images
 
     @classmethod
     def from_json(cls, data: dict, ext: CentralExtension) -> "BaseFieldData":
@@ -131,10 +137,12 @@ def primes_from_json(data) -> tuple[tuple[int, Elem], ...]:
 
 @lru_cache(maxsize=1 << 10)
 def _image_orders(ext: CentralExtension, h_sub: frozenset, images: tuple) -> MappingProxyType:
-    """g -> the order of g + H in Gab/H, for the distinct inertia images
-    of a base field (1 exactly for g in H), after the checks of
-    BaseFieldData.validate that read nothing but (ext, H, images).
-    Read-only, as every caller with this key shares it."""
+    """g -> (g reduced, the order of g + H in Gab/H), for the distinct
+    inertia images of a base field as given (order 1 exactly for g in H),
+    after the checks of BaseFieldData.validate that read nothing but
+    (ext, H, images).  Read-only, as every caller with this key shares it.
+    Keyed on the images as given, so that no call reduces them; classify
+    keys the plan and the survivors on the reductions."""
     # memoised: the base fields over one H share few image tuples; a check
     # that raises caches nothing
     gab = ext.gab
@@ -148,9 +156,10 @@ def _image_orders(ext: CentralExtension, h_sub: frozenset, images: tuple) -> Map
         # desk scale: the coset walks here and each prime's coset g + H in
         # _plan list up to |Gab| elements
         raise ValueError(f"group order {gab.order} exceeds bound {DESK_SUBGROUP_BOUND}")
-    if not generates(gab, [*h_sub, *images]):
+    reduced = [gab.reduce(g) for g in images]
+    if not generates(gab, [*h_sub, *reduced]):
         raise ValueError("inertia images do not generate Gab/H: K is too small")
-    return MappingProxyType({g: _coset_order(ext, h_sub, gab.reduce(g)) for g in images})
+    return MappingProxyType({g: (r, _coset_order(ext, h_sub, r)) for g, r in zip(images, reduced)})
 
 
 def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
@@ -167,12 +176,13 @@ def _coset_order(ext: CentralExtension, h_sub: frozenset, g: Elem) -> int:
 class _Plan(NamedTuple):
     """What the lift test and the witnesses read of a base field's shape,
     per prime of the shape; candidates is empty when some prime has none,
-    masks and pairing are None when no choice can generate Gab."""
+    masks, pairing and classes are None when no choice can generate Gab."""
 
     candidates: tuple  # the sorted y in Y_E outside H, y = g mod H, |y| | q - 1
     orders: tuple  # |y| per candidate
     masks: tuple | None  # the maximal-subgroup mask per candidate
     pairing: tuple | None  # [i][j][b][c]: <y_jc, z_ib> packed; None at j = i
+    classes: tuple | None  # [i][b], i before the last prime: value classes of pairing[i][-1][b]
     width: int  # bits per coordinate of A in a packed element
 
 
@@ -186,10 +196,9 @@ def _plan(ext: CentralExtension, h_sub: frozenset, shape: tuple) -> _Plan:
     Raises before any table is built when the lift-test prefixes, the
     choices of all primes but the last, exceed DEFAULT_ASSIGNMENT_BOUND.
     With fewer primes than min_generators(Gab) nothing generates, and no
-    mask or pairing is built.  Else each candidate gets the bitmask of the
+    mask or table is built.  Else each candidate gets the bitmask of the
     maximal subgroups containing it (abelian.maximal_subgroup_masks), and
-    each pair of distinct primes a block of pairing rows by candidate
-    index, shared by the pairs with the same candidates."""
+    the pairing gets its tables (_tables)."""
     # memoised: the base fields of one extension and H share few shapes,
     # and the shape fixes everything here
     gab = ext.gab
@@ -207,24 +216,48 @@ def _plan(ext: CentralExtension, h_sub: frozenset, shape: tuple) -> _Plan:
     }
     candidates = tuple(coset[key] for key in shape)
     if not all(candidates):
-        return _Plan((), (), None, None, width)
+        return _Plan((), (), None, None, None, width)
     prefixes = prod(map(len, candidates[:-1]))
     if prefixes > DEFAULT_ASSIGNMENT_BOUND:
         raise ValueError(f"{prefixes} lift-test prefixes exceed bound {DEFAULT_ASSIGNMENT_BOUND}")
     orders = tuple(tuple([elem_order(gab, y) for y in cands]) for cands in candidates)
     if len(shape) < min_generators(gab):
-        return _Plan(candidates, orders, None, None, width)
+        return _Plan(candidates, orders, None, None, None, width)
     masks = maximal_subgroup_masks(gab, frozenset().union(*candidates))
-    pairs = [[(zs, ys) if j != i else None for j, ys in enumerate(candidates)]
-             for i, zs in enumerate(candidates)]
-    blocks = {key: _pairing_rows(ext, *key, width) for key in set().union(*pairs) if key}
     return _Plan(
         candidates,
         orders,
         tuple(tuple([masks[y] for y in cands]) for cands in candidates),
-        tuple(tuple(blocks.get(key) for key in row) for row in pairs),
+        *_tables(ext, candidates, width),
         width,
     )
+
+
+def _tables(ext: CentralExtension, candidates, width: int) -> tuple:
+    """The pairing and classes of a plan with these candidates per prime.
+
+    pairing[i][j] is the block of rows of the pair of primes i != j, by
+    candidate index (_pairing_rows), None at j = i; the pairs with the same
+    candidates share one block.  classes[i][b], for i before the last
+    prime, are the value classes of the row pairing[i][-1][b]: the pairs
+    (v, bitmask of the last prime's candidates c with row[c] = v), by v,
+    at most |A| of them however many candidates the last prime has."""
+    pairs = [[(zs, ys) if j != i else None for j, ys in enumerate(candidates)]
+             for i, zs in enumerate(candidates)]
+    blocks = {key: _pairing_rows(ext, *key, width) for key in set().union(*pairs) if key}
+    classes = {key: tuple(map(_value_classes, blocks[key])) for key in {row[-1] for row in pairs[:-1]}}
+    return (
+        tuple(tuple(blocks.get(key) for key in row) for row in pairs),
+        tuple(classes[row[-1]] for row in pairs[:-1]),
+    )
+
+
+def _value_classes(row) -> tuple:
+    """The pairs (v, bitmask of the indices c with row[c] = v), by v."""
+    classes = {}
+    for c, v in enumerate(row):
+        classes[v] = classes.get(v, 0) | 1 << c
+    return tuple(sorted(classes.items()))
 
 
 def _pairing_rows(ext: CentralExtension, zs, ys, width: int) -> tuple:
@@ -234,19 +267,18 @@ def _pairing_rows(ext: CentralExtension, zs, ys, width: int) -> tuple:
 
     The pairing is bilinear: <y, z> = sum_i z_i <y, e_i> over the basis
     e_i of Gab, so each y pairs with the k basis elements only, and each
-    coordinate of <y, z> is a dot product reduced mod its modulus."""
+    coordinate of the block is one comprehension of dot products, reduced
+    mod its modulus."""
     k = len(ext.gab.moduli)
     basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     layout = [(t * width, m) for t, m in enumerate(ext.a.moduli)]
-    # per y, per coordinate t of A: the t-th coordinates of the <y, e_i>
-    cols = [list(zip(*(ext.pairing(y, e) for e in basis))) for y in ys]
-    return tuple(
-        tuple([
-            sum((sum(map(mul, z, col)) % m) << s for col, (s, m) in zip(ycols, layout))
-            for ycols in cols
-        ])
-        for z in zs
-    )
+    # per coordinate t of A, per y: the t-th coordinates of the <y, e_i>
+    cols = zip(*(zip(*(ext.pairing(y, e) for e in basis)) for y in ys))
+    block = [(0,) * len(ys)] * len(zs)
+    for (s, m), tcols in zip(layout, cols):
+        coord = [[sum(map(mul, z, col)) % m << s for col in tcols] for z in zs]
+        block = [tuple(map(add, row, part)) for row, part in zip(block, coord)]
+    return tuple(block)
 
 
 def _characters(e: int, qs) -> tuple:
@@ -255,10 +287,11 @@ def _characters(e: int, qs) -> tuple:
     L(p, q) of p at q mod gcd(q - 1, e), e = exp(Gab): the discrete log
     of p mod q, read mod the largest order an image at q can have.  The
     test depends on the candidates and these alone."""
+    moduli = [(q, gcd(q - 1, e)) for q in qs]
     return tuple([
-        _power_residue_char(p, q, 1, gcd(q - 1, e))
+        _power_residue_char(p, q, 1, m)
         for i, p in enumerate(qs)
-        for j, q in enumerate(qs)
+        for j, (q, m) in enumerate(moduli)
         if j != i
     ])
 
@@ -307,6 +340,32 @@ def _lift_survivors(ext: CentralExtension, h_sub: frozenset, shape: tuple, chars
     return tuple(_lift_solutions(ext, plan, chars))
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+@lru_cache(maxsize=1 << 12)
+def _set_bits(mask: int) -> tuple:
+    """The indices of the set bits of mask, lowest first."""
+    # memoised: the lift test and the witnesses of one base field read the
+    # bits of few distinct bitmasks, many times each
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _lift_solutions(ext: CentralExtension, plan: _Plan, chars):
     """The choices of the plan whose masks AND to 0 and that pass the
     Frobenius-sum test, given the characters L of _characters: at each
@@ -323,85 +382,133 @@ def _lift_solutions(ext: CentralExtension, plan: _Plan, chars):
     prime's candidates that pass with a prefix come out of the test as
     that bitmask, so no choice is built here.
 
-    The pairing is bilinear, so every term L * <y_q, y_p> is read from
-    the plan's rows of the pairing by candidate index, packed for the
-    plan's field layout.  The test is solved for the last prime: the AND
-    of a prefix's masks, y_1 .. y_{n-1}, keeps the last prime's
-    candidates whose mask it leaves 0 (one bitmask per call and AND
-    value).  Then the sum at p_i (i < n) vanishes exactly when its last
-    term L * <y_n, y_i> cancels the fixed ones: per i < n, a lookup keeps
-    the last prime's candidates giving that term, and the sum at p_n is
-    tested on the few left.  Each distinct unreduced term or sum is
-    reduced once per call.
+    The pairing is bilinear and alternating, and the plan holds its rows
+    by candidate index, packed for the plan's field layout, so a term
+    L * <y_q, y_p> is a character times an entry of a row; no table of
+    products is built.  The test is solved for the last prime: at each
+    p_i before it, the sum vanishes exactly when the last term
+    L * <y_n, y_i> cancels the others, and a hit table, built per call
+    from the plan's value classes, maps the residue the others must take
+    to the bitmask of the last prime's candidates that cancel it.  The
+    loop runs over the outer prefixes, the choices of all primes but the
+    last two.  Per outer prefix, one pass over the candidates b of the
+    prime before the last builds its condition rows from the rows of the
+    outer candidates against that prime: the AND of the prefix's masks
+    (the last prime's candidates it spans Gab with), and per p_i before
+    the last the hit of the residue of its other terms.  Their AND is the
+    bitmask of each prefix (*outer, b); the sum at p_n is tested on the
+    few candidates left.  Each distinct unreduced sum is reduced once per
+    call.
     """
-    candidates, masks, width = plan.candidates, plan.masks, plan.width
+    candidates, masks, pairing = plan.candidates, plan.masks, plan.pairing
     n = len(candidates)
-    fields = [(t * width, m) for t, m in enumerate(ext.a.moduli)]
-    low = (1 << width) - 1
+    last, row = n - 1, n - 2  # the last prime, and the prime before it
+    fields = [(t * plan.width, m) for t, m in enumerate(ext.a.moduli)]
+    low = (1 << plan.width) - 1
 
-    def residue(v, sign):
+    def residue(v, sign=1):
         """v with each coordinate times sign, reduced mod its modulus."""
         return sum((sign * ((v >> s) & low) % m) << s for s, m in fields)
 
-    # w[i][b][j][c]: L(p_i, q_j) * <y, z>, unreduced, with y the c-th
-    # candidate of prime j and z the b-th candidate of prime i; zero at
-    # j = i, where the pairing vanishes
+    pos, neg = _Memo(residue), _Memo(lambda v: residue(v, -1))
+    # per maximal subgroup, as its bit: the last prime's candidates it contains
+    inside = {}
+    for c, x in enumerate(masks[last]):
+        while x:
+            f = x & -x
+            inside[f] = inside.get(f, 0) | 1 << c
+            x ^= f
+    everywhere = sum(inside)  # the bits of the subgroups containing some candidate
+    full = (1 << len(masks[last])) - 1
+
+    def spanned(m):
+        """The last prime's candidates in no maximal subgroup of the bits of m."""
+        m &= everywhere
+        out = full
+        while m:
+            f = m & -m
+            out &= ~inside[f]
+            m ^= f
+        return out
+
+    # the AND of a prefix's masks -> the last prime's candidates it spans with
+    spanning = _Memo(spanned)
+    if n == 1:  # no term pairs
+        if spanning[-1]:
+            yield (), spanning[-1]
+        return
     chars = iter(chars)
-    w = []
-    for i, (zs, blocks) in enumerate(zip(candidates, plan.pairing)):
-        zero = [0] * len(zs)
-        row = [0 if j == i else next(chars) for j in range(n)]
-        w.append([
-            [zero if rows is None else [char * x for x in rows[b]] for char, rows in zip(row, blocks)]
-            for b in range(len(zs))
+    L = [[0 if j == i else next(chars) for j in range(n)] for i in range(n)]
+    # hits[i][b]: the residue of the terms of the sum at p_i but the last
+    # prime's, for the b-th candidate z of p_i -> the bitmask of the last
+    # prime's candidates y with -L(p_i, q_n) <y, z> equal to it
+    hits = []
+    for char, rows in zip((Li[last] for Li in L), plan.classes):
+        hits.append([])
+        for classes in rows:
+            table = {}
+            for v, cs in classes:
+                key = neg[char * v]
+                table[key] = table.get(key, 0) | cs
+            hits[-1].append(table)
+    to_row = [pairing[j][row] for j in range(row)]  # outer primes against the row prime
+    to_last = [pairing[j][last] for j in range(last)]
+    row_chars, last_chars, last_char = L[row][:row], L[last][:row], L[last][row]
+    row_terms = list(zip(masks[row], hits[row], to_last[row]))
+    # per outer prime p_i and candidate b: its hit table, and its rows
+    # against the outer primes, zeros against itself
+    outer_terms = []
+    for i in range(row):
+        zeros = [0] * len(candidates[i])
+        outer_terms.append([
+            (hits[i][b].get, [zeros if j == i else pairing[i][j][b] for j in range(row)])
+            for b in range(len(candidates[i]))
         ])
-    last = n - 1
-    # hits[i][b]: the last prime's term at p_i, reduced -> bitmask of the
-    # last prime's candidates giving it, for the b-th candidate of p_i
-    hits = [[{} for _ in wi] for wi in w[:last]]
-    reduced = {}  # an unreduced term -> its residue
-    for hi, wi in zip(hits, w):
-        for table, wb in zip(hi, wi):
-            for c, x in enumerate(wb[last]):
-                if x not in reduced:
-                    reduced[x] = residue(x, 1)
-                key = reduced[x]
-                table[key] = table.get(key, 0) | 1 << c
-    cancel = {}  # a sum of terms -> the reduced term that cancels it
-    spanning = {}  # AND of a prefix's masks -> the last prime's candidates it spans with
-    for idx in itertools.product(*(range(len(cands)) for cands in candidates[:last])):
-        m = reduce(and_, map(getitem, masks, idx), -1)
-        if m not in spanning:
-            spanning[m] = sum(1 << c for c, x in enumerate(masks[last]) if not m & x)
-        mask = spanning[m]
-        for wi, hi, b in zip(w, hits, idx):
-            # map stops before the last prime: the terms fixed by the prefix
-            s = sum(map(getitem, wi[b], idx))
-            if s not in cancel:
-                cancel[s] = residue(s, -1)
-            mask &= hi[b].get(cancel[s], 0)
+    for outer in itertools.product(*(range(len(cands)) for cands in candidates[:row])):
+        m = reduce(and_, map(getitem, masks, outer), -1)
+        # per outer prime p_i: its hit table, the terms of its sum that the
+        # outer prefix fixes, and its character at the row prime
+        conds = None
+        g = None  # per last candidate: the terms at p_n that outer fixes, negated
+        # one pass over the candidates b of the row prime, reading the rows
+        # of the outer candidates against it; the pairing alternates, so
+        # the terms at the row prime but the last one are -sum_j
+        # L(p_row, q_j) <y_b, z_j>, z_j the outer candidates
+        for b, ((mask_b, hit_b, r), *vals) in enumerate(zip(row_terms, *map(getitem, to_row, outer))):
+            mask = spanning[m & mask_b] & hit_b.get(neg[sum(map(mul, row_chars, vals))], 0)
             if not mask:
-                break
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            s = sum(map(getitem, w[last][bit.bit_length() - 1], idx))
-            if s not in cancel:
-                cancel[s] = residue(s, -1)
-            if cancel[s]:
-                mask ^= bit
-        if mask:
-            yield idx, mask
+                continue
+            if conds is None:
+                conds = [
+                    (get, sum(map(mul, Li, map(getitem, rows, outer))), Li[row])
+                    for Li, (get, rows) in zip(L, map(getitem, outer_terms, outer))
+                ]
+            for (get, fixed, char), v in zip(conds, vals):
+                if not mask:
+                    break
+                mask &= get(pos[fixed + char * v], 0)
+            if not mask:
+                continue
+            if g is None:
+                g = [0] * len(r)
+                for char, rw in zip(last_chars, map(getitem, to_last, outer)):
+                    g = list(map(add, g, map(char.__mul__, rw)))
+            for c in _set_bits(mask):
+                if pos[g[c] + last_char * r[c]]:
+                    mask ^= 1 << c
+            if mask:
+                yield (*outer, b), mask
 
 
-def count_extensions(ext: CentralExtension, orders) -> int:
+@lru_cache(maxsize=1 << 10)
+def count_extensions(ext: CentralExtension, orders: tuple) -> int:
     """Number of unramified solutions per extension class for a witness
     whose inertia images have the given orders |y_q|, one per ramified
     prime: prod_y #A[|y|]^omega(d_y) over the automorphism-stabilizer
     order times #Hom(Gab, A).  omega(d_y) is the number of primes with
     image y, so the numerator is prod over the primes of #A[|y_q|].
     Raises if the formula is not integral."""
+    # memoised: the witnesses of many base fields share the orders
     a = ext.a
     numerator = prod(torsion_count(a, n) for n in orders)
     denominator = aut_stabilizer_order(ext) * hom_count(ext.gab, a)
@@ -466,14 +573,16 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     What depends only on the base field's shape runs once per (ext, H,
     shape), ext being keyed by its class, so that cohomologous
     extensions share it; the shape is the tuple of (inertia image,
-    (q - 1) mod exp(Gab)) over the primes sorted.  Three memos hold it:
-    the base-field checks that read no prime and the coset orders, on
-    (ext, H, distinct images) (BaseFieldData.validate, _image_orders);
-    the plan, on (ext, H, shape): per prime its candidates, their orders
-    and maximal-subgroup masks, and the pairing rows by candidate index
-    (_plan); and the survivors of the lift test, on (ext, H, shape,
-    characters) (_lift_survivors).  Each call runs what reads its
-    primes: the per-prime checks, the characters and the witnesses.
+    reduced, (q - 1) mod exp(Gab)) over the primes sorted.  Three memos
+    hold it: the base-field checks that read no prime, the reduced images
+    and their coset orders, on (ext, H, distinct images as given)
+    (BaseFieldData.validate, _image_orders); the plan, on (ext, H,
+    shape): per prime its candidates, their orders and maximal-subgroup
+    masks, the pairing rows by candidate index and the value classes of
+    the rows against the last prime (_plan); and the survivors of the
+    lift test, on (ext, H, shape, characters) (_lift_survivors).  Each
+    call runs what reads its primes: the per-prime checks, the characters
+    and the witnesses.
 
     The lift test is solved for the last prime, which keeps only the
     candidates that generate Gab with a prefix, by the AND of their
@@ -489,18 +598,20 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     are built for witnesses only, from per-prime rows of each candidate's
     entry (q, y), order |y| and factor (q*)^(|y|-1), built once per call:
     per prefix, the first n - 1 entries and their factors, sorted and
-    merged by image; per set bit, the last prime's entry, and its factor
-    merged into those by bisection.  A Witness is a NamedTuple.  h_sub
-    must be the H of kdata.
+    merged by image; per set bit (_set_bits), the last prime's entry, and
+    its factor merged into those by bisection.  A Witness is a NamedTuple,
+    made here by tuple.__new__; the counts are memoised on the orders
+    (count_extensions).  h_sub must be the H of kdata.
     """
     h_sub = frozenset(h_sub)
     if h_sub != frozenset(kdata.h_sub):
         raise ValueError("H does not match the base field data")
-    kdata.validate(ext)
+    images = kdata._images(ext)  # validate
     gab = ext.gab
-    primes = sorted(kdata.primes)
+    primes = sorted([(q, images[g][0]) for q, g in kdata.primes])
     qs = [q for q, _ in primes]
-    shape = tuple((g, (q - 1) % gab.exponent) for q, g in primes)
+    e = gab.exponent
+    shape = tuple([(g, (q - 1) % e) for q, g in primes])
     plan = _plan(ext, h_sub, shape)
     wild = 2 * gab.order * ext.a.order
     # each q is prime (kdata.validate), so it divides wild iff it shares a
@@ -517,7 +628,7 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
         return _NO_SOLUTION
     if not plan.candidates:
         return _NO_SOLUTION
-    chars = _characters(gab.exponent, qs)
+    chars = _characters(e, qs)
     if not is_prime(ext.a.exponent):
         # no literal characters for a prime exp(A) = l: a term reads them
         # mod gcd(n, l), and when l divides n, n divides q - 1, so both
@@ -535,9 +646,12 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     ]
     # the last prime's rows are read per bit of a survivor's bitmask
     last_entries, last_orders, last_factors = entries.pop(), orders.pop(), factors.pop()
+    last_images = [y for y, _ in last_factors]
     classes = class_orbit_size(ext)
     counts = {}  # the prefix's orders -> the last prime's order -> the count
+    new = tuple.__new__  # a Witness from its fields, without Witness.__new__
     witnesses = []
+    append = witnesses.append
     for idx, mask in survivors:
         head = tuple(map(getitem, entries, idx))
         ns = tuple(map(getitem, orders, idx))
@@ -548,20 +662,17 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
                 fact[i - 1] = (fact[i][0], fact[i - 1][1] * fact.pop(i)[1])
         keys = [y for y, _ in fact]
         fact = tuple(fact)
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            c = bit.bit_length() - 1
+        for c in _set_bits(mask):
             n = last_orders[c]
             if n not in tail_counts:
                 tail_counts[n] = count_extensions(ext, (*ns, n))
-            y, d = last_factors[c]
+            y = last_images[c]
             i = bisect_left(keys, y)
             if i < len(keys) and keys[i] == y:  # y is a prefix image: merge d_y
-                full = (*fact[:i], (y, fact[i][1] * d), *fact[i + 1:])
+                full = (*fact[:i], (y, fact[i][1] * last_factors[c][1]), *fact[i + 1:])
             else:
                 full = (*fact[:i], last_factors[c], *fact[i:])
-            witnesses.append(Witness((*head, last_entries[c]), full, tail_counts[n], classes))
+            append(new(Witness, ((*head, last_entries[c]), full, tail_counts[n], classes)))
     # no sort: the survivors come in lexicographic order of the candidates,
     # each sorted, so the witnesses are sorted by their entries
     return Report(True, tuple(witnesses))

@@ -140,6 +140,12 @@ def test_elem_order_and_exponent():
     assert g.exponent == 12
     assert g.order == 24
     assert cyclic(7).exponent == 7
+    # both are cached on the instance; equality, hash and repr read the
+    # moduli only
+    assert vars(g) == {"moduli": (4, 6), "exponent": 12, "order": 24}
+    fresh = AbGroup((4, 6))
+    assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g) == "AbGroup(moduli=(4, 6))"
+    assert AbGroup(()).exponent == 1 and AbGroup(()).order == 1
 
 
 def test_subgroup_machinery():

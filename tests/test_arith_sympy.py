@@ -55,6 +55,34 @@ def test_is_prime_matches_sympy_near_pseudoprimes_and_large():
     assert [n for n in ns if is_prime(n)] == [n for n in ns if isprime(n)]
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd n > 2 passes the Miller-Rabin test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_runs_the_bases_each_range_needs():
+    # below psi_k, the least strong pseudoprime to the first k bases, is_prime
+    # runs those k only; each psi_k passes them, so each range is as wide
+    # as it can be, and is_prime matches sympy within 40 of each threshold
+    thresholds = [psi for psi, _ in arith._MR_ROUNDS] + [arith._MR_LIMIT]
+    assert thresholds == list(STRONG_PSEUDOPRIMES)
+    for psi, k in arith._MR_ROUNDS:
+        assert all(strong_probable_prime(psi, a) for a in arith._MR_BASES[:k])
+    assert all(strong_probable_prime(arith._MR_LIMIT, a) for a in arith._MR_BASES)
+    ns = [psi + k for psi in thresholds for k in range(-40, 41)]
+    assert [n for n in ns if is_prime(n)] == [n for n in ns if isprime(n)]
+
+
 def test_strong_lucas_pseudoprimes():
     odd = range(3, 10**5, 2)
     assert [n for n in odd if not isprime(n) and arith._strong_lucas(n)] == list(

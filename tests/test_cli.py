@@ -648,6 +648,20 @@ def test_classify_heisenberg7_three_images_data(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_classify_heisenberg7_four_primes_data(capsys):
+    # the sha256 CI checks against the installed script: 49^3 lift-test
+    # prefixes, each row of 49 candidates under a two-prime outer prefix
+    code, out, err = run(
+        capsys, "--format", "json", "classify", "--ext", "Heisenberg:7",
+        "--kdata", str(DATA / "heisenberg7_four_primes.json"),
+    )
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["witnesses"]) == 4032
+    digest, name = (DATA / "heisenberg7_four_primes.sha256").read_text().split()
+    assert name == "heisenberg7_four.json"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_heisenberg11_data(capsys):
     # the sha256 CI checks against the installed script: 121^2 lift-test
     # prefixes, within the bound; the criterion agrees

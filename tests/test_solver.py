@@ -41,8 +41,8 @@ from lemfact.solver import (
     _image_orders,
     _lift_solutions,
     _lift_survivors,
-    _pairing_rows,
     _plan,
+    _tables,
     classify,
     count_extensions,
     primes_from_json,
@@ -465,6 +465,20 @@ def test_unreduced_images_classify_as_reduced(d4):
         assert reference_report(ext, h, kdata) == expected
 
 
+def test_unreduced_images_share_one_plan_and_one_survivors_entry(d4):
+    # (0, 3), (0, -1) and (0, 1) are one element of C2 x C2: the plan and
+    # the survivors are keyed on the reduced image, so the three base
+    # fields build one plan and run one lift test
+    ext, h = d4
+    _plan.cache_clear()
+    _lift_survivors.cache_clear()
+    reports = [classify(ext, h, BaseFieldData(h, ((5, (0, 1)), (41, image)))).to_json()
+               for image in ((0, 3), (0, -1), (0, 1))]
+    assert reports[0]["exists"] and reports == [reports[0]] * 3
+    assert _plan.cache_info().misses == 1
+    assert _lift_survivors.cache_info()[:2] == (2, 1)
+
+
 def test_classify_runs_the_base_field_preamble_once_per_pattern(monkeypatch, d4):
     # 200 C4_D4 and 200 H8_pair fields, interleaved, with random images
     # in the one coset outside H: the checks of validate that read only
@@ -602,7 +616,7 @@ def test_classify_computes_no_rank_per_solution(monkeypatch):
 
 def test_classify_with_fewer_primes_than_a_layer_builds_no_mask(monkeypatch):
     # Gab = C2^4 needs four generators; H has rank 1 and three primes
-    # ramify, so no choice generates Gab and no mask or pairing is built
+    # ramify, so no choice generates Gab and no mask or table is built
     ext, _ = preset("split", ((2, 2, 2, 2), (3,)))
     h = subgroup_generated(ext.gab, [(0, 0, 0, 1)])
     kdata = BaseFieldData(h, ((5, (1, 0, 0, 0)), (7, (0, 1, 0, 0)), (11, (0, 0, 1, 0))))
@@ -616,7 +630,7 @@ def test_classify_with_fewer_primes_than_a_layer_builds_no_mask(monkeypatch):
     _lift_survivors.cache_clear()
     plan = plan_of(ext, h, kdata)
     assert [len(c) for c in plan.candidates] == [2, 2, 2]
-    assert plan.masks is None and plan.pairing is None
+    assert plan.masks is None and plan.pairing is None and plan.classes is None
     assert classify(ext, h, kdata).to_json() == {"exists": False, "witnesses": []}
     assert reference_report(ext, h, kdata) == {"exists": False, "witnesses": []}
 
@@ -1125,18 +1139,15 @@ def kernel_choices(ext, h, kdata, masks=True) -> list:
     as images: with the plan's maximal-subgroup masks, or with all-zero
     masks when masks is False.  A plan without tables has fewer primes
     than min_generators(Gab), so no choice generates; with all-zero
-    masks it gets its pairing rows here."""
+    masks it gets its tables here."""
     plan = plan_of(ext, h, kdata)
     cands = plan.candidates
     if masks and plan.masks is None:
         return []
     if not masks:
-        pairing = plan.pairing or tuple(
-            tuple(None if j == i else _pairing_rows(ext, zs, ys, plan.width)
-                  for j, ys in enumerate(cands))
-            for i, zs in enumerate(cands)
-        )
-        plan = plan._replace(masks=tuple((0,) * len(c) for c in cands), pairing=pairing)
+        pairing, classes = _tables(ext, cands, plan.width)
+        plan = plan._replace(masks=tuple((0,) * len(c) for c in cands), pairing=pairing,
+                             classes=classes)
     qs = sorted(q for q, _ in kdata.primes)
     found = _lift_solutions(ext, plan, _characters(ext.gab.exponent, qs))
     return [tuple(map(getitem, cands, idx)) for idx in survivor_indices(found)]
@@ -1298,6 +1309,103 @@ def test_lift_solutions_match_reference_composite_exponent(primes):
     assert kernel_choices(ext, h, kdata) == expected
 
 
+def assert_kernel_matches_reference(ext, h, kdata) -> tuple:
+    """_lift_solutions on the plan of the base field against the
+    per-assignment reference: with all-zero masks every choice that passes
+    the lift test, with the plan's masks those that also generate Gab.
+    Returns their numbers."""
+    primes = sorted(q for q, _ in kdata.primes)
+    candidates = assignment_space(ext, h, kdata)[1]
+    solutions = reference_choices(ext, primes, candidates)
+    assert kernel_choices(ext, h, kdata, masks=False) == solutions, kdata
+    expected = [c for c in solutions if generating(ext.gab, c)]
+    assert kernel_choices(ext, h, kdata) == expected, kdata
+    return len(solutions), len(expected)
+
+
+def random_fields(rng, gab, a, n, spread):
+    """(extension, H, base field data) for each class of (gab, a): up to
+    two base fields of n primes over random proper subgroups H, whose
+    primes have at least spread distinct candidate tuples, with at most
+    729 choices."""
+    subs = [s for s in subgroups(gab) if len(s) < gab.order]
+    pool = [q for q in range(3, 400) if is_prime(q) and gab.order * a.order % q]
+    for ext in enumerate_central_extensions(gab, a):
+        made = 0
+        for _ in range(60):
+            h = rng.choice(subs)
+            images = [g for g in gab.elements() if g not in h]
+            kdata = BaseFieldData(h, tuple((q, rng.choice(images)) for q in rng.sample(pool, n)))
+            try:
+                kdata.validate(ext)
+            except ValueError:
+                continue
+            candidates = plan_of(ext, h, kdata).candidates
+            if not candidates or len(set(candidates)) < spread or prod(map(len, candidates)) > 729:
+                continue
+            yield ext, h, kdata
+            made += 1
+            if made == 2:
+                break
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lift_solutions_with_an_empty_outer_prefix(n):
+    # no prime comes before the last two: with one prime the kernel reads
+    # no pairing, with two it makes one pass over the first prime's
+    # candidates; Heisenberg 3 has three generators, so its choices are
+    # compared with all-zero masks only
+    rng = random.Random(30 + n)
+    fields = passing = generated = 0
+    for gab, a in H2_PAIRS:
+        for field in random_fields(rng, gab, a, n, 1):
+            got = assert_kernel_matches_reference(*field)
+            passing, generated, fields = passing + got[0], generated + got[1], fields + 1
+    ext, h = preset("Heisenberg", 3)
+    for primes in itertools.combinations((7, 13, 19, 31), n):
+        assert kernel_choices(ext, h, heis_kdata(h, primes), masks=False) == reference_choices(
+            ext, primes, assignment_space(ext, h, heis_kdata(h, primes))[1])
+    assert fields > 20 and passing > generated > 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_lift_solutions_with_distinct_candidates_per_prime(n):
+    # two and three outer primes, with at least three distinct candidate
+    # tuples among the primes, so the pairs of primes read distinct
+    # blocks of pairing rows and value classes
+    rng = random.Random(40 + n)
+    fields = passing = generated = 0
+    for gab, a in H2_PAIRS:
+        if abelian.min_generators(gab) > n or len(gab.moduli) < 2:
+            continue
+        for field in random_fields(rng, gab, a, n, 3):
+            got = assert_kernel_matches_reference(*field)
+            passing, generated, fields = passing + got[0], generated + got[1], fields + 1
+    assert fields > 10 and passing > generated > 0
+
+
+def test_lift_solutions_with_zero_characters_yield_the_generating_choices():
+    # the wild-prime path of classify runs the kernel with n^2 zeros for
+    # characters: every term vanishes, so exactly the choices that
+    # generate Gab pass
+    rng = random.Random(44)
+    fields = [*random_fields(rng, AbGroup((4,)), AbGroup((2,)), 1, 1),
+              *random_fields(rng, AbGroup((2, 2)), AbGroup((2,)), 2, 1),
+              *random_fields(rng, AbGroup((2, 4)), AbGroup((2,)), 4, 2),
+              *random_fields(rng, AbGroup((2, 2, 2)), AbGroup((2,)), 5, 3)]
+    ext, h = preset("Heisenberg", 3)
+    fields.append((ext, h, BaseFieldData(h, tuple(zip((7, 13, 19), ((0, 0, 1), (0, 0, 2), (1, 2, 2)))))))
+    sizes = set()
+    for ext, h, kdata in fields:
+        plan = plan_of(ext, h, kdata)
+        n = len(plan.candidates)
+        sizes.add(n)
+        found = _lift_solutions(ext, plan, [0] * n**2)
+        expected = [c for c in itertools.product(*plan.candidates) if generating(ext.gab, c)]
+        assert [tuple(map(getitem, plan.candidates, idx)) for idx in survivor_indices(found)] == expected
+    assert sizes == {1, 2, 3, 4, 5}
+
+
 def test_lift_survivors_hold_only_the_generating_solutions():
     # the benchmark's 2,400-witness triple: of the 3,625 choices that pass
     # the lift test, the memo holds the 2,400 that generate Gab, as one
@@ -1398,6 +1506,18 @@ def test_packed_pairing_is_keyed_on_the_layout(heis3):
                               for y in ys)
                         for z in zs
                     )
+        # the value classes of each row against the last prime: its values,
+        # sorted, each with the bitmask of the candidates taking it
+        last = len(plan.candidates) - 1
+        assert len(plan.classes) == last
+        for i, rows in enumerate(plan.classes):
+            assert len(rows) == len(plan.candidates[i])
+            for b, classes in enumerate(rows):
+                row = plan.pairing[i][last][b]
+                assert [v for v, _ in classes] == sorted(set(row))
+                for v, mask in classes:
+                    assert mask == sum(1 << c for c, x in enumerate(row) if x == v)
+                assert len(classes) <= a.order
         expected = reference_choices(ext, primes, assignment_space(ext, h, kdata)[1])
         assert expected
         assert kernel_choices(ext, h, kdata, masks=False) == expected
