@@ -356,8 +356,8 @@ class _Memo(dict):
 @lru_cache(maxsize=1 << 12)
 def _set_bits(mask: int) -> tuple:
     """The indices of the set bits of mask, lowest first."""
-    # memoised: the lift test and the witnesses of one base field read the
-    # bits of few distinct bitmasks, many times each
+    # memoised: witness building reads the bitmasks of the survivors, which
+    # many base fields share
     out = []
     while mask:
         low = mask & -mask
@@ -493,14 +493,17 @@ def _lift_solutions(ext: CentralExtension, plan: _Plan, chars):
                 g = [0] * len(r)
                 for char, rw in zip(last_chars, map(getitem, to_last, outer)):
                     g = list(map(add, g, map(char.__mul__, rw)))
-            for c in _set_bits(mask):
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = bit.bit_length() - 1
                 if pos[g[c] + last_char * r[c]]:
-                    mask ^= 1 << c
+                    mask ^= bit
             if mask:
                 yield (*outer, b), mask
 
 
-@lru_cache(maxsize=1 << 10)
 def count_extensions(ext: CentralExtension, orders: tuple) -> int:
     """Number of unramified solutions per extension class for a witness
     whose inertia images have the given orders |y_q|, one per ramified
@@ -508,7 +511,6 @@ def count_extensions(ext: CentralExtension, orders: tuple) -> int:
     order times #Hom(Gab, A).  omega(d_y) is the number of primes with
     image y, so the numerator is prod over the primes of #A[|y_q|].
     Raises if the formula is not integral."""
-    # memoised: the witnesses of many base fields share the orders
     a = ext.a
     numerator = prod(torsion_count(a, n) for n in orders)
     denominator = aut_stabilizer_order(ext) * hom_count(ext.gab, a)
@@ -600,8 +602,8 @@ def classify(ext: CentralExtension, h_sub: frozenset, kdata: BaseFieldData) -> R
     per prefix, the first n - 1 entries and their factors, sorted and
     merged by image; per set bit (_set_bits), the last prime's entry, and
     its factor merged into those by bisection.  A Witness is a NamedTuple,
-    made here by tuple.__new__; the counts are memoised on the orders
-    (count_extensions).  h_sub must be the H of kdata.
+    made here by tuple.__new__; the counts (count_extensions) are
+    computed once per call and orders.  h_sub must be the H of kdata.
     """
     h_sub = frozenset(h_sub)
     if h_sub != frozenset(kdata.h_sub):

@@ -348,6 +348,14 @@ def test_count_extensions_formula(d4, heis3):
             assert w.count_per_class == 2 ** (omega - 2)
 
 
+def test_count_extensions_takes_any_sequence_of_orders(d4, heis3):
+    ext, _ = d4
+    assert count_extensions(ext, [2, 2]) == count_extensions(ext, (2, 2)) == 1
+    assert count_extensions(ext, iter([2, 2, 2])) == 2
+    ext, _ = heis3
+    assert count_extensions(ext, [3, 3, 3]) == 1
+
+
 def test_count_formula_raises_on_nongenerating(heis3):
     ext, _ = heis3
     # two primes with images of order 3, such as the collinear (0, 0, 1)
