@@ -268,21 +268,21 @@ class AbHom:
 
 def enumerate_automorphisms(A: AbGroup) -> list[AbHom]:
     """All invertible endomorphisms of A, by brute force over the
-    #Hom(A, A) candidate matrices, at most DESK_AUT_BOUND of them."""
+    #Hom(A, A) candidate matrices, at most DESK_AUT_BOUND of them.  A
+    candidate is kept when its columns, the images of the basis, generate
+    A: an endomorphism of a finite group is onto, so bijective, exactly
+    when its image, the subgroup the columns generate, is all of A."""
     n = hom_count(A, A)
     if n > DESK_AUT_BOUND:
         raise ValueError(f"{n} candidate automorphisms exceed bound {DESK_AUT_BOUND}")
     elements = list(A.elements())
-    full = set(elements)
     # candidate image of generator j: any element killed by moduli[j]
     candidates = [
         [x for x in elements if all((m * c) % n == 0 for c, n in zip(x, A.moduli))]
         for m in A.moduli
     ]
-    auts = []
-    for cols in itertools.product(*candidates):
-        mat = tuple(tuple(col[i] for col in cols) for i in range(A.rank))
-        h = AbHom(A, A, mat)
-        if {h(x) for x in elements} == full:
-            auts.append(h)
-    return auts
+    return [
+        AbHom(A, A, tuple(zip(*cols)))
+        for cols in itertools.product(*candidates)
+        if generates(A, cols)
+    ]

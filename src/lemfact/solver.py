@@ -181,7 +181,7 @@ class _Plan(NamedTuple):
     candidates: tuple  # the sorted y in Y_E outside H, y = g mod H, |y| | q - 1
     orders: tuple  # |y| per candidate
     masks: tuple | None  # the maximal-subgroup mask per candidate
-    pairing: tuple | None  # [i][j][b][c]: <y_jc, z_ib> packed; None at j = i
+    pairing: tuple | None  # [i][j][b][c]: <y_jc, z_ib> packed; None where the lift test reads none
     classes: tuple | None  # [i][b], i before the last prime: value classes of pairing[i][-1][b]
     width: int  # bits per coordinate of A in a packed element
 
@@ -237,12 +237,17 @@ def _tables(ext: CentralExtension, candidates, width: int) -> tuple:
     """The pairing and classes of a plan with these candidates per prime.
 
     pairing[i][j] is the block of rows of the pair of primes i != j, by
-    candidate index (_pairing_rows), None at j = i; the pairs with the same
-    candidates share one block.  classes[i][b], for i before the last
-    prime, are the value classes of the row pairing[i][-1][b]: the pairs
-    (v, bitmask of the last prime's candidates c with row[c] = v), by v,
-    at most |A| of them however many candidates the last prime has."""
-    pairs = [[(zs, ys) if j != i else None for j, ys in enumerate(candidates)]
+    candidate index (_pairing_rows), for the blocks _lift_solutions reads:
+    those of each prime before the last two against every other prime,
+    and of the prime before the last against the last.  The others are
+    None, and the pairs with the same candidates share one block.
+    classes[i][b], for i before the last prime, are the value classes of
+    the row pairing[i][-1][b]: the pairs (v, bitmask of the last prime's
+    candidates c with row[c] = v), by v, at most |A| of them however many
+    candidates the last prime has."""
+    last = len(candidates) - 1
+    pairs = [[(zs, ys) if j != i and (i < last - 1 or j == last) else None
+              for j, ys in enumerate(candidates)]
              for i, zs in enumerate(candidates)]
     blocks = {key: _pairing_rows(ext, *key, width) for key in set().union(*pairs) if key}
     classes = {key: tuple(map(_value_classes, blocks[key])) for key in {row[-1] for row in pairs[:-1]}}

@@ -106,7 +106,8 @@ def test_preset_cocycles_valid():
 
 def reference_check_cocycle(gab, a, table):
     """check_cocycle as a loop of tuple arithmetic over every (g, h, k):
-    the reference for its index-table version."""
+    the reference for its row scan, which skips the rows it can show
+    pass."""
     c = TableExtension(gab, a, table).c
     zero_a = a.zero()
     zero_g = gab.zero()
@@ -169,6 +170,35 @@ def test_check_cocycle_rejects_entries_of_the_wrong_length():
     for v in ((), (1, 0)):
         with pytest.raises(ValueError, match="wrong length"):
             check_cocycle(gab, a, {((1,), (1,)): v})
+
+
+@pytest.mark.parametrize("moduli", [(4, 2, 2), (4, 4, 2), (4, 2, 2, 2, 2)])
+def test_check_cocycle_finds_a_failing_row_after_skipped_rows(monkeypatch, rng, moduli):
+    # a cocycle plus 1 at every (g, h) with (g_0, h_0) = (1, 2): the rows
+    # with g_0 = 0 still pass, a subgroup of index 4 that the scan closes
+    # from a few rows and then skips, and row (1, 0, ...) fails first
+    gab, a = AbGroup(moduli), AbGroup((2,))
+    table = random_cocycle(gab, a, rng)
+    for g in gab.elements():
+        for h in gab.elements():
+            if (g[0], h[0]) == (1, 2):
+                table[(g, h)] = a.add(table.get((g, h), a.zero()), (1,))
+    e = (1,) + (0,) * (len(moduli) - 1)
+    assert list(gab.elements()).index(e) == gab.order // 4
+    expected = f"cocycle identity fails at {(e, e, e)}"
+    assert check_outcome(lambda: reference_check_cocycle(gab, a, table)) == expected
+    # each row that passes is closed into the subgroup once and at least
+    # doubles it: at most log2(|Gab|/4) rows pass before (1, 0, ...) fails
+    closures = []
+
+    def counted(zero, gens, op):
+        closures.append(len(gens))
+        return closure(zero, gens, op)
+
+    monkeypatch.setattr(cocycle, "_closure", counted)
+    assert check_outcome(lambda: check_cocycle(gab, a, table)) == expected
+    assert closures == list(range(1, len(closures) + 1))
+    assert 1 < len(closures) < gab.order.bit_length() - 2
 
 
 def test_h8_pair_preset_is_the_first_quaternion_hit(monkeypatch):

@@ -4,11 +4,14 @@ import json
 import logging
 import random
 import time
+from functools import lru_cache
 from math import gcd, prod
 from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from lemfact.abelian import (
     AbGroup,
@@ -561,8 +564,11 @@ def reference_count(ext, factors) -> int:
     numerator = prod(
         torsion_count(a, elem_order(gab, y)) ** len(factorize(abs(d))) for y, d in factors
     )
-    count, rest = divmod(numerator, aut_stabilizer_order(ext) * hom_count(gab, a))
-    assert rest == 0 and count > 0
+    denominator = aut_stabilizer_order(ext) * hom_count(gab, a)
+    count, rest = divmod(numerator, denominator)
+    if rest or count <= 0:
+        # classify's error, so that the random differential test compares it
+        raise ArithmeticError(f"counting formula inconsistency: {numerator}/{denominator}")
     return count
 
 
@@ -928,6 +934,80 @@ def test_classify_decides_without_the_reference(monkeypatch):
     # solved here, not read from an earlier test's memo
     _lift_survivors.cache_clear()
     assert [classify(*f).to_json() for f in fields] == expected
+
+
+# the shapes the random differential test draws (Gab, A) from: Gab among
+# (2, 4), (3, 3), (9,) and (2, 2, 2), A among (2,), (4,) and (3,), where
+# some class makes an admissible pair; and its primes: each prime gets one
+# of the first ones 1 mod the order of its image, or a wild or duplicated one
+DIFFERENTIAL_SHAPES = [((2, 4), (2,)), ((2, 4), (4,)), ((3, 3), (3,)), ((9,), (3,)),
+                       ((2, 2, 2), (2,)), ((2, 2, 2), (4,))]
+DIFFERENTIAL_PRIMES = [q for q in range(5, 400) if is_prime(q)]
+
+
+@lru_cache(maxsize=None)
+def differential_classes(gab_moduli, a_moduli) -> tuple:
+    """Each class of H^2(Gab, A) that makes an admissible pair with some H,
+    in enumeration order, with those subgroups H."""
+    gab = AbGroup(gab_moduli)
+    classes = [
+        (e, [h for h in subgroups(gab) if is_admissible_pair(e, h)[0]])
+        for e in enumerate_central_extensions(gab, AbGroup(a_moduli))
+    ]
+    return tuple((e, hs) for e, hs in classes if hs)
+
+
+def outcome(run):
+    """run(), or the type and message of the ValueError or ArithmeticError
+    it raises: the errors of classify on its input and of the counts."""
+    try:
+        return run()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# the caplog fixture is cleared before each run (logged); a profile loaded
+# with --hypothesis-profile (tests/conftest.py) can ask for more examples
+@given(st.data())
+@settings(max_examples=max(1000, settings.default.max_examples), derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_classify_matches_reference_on_random_fields(caplog, data):
+    # at most |H|^4 = 256 choices per field: neither the bound on the
+    # assignments nor the one on the lift-test prefixes is reached
+    gab_moduli, a_moduli = data.draw(st.sampled_from(DIFFERENTIAL_SHAPES))
+    ext, hs = data.draw(st.sampled_from(differential_classes(gab_moduli, a_moduli)))
+    h = data.draw(st.sampled_from(hs))
+    gab = ext.gab
+    outside = [g for g in gab.elements() if g not in h]
+    n = data.draw(st.integers(1, 4))
+    # images drawn from the few elements outside H repeat, within a coset
+    # of H and across cosets
+    images = data.draw(st.lists(st.sampled_from(outside), min_size=n, max_size=n))
+    qs = []
+    for y in images:
+        pool = [q for q in DIFFERENTIAL_PRIMES if (q - 1) % elem_order(gab, y) == 0 and q not in qs]
+        qs.append(data.draw(st.sampled_from(pool[:8])))
+    if data.draw(st.integers(0, 3)) == 0:
+        # a wild prime, dividing 2 |Gab| |A|, or a prime given twice
+        wild = [q for q in (2, 3) if 2 * gab.order * ext.a.order % q == 0]
+        qs[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(wild + qs))
+    # the reference factors each d_y, the product of (q*)^(|y| - 1) over
+    # the primes whose candidates share y: keep it within the bound
+    cosets = {}
+    for q, y in zip(qs, images):
+        coset = frozenset(gab.add(y, x) for x in h)
+        cosets[coset] = cosets.get(coset, 1) * q ** (gab.exponent - 1)
+    assume(max(cosets.values()) <= arith.max_disc())
+    kdata = BaseFieldData(h, tuple(zip(qs, images)))
+    runs = []
+    classify_log = logged(caplog, lambda: runs.append(outcome(
+        lambda: classify(ext, h, kdata).to_json())))
+    reference_log = logged(caplog, lambda: runs.append(outcome(
+        lambda: reference_report(ext, h, kdata))))
+    assert runs[0] == runs[1], (ext.gab, ext.a, ext.pairs, ext.powers, sorted(h), kdata.primes)
+    # the reference logs per generating choice that reaches the lift test,
+    # classify per character that differs for the orders at q
+    assert mismatch_primes(classify_log) >= mismatch_primes(reference_log)
 
 
 def mixed_orders_case():
@@ -1505,18 +1585,26 @@ def test_packed_pairing_is_keyed_on_the_layout(heis3):
         kdata = BaseFieldData(h, tuple(zip(primes, images)))
         plan = plan_of(ext, h, kdata)
         assert plan.width == width
-        # the rows are <y, z> packed: coordinate t in bits [t * width, ...)
+        # the rows are <y, z> packed: coordinate t in bits [t * width, ...),
+        # built for the blocks the lift test reads: each prime before the
+        # last two against every other prime, and the prime before the
+        # last against the last
+        last = len(plan.candidates) - 1
+        read = {(i, j) for i in range(last - 1) for j in range(last + 1) if j != i}
+        read.add((last - 1, last))
         for i, zs in enumerate(plan.candidates):
             for j, ys in enumerate(plan.candidates):
-                if j != i:
-                    assert plan.pairing[i][j] == tuple(
-                        tuple(sum(v << t * width for t, v in enumerate(ext.pairing(y, z)))
-                              for y in ys)
-                        for z in zs
-                    )
+                block = plan.pairing[i][j]
+                if (i, j) not in read:
+                    assert block is None, (i, j)
+                    continue
+                assert len(block) == len(zs)
+                for z, row in zip(zs, block):
+                    assert len(row) == len(ys)
+                    for y, v in zip(ys, row):
+                        assert v == sum(x << t * width for t, x in enumerate(ext.pairing(y, z)))
         # the value classes of each row against the last prime: its values,
         # sorted, each with the bitmask of the candidates taking it
-        last = len(plan.candidates) - 1
         assert len(plan.classes) == last
         for i, rows in enumerate(plan.classes):
             assert len(rows) == len(plan.candidates[i])
