@@ -260,20 +260,12 @@ def heisenberg_criterion(ell: int, p: int, q: int, r: int) -> HeisenbergReport:
         # Heisenberg preset's Gab has elements
         raise ValueError(f"{ell**3} triples (A, B, C) exceed bound {DESK_SUBGROUP_BOUND}")
 
-    def chi(a: int, b: int) -> int:
-        return power_residue_char(a, PrimePower(b, ell - 1), ell)
-
-    c_pq, c_pr = chi(p, q), chi(p, r)
-    c_qp, c_qr = chi(q, p), chi(q, r)
-    c_rp, c_rq = chi(r, p), chi(r, q)
-    characters = (
-        (f"({p}/{q}^{ell - 1})", c_pq),
-        (f"({p}/{r}^{ell - 1})", c_pr),
-        (f"({q}/{p}^{ell - 1})", c_qp),
-        (f"({q}/{r}^{ell - 1})", c_qr),
-        (f"({r}/{p}^{ell - 1})", c_rp),
-        (f"({r}/{q}^{ell - 1})", c_rq),
-    )
+    # chi[x, y] = (x / y^(ell - 1)), over the ordered pairs of p, q, r
+    chi = {
+        (x, y): power_residue_char(x, PrimePower(y, ell - 1), ell)
+        for x, y in itertools.permutations(primes, 2)
+    }
+    characters = tuple((f"({x}/{y}^{ell - 1})", c) for (x, y), c in chi.items())
     solutions = []
     for a in range(ell):
         for b in range(ell):
@@ -281,9 +273,9 @@ def heisenberg_criterion(ell: int, p: int, q: int, r: int) -> HeisenbergReport:
                 if (a + b + c) % ell == 0:
                     continue
                 if (
-                    (c_pq * (-a) + c_pr * b) % ell == 0
-                    and (c_qp * a + c_qr * (-c)) % ell == 0
-                    and (c_rp * (-b) + c_rq * c) % ell == 0
+                    (chi[p, q] * (-a) + chi[p, r] * b) % ell == 0
+                    and (chi[q, p] * a + chi[q, r] * (-c)) % ell == 0
+                    and (chi[r, p] * (-b) + chi[r, q] * c) % ell == 0
                 ):
                     solutions.append((a, b, c))
     exists = bool(solutions)

@@ -1,6 +1,7 @@
 """Imaginary-quadratic class groups from scratch: reduced binary
-quadratic forms, Gauss composition via ideal multiplication, 2- and
-4-ranks, and the Redei matrix.
+quadratic forms, Gauss composition via ideal multiplication, the group
+structure from the sizes of its p-power kernels, 2- and 4-ranks, and the
+Redei matrix.
 
 This is the ground truth the classical criteria are checked against, so
 it shares no code path with them beyond the Kronecker symbol (which the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import zip_longest
 from math import gcd, isqrt, prod
 
 from .abelian import AbGroup
@@ -233,12 +235,16 @@ def _check_disc(d: int):
         raise ValueError(f"|{d}| exceeds oracle bound {limit}")
 
 
-def _exact_log2(n: int, message: str) -> int:
-    """log2 of an ambiguous count, which genus theory makes a power of 2;
+def _exact_log(n: int, p: int, message: str) -> int:
+    """log_p of a count that theory makes a power of p (genus theory for
+    the ambiguous forms, with p = 2; a p-power kernel of the class group);
     AssertionError(message) when it is not."""
-    if n <= 0 or n & (n - 1):
+    k, m = 0, 1
+    while m < n:
+        k, m = k + 1, m * p
+    if m != n:
         raise AssertionError(message)
-    return n.bit_length() - 1
+    return k
 
 
 def reduced_forms(d: int) -> list[QuadForm]:
@@ -284,52 +290,28 @@ def naive_form_count(d: int) -> int:
 
 
 def class_group_structure(d: int) -> tuple[AbGroup, int]:
-    """Invariant factors and order of the form class group, built from
-    element orders of the reduced forms."""
+    """Invariant factors and order of the form class group, read off the
+    sizes of its p-power kernels.
+
+    For each p^k exactly dividing h, round j raises the previous round's
+    powers of the reduced forms to the p-th power; the forms whose power
+    is then principal are the kernel of p^j, of size p^t_j.  So
+    c_j = t_j - t_(j-1) cyclic factors of the p-part have order at least
+    p^j, its i-th largest exponent is e_i = #{j : c_j > i}, and the i-th
+    largest invariant factor is the product over p of p^e_i."""
     forms = reduced_forms(d)
     h = len(forms)
     e = principal_form(d)
-    orders = []
-    h_factors = _factor(h)
-    for f in forms:
-        n = h
-        for p, k in h_factors:
-            for _ in range(k):
-                if n % p == 0 and form_pow(f, n // p) == e:
-                    n //= p
-                else:
-                    break
-        orders.append(n)
-    # cyclic p-power factors from kernel sizes: a form is killed by p^j
-    # exactly when its order divides p^j, so #ker(p^j) = p^t_j and
-    # t_j - t_{j-1} counts the cyclic factors of order >= p^j
-    factors_by_prime: dict[int, list[int]] = {}
-    for p, k in h_factors:
-        t = [0]
-        for j in range(1, k + 1):
-            ker = sum(1 for n in orders if p**j % n == 0)
-            lg = 0
-            while p**lg < ker:
-                lg += 1
-            if p**lg != ker:
-                raise AssertionError(f"kernel size {ker} is not a power of {p}")
-            t.append(lg)
-        counts = [t[j] - t[j - 1] for j in range(1, k + 1)]
-        facs = []
-        for j, cnt in enumerate(counts, start=1):
-            while len(facs) < cnt:
-                facs.append(0)
-            for i in range(cnt):
-                facs[i] = j
-        factors_by_prime[p] = sorted((p**j for j in facs), reverse=True)
-    width = max((len(v) for v in factors_by_prime.values()), default=0)
-    invariants = []
-    for i in range(width):
-        m = prod(
-            v[i] if i < len(v) else 1 for v in factors_by_prime.values()
-        )
-        invariants.append(m)
-    invariants = [m for m in sorted(invariants) if m > 1]
+    parts = []
+    for p, k in _factor(h):
+        powers, t = forms, [0]
+        for _ in range(k):
+            powers = [form_pow(f, p) for f in powers]
+            n = powers.count(e)
+            t.append(_exact_log(n, p, f"kernel size {n} is not a power of {p}"))
+        c = [b - a for a, b in zip(t, t[1:])]
+        parts.append([p ** sum(cj > i for cj in c) for i in range(c[0])])
+    invariants = sorted(prod(ms) for ms in zip_longest(*parts, fillvalue=1))
     if prod(invariants) != h:
         raise AssertionError("invariant factors do not multiply to h")
     return AbGroup(tuple(invariants)), h
@@ -338,7 +320,7 @@ def class_group_structure(d: int) -> tuple[AbGroup, int]:
 def two_rank(d: int) -> int:
     """log2 of the number of ambiguous reduced forms."""
     n = sum(1 for f in reduced_forms(d) if f.is_ambiguous())
-    return _exact_log2(n, f"ambiguous form count {n} is not a power of 2")
+    return _exact_log(n, 2, f"ambiguous form count {n} is not a power of 2")
 
 
 def four_rank(d: int) -> int:
@@ -347,7 +329,7 @@ def four_rank(d: int) -> int:
     forms = reduced_forms(d)
     amb_squares = {g for g in (square(f) for f in forms) if g.is_ambiguous()}
     n = len(amb_squares)
-    return _exact_log2(n, f"ambiguous square count {n} is not a power of 2")
+    return _exact_log(n, 2, f"ambiguous square count {n} is not a power of 2")
 
 
 def rank_sweep(lo: int, hi: int):
@@ -421,8 +403,8 @@ def rank_sweep(lo: int, hi: int):
         if m is not None:
             message = f"non-power-of-2 ambiguous counts at {lo + i}"
             out[lo + i] = (
-                _exact_log2(m, message),
-                _exact_log2(len(amb_squares[i]), message),
+                _exact_log(m, 2, message),
+                _exact_log(len(amb_squares[i]), 2, message),
             )
     return out
 

@@ -5,10 +5,11 @@ from math import isqrt
 import pytest
 
 import lemfact.oracle
+from lemfact.abelian import AbGroup, elem_order
 from lemfact.arith import factorize, is_fundamental_discriminant, prime_discriminants
 from lemfact.oracle import (
     QuadForm,
-    _exact_log2,
+    _exact_log,
     _factor,
     _prime_discs,
     _square,
@@ -127,6 +128,30 @@ def test_class_group_structure(d, moduli, h):
     assert got_h == h
 
 
+def test_class_group_structure_matches_element_orders():
+    # two finite abelian groups with the same number of elements of each
+    # order are isomorphic, so the orders of the reduced forms, each found
+    # by composing the form with itself until the principal form, decide
+    # the structure
+    count = 0
+    for d in range(-1999, 0):
+        if not is_fundamental_discriminant(d):
+            continue
+        e = principal_form(d)
+        orders = []
+        for f in reduced_forms(d):
+            g, n = f, 1
+            while g != e:
+                g, n = compose(g, f), n + 1
+            orders.append(n)
+        moduli = class_group_structure(d)[0].moduli
+        group = AbGroup(moduli)
+        assert sorted(orders) == sorted(elem_order(group, x) for x in group.elements()), d
+        assert all(b % a == 0 for a, b in zip(moduli, moduli[1:])), d
+        count += 1
+    assert count > 600
+
+
 def test_class_number_matches_naive_counter():
     for d in DISCS:
         assert naive_form_count(d) == class_number(d)
@@ -226,8 +251,8 @@ def reference_rank_sweep(lo, hi):
     for d in fundamental:
         message = f"non-power-of-2 ambiguous counts at {d}"
         out[d] = (
-            _exact_log2(amb_count[d], message),
-            _exact_log2(len(amb_squares[d]), message),
+            _exact_log(amb_count[d], 2, message),
+            _exact_log(len(amb_squares[d]), 2, message),
         )
     return out
 
@@ -279,11 +304,12 @@ def test_rank_sweep_enforces_oracle_bound(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
-def test_exact_log2():
-    assert [_exact_log2(n, "unused") for n in (1, 2, 4, 1024)] == [0, 1, 2, 10]
-    for n in (3, 6, 12, 0, -1):
+def test_exact_log():
+    assert [_exact_log(n, 2, "unused") for n in (1, 2, 4, 1024)] == [0, 1, 2, 10]
+    assert [_exact_log(n, 3, "unused") for n in (1, 3, 9, 243)] == [0, 1, 2, 5]
+    for n, p in ((3, 2), (6, 2), (12, 2), (0, 2), (-1, 2), (2, 3), (18, 3), (-3, 3), (10, 5)):
         with pytest.raises(AssertionError, match=f"^count {n}$"):
-            _exact_log2(n, f"count {n}")
+            _exact_log(n, p, f"count {n}")
 
 
 def test_redei_matrix_rows_sum_to_zero():

@@ -10,7 +10,7 @@ from operator import getitem
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lemfact.abelian import (
@@ -541,15 +541,15 @@ def test_basefield_from_json(d4):
 def reference_witnesses(ext, h, kdata) -> tuple:
     """classify's witnesses rebuilt from enumerate_assignments and
     has_unramified_lift, through the checking RamAssignment and
-    factorization_of, counting each witness by trial division of its
-    discriminant factors:
+    factorization_of, counting each witness per factor d_y:
     prod_y #A[|y|]^omega(d_y) / (stabilizer order * #Hom(Gab, A))."""
     witnesses = []
     for asg in enumerate_assignments(ext, h, kdata):
         if not has_unramified_lift(ext, asg)[0]:
             continue
         fact = factorization_of(asg).factors
-        witnesses.append(Witness(asg.entries, fact, reference_count(ext, fact), class_orbit_size(ext)))
+        count = reference_count(ext, asg.entries, fact)
+        witnesses.append(Witness(asg.entries, fact, count, class_orbit_size(ext)))
     witnesses.sort(key=lambda w: w.assignment)
     return tuple(witnesses)
 
@@ -559,10 +559,16 @@ def reference_report(ext, h, kdata) -> dict:
     return Report(bool(witnesses), witnesses).to_json()
 
 
-def reference_count(ext, factors) -> int:
+def reference_count(ext, assignment, factors) -> int:
+    """The count of a witness with the given assignment ((q, y_q), ...) and
+    factors ((y, d_y), ...).  d_y is the product of (q*)^(|y| - 1) over the
+    primes q with y_q = y, so omega(d_y) is their number, read off the
+    assignment without factoring d_y, which may pass the bound of
+    arith.factorize."""
     gab, a = ext.gab, ext.a
     numerator = prod(
-        torsion_count(a, elem_order(gab, y)) ** len(factorize(abs(d))) for y, d in factors
+        torsion_count(a, elem_order(gab, y)) ** sum(yq == y for _, yq in assignment)
+        for y, _ in factors
     )
     denominator = aut_stabilizer_order(ext) * hom_count(gab, a)
     count, rest = divmod(numerator, denominator)
@@ -991,13 +997,6 @@ def test_classify_matches_reference_on_random_fields(caplog, data):
         # a wild prime, dividing 2 |Gab| |A|, or a prime given twice
         wild = [q for q in (2, 3) if 2 * gab.order * ext.a.order % q == 0]
         qs[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(wild + qs))
-    # the reference factors each d_y, the product of (q*)^(|y| - 1) over
-    # the primes whose candidates share y: keep it within the bound
-    cosets = {}
-    for q, y in zip(qs, images):
-        coset = frozenset(gab.add(y, x) for x in h)
-        cosets[coset] = cosets.get(coset, 1) * q ** (gab.exponent - 1)
-    assume(max(cosets.values()) <= arith.max_disc())
     kdata = BaseFieldData(h, tuple(zip(qs, images)))
     runs = []
     classify_log = logged(caplog, lambda: runs.append(outcome(
@@ -1008,6 +1007,18 @@ def test_classify_matches_reference_on_random_fields(caplog, data):
     # the reference logs per generating choice that reaches the lift test,
     # classify per character that differs for the orders at q
     assert mismatch_primes(classify_log) >= mismatch_primes(reference_log)
+
+
+def test_reference_counts_factors_past_the_discriminant_bound():
+    # 19 and 37 at image (1,) of C9: d_(1,) = (19 * 37)^8 passes 2^63, and
+    # both paths raise the counting error of the pair (C9, C3) with H = 0
+    ext, hs = differential_classes((9,), (3,))[0]
+    h = next(h for h in hs if len(h) == 1)
+    kdata = BaseFieldData(h, ((19, (1,)), (37, (1,))))
+    assert (19 * 37) ** 8 > arith.max_disc()
+    expected = (ArithmeticError, "counting formula inconsistency: 9/6")
+    assert outcome(lambda: classify(ext, h, kdata)) == expected
+    assert outcome(lambda: reference_report(ext, h, kdata)) == expected
 
 
 def mixed_orders_case():
@@ -1630,7 +1641,7 @@ def test_classify_heisenberg5_four_primes():
     assert len(rep.witnesses) == 960
     for w in rep.witnesses:
         # the counting formula gives ell^(4-3) solutions per class
-        assert w.count_per_class == 5 == reference_count(ext, w.factorization)
+        assert w.count_per_class == 5 == reference_count(ext, w.assignment, w.factorization)
         assert w.classes == 4
         assert has_unramified_lift(ext, RamAssignment(ext, w.assignment))[0]
     found = {tuple(y for _, y in w.assignment) for w in rep.witnesses}
