@@ -308,26 +308,19 @@ def underlying_prime(disc_factor: int) -> int:
     return 2 if disc_factor % 2 == 0 else abs(disc_factor)
 
 
-_proot_cache: dict[int, int] = {}
-
-
+@lru_cache(maxsize=1 << 16)
 def primitive_root(q: int) -> int:
     """Smallest positive generator of (Z/q^2)^x, which also generates
     (Z/q^e)^x for every e >= 1.  q must be an odd prime."""
-    g = _proot_cache.get(q)
-    if g is not None:
-        return g
     if q == 2 or not is_prime(q):
         raise ValueError(f"{q} is not an odd prime")
     order = q * (q - 1)
     # q is prime, so only q - 1 needs factoring
     prime_divs = [q] + [pp.q for pp in factorize(q - 1)]
     g = 2
-    while True:
-        if all(pow(g, order // r, q * q) != 1 for r in prime_divs):
-            _proot_cache[q] = g
-            return g
+    while any(pow(g, order // r, q * q) == 1 for r in prime_divs):
         g += 1
+    return g
 
 
 @lru_cache(maxsize=1 << 18)

@@ -17,7 +17,7 @@ from multiprocessing import Pool
 
 from . import arith, oracle
 from .arith import is_fundamental_discriminant, prime_discriminants
-from .cocycle import CentralExtension, is_admissible_pair, preset
+from .cocycle import _PRESET_NAMES, CentralExtension, is_admissible_pair, preset
 from .criteria import (
     c4_criterion,
     c4_from_parts,
@@ -47,8 +47,7 @@ def _parse_ext(spec: str):
         with open(spec) as fh:
             return CentralExtension.from_json(json.load(fh)), None
     name, _, param = spec.partition(":")
-    canon = {"c4_d4": "C4_D4", "h8_pair": "H8_pair",
-             "heisenberg": "Heisenberg", "split": "split"}.get(name.lower())
+    canon = {n.lower(): n for n in _PRESET_NAMES}.get(name.lower())
     if canon is None:
         raise ValueError(f"unknown extension preset or missing file: {spec!r}")
     if canon == "split":

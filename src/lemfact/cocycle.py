@@ -34,7 +34,7 @@ from .abelian import (
     elem_order,
     enumerate_automorphisms,
     is_subgroup,
-    subgroup_generated,
+    maximal_subgroup_masks,
     torsion_count,
 )
 
@@ -433,8 +433,8 @@ def is_admissible_pair(ext: CentralExtension, h_sub: frozenset):
 
 # classes of H^2(Gab, A) that enumerate_central_extensions lists: the
 # quaternion_pair_hits search over (C2^3, C2) has 64, (C2^4, C2) 1024;
-# each class is a key of O(rank^2) values, but a caller such as
-# quaternion_pair_hits walks the total group of each
+# each class is a key of O(rank^2) values, but quaternion_pair_hits walks
+# the total group of each class with a quaternion preimage (is_admissible_pair)
 DESK_H2_BOUND = 2**7
 
 
@@ -505,17 +505,16 @@ def _heisenberg_extension(ell: int):
     return ext, h_sub
 
 
-def _is_quaternion8(ext: CentralExtension, subset) -> bool:
-    """Order 8, a unique involution, nonabelian."""
-    subset = list(subset)
-    if len(subset) != 8:
+def _is_quaternion8(ext: CentralExtension, h_sub) -> bool:
+    """Whether the preimage A x H of H is Q8: order 8, one element of
+    order 2 (ext_order), and nonabelian, the commutator of two lifts
+    being the pairing of their images."""
+    a = ext.a
+    if a.order * len(h_sub) != 8:
         return False
-    involutions = sum(1 for x in subset if x != ext.ext_zero() and ext.ext_order(x) == 2)
-    if involutions != 1:
+    if sum(ext.ext_order((av, g)) == 2 for av in a.elements() for g in h_sub) != 1:
         return False
-    return any(
-        ext.ext_mul(x, y) != ext.ext_mul(y, x) for x in subset for y in subset
-    )
+    return any(ext.pairing(x, y) != a.zero() for x in h_sub for y in h_sub)
 
 
 def _pullback(ext: CentralExtension, phi) -> CentralExtension:
@@ -535,20 +534,19 @@ def _pullback(ext: CentralExtension, phi) -> CentralExtension:
 def quaternion_pair_hits():
     """All (class, H) pairs over (C2^3, C2) whose middle group contains
     the quaternion group as an index-2 admissible subgroup, in
-    deterministic enumeration order."""
+    deterministic enumeration order.  The index-2 subgroups H are one per
+    bit of maximal_subgroup_masks, all set in the mask of 0, and the
+    preimage of each H is tested for Q8 from the class key
+    (_is_quaternion8)."""
     gab = AbGroup((2, 2, 2))
     a = AbGroup((2,))
-    index2 = []
-    for gens in itertools.combinations([g for g in gab.elements() if g != gab.zero()], 2):
-        h = subgroup_generated(gab, gens)
-        if len(h) == 4 and h not in index2:
-            index2.append(h)
-    index2.sort(key=sorted)
+    masks = maximal_subgroup_masks(gab, gab.elements())
+    index2 = sorted((frozenset(x for x, m in masks.items() if m >> f & 1)
+                     for f in range(masks[gab.zero()].bit_length())), key=sorted)
     hits = []
     for ext in enumerate_central_extensions(gab, a):
         for h_sub in index2:
-            preimage = [(av, g) for av in a.elements() for g in h_sub]
-            if _is_quaternion8(ext, preimage) and is_admissible_pair(ext, h_sub)[0]:
+            if _is_quaternion8(ext, h_sub) and is_admissible_pair(ext, h_sub)[0]:
                 hits.append((ext, h_sub))
                 break
     return tuple(hits)

@@ -36,6 +36,7 @@ from .abelian import (
 from .arith import _power_residue_char, is_prime, prime_star
 from .cocycle import (
     CentralExtension,
+    _basis,
     _json_ints,
     aut_stabilizer_order,
     class_orbit_size,
@@ -274,8 +275,7 @@ def _pairing_rows(ext: CentralExtension, zs, ys, width: int) -> tuple:
     e_i of Gab, so each y pairs with the k basis elements only, and each
     coordinate of the block is one comprehension of dot products, reduced
     mod its modulus."""
-    k = len(ext.gab.moduli)
-    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    basis = _basis(ext.gab)
     layout = [(t * width, m) for t, m in enumerate(ext.a.moduli)]
     # per coordinate t of A, per y: the t-th coordinates of the <y, e_i>
     cols = zip(*(zip(*(ext.pairing(y, e) for e in basis)) for y in ys))
@@ -292,12 +292,8 @@ def _characters(e: int, qs) -> tuple:
     L(p, q) of p at q mod gcd(q - 1, e), e = exp(Gab): the discrete log
     of p mod q, read mod the largest order an image at q can have.  The
     test depends on the candidates and these alone."""
-    moduli = [(q, gcd(q - 1, e)) for q in qs]
     return tuple([
-        _power_residue_char(p, q, 1, m)
-        for i, p in enumerate(qs)
-        for j, (q, m) in enumerate(moduli)
-        if j != i
+        _power_residue_char(p, q, 1, gcd(q - 1, e)) for p, q in itertools.permutations(qs, 2)
     ])
 
 
@@ -312,24 +308,20 @@ def _log_character_mismatches(ext: CentralExtension, qs, orders, chars) -> None:
     reads a character mod gcd(n, exp(A)) only; the test decides with the
     direct one."""
     e = ext.a.exponent
-    chars = iter(chars)
-    for i, p in enumerate(qs):
-        for j, (q, ns) in enumerate(zip(qs, orders)):
-            if j == i:
-                continue
-            char = next(chars)
-            for n in sorted(set(ns)):
-                direct = char % n
-                literal = _power_residue_char(p, q, n - 1, e)
-                if (literal - direct) % gcd(n, e):
-                    logger.warning(
-                        "character scaling mismatch at p=%d: q=%d |y|=%d literal %d vs direct %d",
-                        p,
-                        q,
-                        n,
-                        literal,
-                        direct,
-                    )
+    pairs = itertools.permutations(zip(qs, orders), 2)
+    for ((p, _), (q, ns)), char in zip(pairs, chars):
+        for n in sorted(set(ns)):
+            direct = char % n
+            literal = _power_residue_char(p, q, n - 1, e)
+            if (literal - direct) % gcd(n, e):
+                logger.warning(
+                    "character scaling mismatch at p=%d: q=%d |y|=%d literal %d vs direct %d",
+                    p,
+                    q,
+                    n,
+                    literal,
+                    direct,
+                )
 
 
 @lru_cache(maxsize=1 << 10)

@@ -441,8 +441,31 @@ def test_classify_heisenberg_preset(tmp_path, capsys):
 def test_classify_bad_ext_exits_2(tmp_path, capsys):
     kdata = tmp_path / "k.json"
     kdata.write_text(json.dumps({"H": [[1, 0]], "primes": []}))
-    code, _, err = run(capsys, "classify", "--ext", "nosuch", "--kdata", str(kdata))
-    assert code == 2
+    code, out, err = run(capsys, "classify", "--ext", "nosuch", "--kdata", str(kdata))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown extension preset or missing file: 'nosuch'\n"
+
+
+@pytest.mark.parametrize(
+    "spelling,canonical,kdata",
+    [
+        ("c4_d4", "C4_D4",
+         {"H": [[1, 0]], "primes": [{"q": 5, "image": [0, 1]}, {"q": 41, "image": [0, 1]}]}),
+        ("H8_PAIR", "H8_pair", json.loads((DATA / "h8_pair_4305_kdata.json").read_text())),
+        ("HeIsEnBeRg:3", "Heisenberg:3",
+         {"H": [[1, 0, 0], [0, 1, 0]],
+          "primes": [{"q": 7, "image": [0, 0, 1]}, {"q": 13, "image": [0, 0, 1]},
+                     {"q": 43, "image": [0, 0, 1]}]}),
+        ("SPLIT:2,2/4", "split:2,2/4", {"H": [[1, 0]], "primes": [{"q": 5, "image": [1, 1]}]}),
+    ],
+)
+def test_classify_preset_names_ignore_case(tmp_path, capsys, spelling, canonical, kdata):
+    kdata_file = tmp_path / "k.json"
+    kdata_file.write_text(json.dumps(kdata))
+    printed = [run(capsys, "classify", "--ext", ext, "--kdata", str(kdata_file))
+               for ext in (spelling, canonical)]
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0 and printed[0][1].startswith("exists=") and printed[0][2] == ""
 
 
 @pytest.mark.parametrize(

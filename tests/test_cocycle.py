@@ -818,6 +818,52 @@ def test_quaternion_hits_and_class_count():
     assert quaternion_pair_class_count() == 1
 
 
+# the 2-groups among these with one involution are cyclic or Q8; over
+# (C2 x C6, C2) some preimage is Q8 x C3, with one involution but order 24
+QUATERNION_SHAPES = [((2, 2, 2), (2,)), ((2, 2), (2,)), ((4,), (2,)), ((2,), (4,)),
+                     ((2, 4), (2,)), ((2, 2), (4,)), ((2,), (2, 2)), ((2, 6), (2,))]
+
+
+def test_quaternion_decision_matches_the_table_walk():
+    # _is_quaternion8 reads |A x H|, ext_order and the pairing off the class
+    # key; the walk multiplies the preimage of H out in the table
+    pairs = quaternions = 0
+    for gab_moduli, a_moduli in QUATERNION_SHAPES:
+        gab, a = AbGroup(gab_moduli), AbGroup(a_moduli)
+        for ext in enumerate_central_extensions(gab, a):
+            ref = TableExtension(gab, a, ext.table)
+            for h_sub in subgroups(gab):
+                pre = [(av, g) for av in a.elements() for g in h_sub]
+                walked = (
+                    len(pre) == 8
+                    and sum(ref.ext_order(x) == 2 for x in pre) == 1
+                    and any(ref.ext_mul(x, y) != ref.ext_mul(y, x) for x in pre for y in pre)
+                )
+                assert cocycle._is_quaternion8(ext, h_sub) == walked, (ext.pairs, ext.powers, h_sub)
+                pairs += 1
+                quaternions += walked
+    assert (pairs, quaternions) == (1266, 58)
+
+
+def test_quaternion_search_reads_the_index2_subgroups_off_the_masks(monkeypatch):
+    # the seven subgroups of order 4 of C2^3, sorted, are the ones searched
+    gab = AbGroup((2, 2, 2))
+    index2 = sorted((h for h in subgroups(gab) if len(h) == 4), key=sorted)
+    assert len(index2) == 7
+    searched = []
+
+    def record(ext, h_sub):
+        searched.append(h_sub)
+        return False
+
+    quaternion_pair_hits.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(cocycle, "_is_quaternion8", record)
+        assert quaternion_pair_hits() == ()
+    quaternion_pair_hits.cache_clear()
+    assert searched == index2 * 64
+
+
 def test_map_table_respects_automorphism():
     gab, a = AbGroup((2, 2)), AbGroup((4,))
     rng2 = random.Random(5)

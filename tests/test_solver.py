@@ -943,11 +943,13 @@ def test_classify_decides_without_the_reference(monkeypatch):
 
 
 # the shapes the random differential test draws (Gab, A) from: Gab among
-# (2, 4), (3, 3), (9,) and (2, 2, 2), A among (2,), (4,) and (3,), where
-# some class makes an admissible pair; and its primes: each prime gets one
-# of the first ones 1 mod the order of its image, or a wild or duplicated one
+# (2, 4), (3, 3), (9,), (2, 2, 2), and (2, 6) and (6,), whose maximal
+# subgroups have index 2 and 3, so their masks span two prime layers; A
+# among (2,), (4,) and (3,), where some class makes an admissible pair; and
+# its primes: each prime gets one of the first ones 1 mod the order of its
+# image, or a wild or duplicated one
 DIFFERENTIAL_SHAPES = [((2, 4), (2,)), ((2, 4), (4,)), ((3, 3), (3,)), ((9,), (3,)),
-                       ((2, 2, 2), (2,)), ((2, 2, 2), (4,))]
+                       ((2, 2, 2), (2,)), ((2, 2, 2), (4,)), ((2, 6), (2,)), ((6,), (3,))]
 DIFFERENTIAL_PRIMES = [q for q in range(5, 400) if is_prime(q)]
 
 
@@ -978,7 +980,7 @@ def outcome(run):
 @settings(max_examples=max(1000, settings.default.max_examples), derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 def test_classify_matches_reference_on_random_fields(caplog, data):
-    # at most |H|^4 = 256 choices per field: neither the bound on the
+    # at most |H|^4 = 1,296 choices per field: neither the bound on the
     # assignments nor the one on the lift-test prefixes is reached
     gab_moduli, a_moduli = data.draw(st.sampled_from(DIFFERENTIAL_SHAPES))
     ext, hs = data.draw(st.sampled_from(differential_classes(gab_moduli, a_moduli)))
