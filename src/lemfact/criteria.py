@@ -5,12 +5,14 @@ classification of cyclic degree-ell fields ramified at three primes.
 These are standalone (Kronecker symbols only, even discriminants
 included) and double as cross-checks of the general engine.
 
-The C4 and quaternion conditions on a split of d are conditions on each
-block alone, since the product of the other blocks is d divided by it.
-So both criteria evaluate each block's symbols at most once per d, stop
-at the first symbol that is not 1, and format the symbol checks of
-witnesses only.  The splits of up to _SPLITS_MEMO_MAX prime
-discriminants are enumerated once per process.
+A split of d divides its prime discriminants into blocks, each a bitmask
+over their indices held with the indices.  The C4 and quaternion
+conditions on a split are conditions on each block alone, since the
+product of the other blocks is d divided by it.  Both criteria stop at
+the first symbol that is not 1; H8 decides each mask once per d and takes
+a block's sign from the parity of the negative parts under its mask.  A
+block product is taken only for symbols or a witness.  The splits of up
+to _SPLITS_MEMO_MAX prime discriminants are enumerated once per process.
 """
 
 from __future__ import annotations
@@ -61,20 +63,27 @@ class CriterionReport:
 
 
 # _splits keeps the partitions of range(n) for n up to this limit: all of
-# them take 2.9 MB, 1.8 MB of it the 9,075 three-block splits of n = 10,
-# where the 259,578 of n = 13 alone would take 56 MB.  Larger n stream.
+# them take 1.9 MB, 0.9 MB of it the 9,075 three-block splits of n = 10,
+# where the 259,578 of n = 13 alone would take 20 MB.  Larger n stream.
 _SPLITS_MEMO_MAX = 10
 _SPLITS_MEMO: dict[tuple[int, int], tuple] = {}
 
 
 def _stream_splits(n, k):
-    """Unordered partitions of range(n) into k nonempty blocks, as tuples
-    of index tuples, each block ascending."""
+    """Unordered partitions of range(n) into k nonempty blocks.  A block is
+    (mask, indices): its indices ascending, and the bits set at them; the
+    splits that share a block share one such pair."""
+    blocks = {}
+
+    def block(idx):
+        mask = sum(1 << i for i in idx)
+        return blocks.setdefault(mask, (mask, idx))
+
     if k == 2:
         for r in range(1, n):
             for idx in itertools.combinations(range(n), r):
                 if 0 in idx:  # fix part 0 in the first block: unordered
-                    yield idx, tuple(i for i in range(n) if i not in idx)
+                    yield block(idx), block(tuple(i for i in range(n) if i not in idx))
         return
     assert k == 3
     for ra in range(1, n - 1):
@@ -84,7 +93,8 @@ def _stream_splits(n, k):
             for rb in range(1, len(rest)):
                 for ib in itertools.combinations(rest[1:], rb - 1):
                     block_b = (rest[0],) + ib
-                    yield block_a, block_b, tuple(i for i in rest if i not in block_b)
+                    block_c = tuple(i for i in rest if i not in block_b)
+                    yield block(block_a), block(block_b), block(block_c)
 
 
 def _splits(n, k):
@@ -111,50 +121,27 @@ def _check_field(d: int) -> list[int]:
 _NO_WITNESS = CriterionReport(False, (), 0)
 
 
-class _Blocks:
-    """The symbols of one d = prod(parts), block by block.
+def _good(rest, parts, indices) -> bool:
+    """Whether the block S of d = prod(parts) at these indices is good,
+    given rest = d/d_S: (rest / p) = 1 for every p in S."""
+    for i in indices:
+        f = parts[i]
+        if kronecker(rest, 2 if f % 2 == 0 else abs(f)) != 1:
+            return False
+    return True
 
-    Since d_i * d_j = d / d_k, every condition of both criteria is that of
-    one block S alone: good(S) when (d/d_S / p) = 1 for every p in S.  Each
-    block is decided at most once per d, stopping at the first symbol that
-    is not 1.  A witness's symbols all equal 1, so its symbol checks are
-    rebuilt from its blocks; block products are kept for the sign test
-    and the witnesses."""
 
-    def __init__(self, parts):
-        self.parts = parts
-        self.d = prod(parts)
-        self.primes = [underlying_prime(f) for f in parts]
-        self.values = {}
-        self.goodness = {}
-
-    def value(self, block) -> int:
-        v = self.values.get(block)
-        if v is None:
-            v = self.values[block] = prod(self.parts[i] for i in block)
-        return v
-
-    def good(self, block) -> bool:
-        ok = self.goodness.get(block)
-        if ok is None:
-            # not self.value: C4 meets each block once, so keeping its
-            # product would cost more than it saves
-            rest = self.d // prod(self.parts[i] for i in block)
-            primes = self.primes
-            ok = self.goodness[block] = all(kronecker(rest, primes[i]) == 1 for i in block)
-        return ok
-
-    def witness(self, blocks, order) -> FactorizationWitness:
-        """The witness of good blocks, its symbol checks block by block in
-        order: (d/d_S / p) = 1 for each p in S, ascending."""
-        primes, d = self.primes, self.d
-        values = [self.value(b) for b in blocks]
-        checks = tuple(
-            (f"({d // values[k]}/{p})", 1)
-            for k in order
-            for p in sorted(primes[i] for i in blocks[k])
-        )
-        return FactorizationWitness(tuple(sorted(values)), checks)
+def _witness(parts, d, split, order) -> FactorizationWitness:
+    """The witness of a split into good blocks.  Its symbols all equal 1,
+    so its checks are rebuilt block by block in order: (d/d_S / p) = 1 for
+    each p in S, ascending."""
+    values = [prod(parts[i] for i in indices) for _, indices in split]
+    checks = tuple(
+        (f"({d // values[k]}/{p})", 1)
+        for k in order
+        for p in sorted(underlying_prime(parts[i]) for i in split[k][1])
+    )
+    return FactorizationWitness(tuple(sorted(values)), checks)
 
 
 def c4_criterion(d: int) -> CriterionReport:
@@ -168,20 +155,21 @@ def c4_from_parts(parts: list[int]) -> CriterionReport:
     """c4_criterion on the prime discriminants of d, sorted by |.|.
 
     A split (b1, b2) is a witness when both blocks are good; its checks
-    list (d1/p) for p | d2, then (d2/p) for p | d1."""
+    list (d1/p) for p | d2, then (d2/p) for p | d1.  Every block meets
+    one split only, so nothing is kept per block."""
     splits = _splits(len(parts), 2)
     if not splits:
         return _NO_WITNESS
-    blocks = _Blocks(parts)
-    good = blocks.good
-    witnesses = tuple(
-        blocks.witness(split, (1, 0))
-        for split in splits
-        if good(split[0]) and good(split[1])
-    )
+    d = prod(parts)
+    witnesses = []
+    for split in splits:
+        (_, a), (_, b) = split
+        d_a = prod(parts[i] for i in a)
+        if _good(d // d_a, parts, a) and _good(d_a, parts, b):
+            witnesses.append(_witness(parts, d, split, (1, 0)))
     if not witnesses:
         return _NO_WITNESS
-    return CriterionReport(True, witnesses, 2 ** (len(parts) - 2))
+    return CriterionReport(True, tuple(witnesses), 2 ** (len(parts) - 2))
 
 
 def h8_criterion(d: int) -> CriterionReport:
@@ -195,23 +183,35 @@ def h8_from_parts(parts: list[int]) -> CriterionReport:
     """h8_criterion on the prime discriminants of d, sorted by |.|.
 
     A split into three good blocks, at most one of them negative, is a
-    witness; its checks list (d_i d_j / p) for p | d_k, k = 1, 2, 3."""
+    witness; its checks list (d_i d_j / p) for p | d_k, k = 1, 2, 3.
+    Each block is decided at most once per d."""
     splits = _splits(len(parts), 3)
     if not splits:
         return _NO_WITNESS
-    blocks = _Blocks(parts)
-    good, value = blocks.good, blocks.value
+    d = prod(parts)
+    neg = sum(1 << i for i, f in enumerate(parts) if f < 0)
+    goodness = {}
     witnesses = []
     # The sign test comes first only to save symbols: by reciprocity, three
     # good blocks never hold two negative ones.  With at most one negative
     # part, no split does.
-    signed = sum(1 for f in parts if f < 0) > 1
+    signed = neg & (neg - 1)
     for split in splits:
         a, b, c = split
-        if signed and (value(a) < 0) + (value(b) < 0) + (value(c) < 0) > 1:
+        if signed and (
+            ((a[0] & neg).bit_count() & 1)
+            + ((b[0] & neg).bit_count() & 1)
+            + ((c[0] & neg).bit_count() & 1)
+        ) > 1:
             continue
-        if good(a) and good(b) and good(c):
-            witnesses.append(blocks.witness(split, (0, 1, 2)))
+        for mask, indices in split:
+            ok = goodness.get(mask)
+            if ok is None:
+                ok = goodness[mask] = _good(d // prod(parts[i] for i in indices), parts, indices)
+            if not ok:
+                break
+        else:
+            witnesses.append(_witness(parts, d, split, (0, 1, 2)))
     if not witnesses:
         return _NO_WITNESS
     return CriterionReport(True, tuple(witnesses), 2 ** (len(parts) - 3))

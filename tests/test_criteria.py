@@ -190,6 +190,42 @@ def test_criteria_match_block_refactoring_reference():
     assert seen > 1800
 
 
+# the 3,005 fundamental |d| < 5 * 10^4 with at least four prime
+# discriminants, 2,676 of them with two or more negative parts (54 and 52
+# below 3000)
+OMEGA_4_ROWS = [
+    (d, parts) for d, parts in arith.fundamental_discriminants(-49999, 50000) if len(parts) >= 4
+]
+
+
+def test_criteria_from_parts_match_reference_at_omega_4_and_up():
+    signed = 0
+    for d, parts in OMEGA_4_ROWS:
+        assert criteria.c4_from_parts(parts).to_json() == ref_c4_json(d), d
+        assert criteria.h8_from_parts(parts).to_json() == ref_h8_json(d), d
+        signed += sum(1 for f in parts if f < 0) > 1
+    assert (len(OMEGA_4_ROWS), signed) == (3005, 2676)
+
+
+def test_h8_sign_filter_drops_no_good_split():
+    # By reciprocity three good blocks never hold two negative ones, so the
+    # sign filter of h8_from_parts only saves symbols: without it the same
+    # splits pass.  1820 = 5 * 13 * (-4) * (-7) has the witness (5, 13, 28)
+    # with the positive block 28 = (-4)(-7).
+    for d, parts in OMEGA_4_ROWS:
+        good = []
+        for triple in ref_splits(parts, 3):
+            checks = []
+            for k in range(3):
+                i, j = [t for t in range(3) if t != k]
+                dij = triple[i] * triple[j]
+                checks += [kronecker(dij, p) for p in ref_block_primes(triple[k])]
+            if all(v == 1 for v in checks):
+                good.append(tuple(sorted(triple)))
+        assert [w.parts for w in criteria.h8_from_parts(parts).witnesses] == good, d
+    assert (5, 13, 28) in [w.parts for w in h8_criterion(1820).witnesses]
+
+
 # omega 11, past the splits memo: 31 H8 witnesses
 OMEGA_11 = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73 * 89 * 97
 
@@ -207,7 +243,14 @@ def test_splits_memo_matches_stream_and_stays_bounded():
     assert all(n <= criteria._SPLITS_MEMO_MAX for n, _ in criteria._SPLITS_MEMO)
     for n in range(criteria._SPLITS_MEMO_MAX + 1):
         for k in (2, 3):
-            assert criteria._splits(n, k) == tuple(criteria._stream_splits(n, k)), (n, k)
+            splits = criteria._splits(n, k)
+            assert splits == tuple(criteria._stream_splits(n, k)), (n, k)
+            for split in splits:
+                assert len(split) == k
+                assert sorted(i for _, idx in split for i in idx) == list(range(n))
+                for mask, idx in split:
+                    assert idx and list(idx) == sorted(idx)
+                    assert mask == sum(1 << i for i in idx), (n, k, mask, idx)
     assert criteria._splits(criteria._SPLITS_MEMO_MAX, 3) is criteria._splits(
         criteria._SPLITS_MEMO_MAX, 3
     )
