@@ -123,7 +123,8 @@ _NO_WITNESS = CriterionReport(False, (), 0)
 
 def _good(rest, parts, indices) -> bool:
     """Whether the block S of d = prod(parts) at these indices is good,
-    given rest = d/d_S: (rest / p) = 1 for every p in S."""
+    given rest = d/d_S: (rest / p) = 1 for every p in S (underlying_prime
+    inline, as this is the criteria's inner loop)."""
     for i in indices:
         f = parts[i]
         if kronecker(rest, 2 if f % 2 == 0 else abs(f)) != 1:
@@ -183,8 +184,7 @@ def h8_from_parts(parts: list[int]) -> CriterionReport:
     """h8_criterion on the prime discriminants of d, sorted by |.|.
 
     A split into three good blocks, at most one of them negative, is a
-    witness; its checks list (d_i d_j / p) for p | d_k, k = 1, 2, 3.
-    Each block is decided at most once per d."""
+    witness; its checks list (d_i d_j / p) for p | d_k, k = 1, 2, 3."""
     splits = _splits(len(parts), 3)
     if not splits:
         return _NO_WITNESS

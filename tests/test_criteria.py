@@ -162,11 +162,11 @@ def ref_c4_json(d):
     return {"exists": bool(witnesses), "witnesses": witnesses, "count_per_witness": count}
 
 
-def ref_h8_json(d):
+def ref_h8_json(d, sign_filter=True):
     parts = prime_discriminants(d)
     witnesses = []
     for triple in ref_splits(parts, 3):
-        if sum(1 for t in triple if t < 0) > 1:
+        if sign_filter and sum(1 for t in triple if t < 0) > 1:
             continue
         checks = []
         for k in range(3):
@@ -210,20 +210,10 @@ def test_criteria_from_parts_match_reference_at_omega_4_and_up():
 def test_h8_sign_filter_drops_no_good_split():
     # By reciprocity three good blocks never hold two negative ones, so the
     # sign filter of h8_from_parts only saves symbols: without it the same
-    # splits pass.  1820 = 5 * 13 * (-4) * (-7) has the witness (5, 13, 28)
-    # with the positive block 28 = (-4)(-7).
+    # splits pass.  A block's sign is that of its product: 1820 = 5 * 13 *
+    # (-4) * (-7) has the witness (5, 13, 28) with 28 = (-4)(-7).
     for d, parts in OMEGA_4_ROWS:
-        good = []
-        for triple in ref_splits(parts, 3):
-            checks = []
-            for k in range(3):
-                i, j = [t for t in range(3) if t != k]
-                dij = triple[i] * triple[j]
-                checks += [kronecker(dij, p) for p in ref_block_primes(triple[k])]
-            if all(v == 1 for v in checks):
-                good.append(tuple(sorted(triple)))
-        assert [w.parts for w in criteria.h8_from_parts(parts).witnesses] == good, d
-    assert (5, 13, 28) in [w.parts for w in h8_criterion(1820).witnesses]
+        assert criteria.h8_from_parts(parts).to_json() == ref_h8_json(d, sign_filter=False), d
 
 
 # omega 11, past the splits memo: 31 H8 witnesses
