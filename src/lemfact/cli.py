@@ -131,6 +131,7 @@ def _survey_window(window) -> str:
     # the oracle sweep of the negative part runs before any row, so its
     # bound error comes first
     ranks = oracle.rank_sweep(a, min(b, 0)) if with_oracle and a < 0 else {}
+    redei = oracle.redei_ranks(a, b) if with_oracle else None
     from_parts = c4_from_parts if criterion == "c4" else h8_from_parts
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -140,7 +141,11 @@ def _survey_window(window) -> str:
         omega = len(parts)
         two_rank = four_rank = redei_rank = ""
         if with_oracle:
-            redei_rank = oracle.redei_rank(d)
+            # the oracle factors the window itself; its d must be the sieve's
+            e, redei_rank = next(redei, (b, None))
+            if e != d:
+                raise AssertionError(
+                    f"oracle and sieve disagree on whether {min(d, e)} is fundamental")
             if d < 0:
                 two_rank, four_rank = ranks[d]
         row = (
@@ -151,6 +156,8 @@ def _survey_window(window) -> str:
             buf.write(_canonical(dict(zip(_SURVEY_COLUMNS, row))) + "\n")
         else:
             writer.writerow(row)
+    if with_oracle and (left := next(redei, None)) is not None:
+        raise AssertionError(f"oracle and sieve disagree on whether {left[0]} is fundamental")
     return buf.getvalue()
 
 

@@ -6,7 +6,10 @@ Redei matrix.
 This is the ground truth the classical criteria are checked against, so
 it shares no code path with them beyond the Kronecker symbol (which the
 Redei matrix needs by definition) and the discriminant bound check.  It
-factors by its own trial division (`_factor`, `_prime_discs`).  It
+factors by its own trial division (`_factor`, `_prime_discs` per d;
+`redei_ranks` across a block of d at once), and decides whether one d is
+fundamental by a squarefree test to the cube root (`_is_fundamental`),
+so a d past the oracle bound is refused without being factored.  It
 squares a form by the duplication formula (Cohen, GTM 138, Alg. 5.4.7
 with f1 = f2) on plain (a, b, c) triples, with the lattice composition
 `compose` as its independent reference.  `rank_sweep` takes
@@ -15,7 +18,9 @@ reduced form of discriminant d is primitive, since g (a, b, c) has
 discriminant g^2 disc(a, b, c).  It marks the d with an imprimitive
 reduced form as the progressions k^2 d' (k >= 2, d' <= -3 a
 discriminant), since k times the principal form of d' is reduced, and
-it enumerates only the reduced forms whose discriminant is in its window.
+it enumerates only the reduced forms whose discriminant is in its
+window, twice: once to count h and the ambiguous forms, and once to
+square forms of the d whose h leaves room for a 4-rank.
 """
 
 from __future__ import annotations
@@ -225,10 +230,39 @@ def _prime_discs(d: int) -> list[int] | None:
     return sorted(parts, key=abs)
 
 
+def _squarefree(n: int) -> bool:
+    """Whether n >= 1 is squarefree, by trial division up to the cube root
+    of what is left: the cofactor then has at most two prime factors, so
+    it is squarefree unless it is a square above 1."""
+    p = 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    r = isqrt(n)
+    return n == 1 or r * r != n
+
+
+def _is_fundamental(d: int) -> bool:
+    """Whether _prime_discs(d) is not None, without factoring: d = 1 mod 4
+    or 8, 12 mod 16, and |d| or |d/4| squarefree.  The bound check names
+    that number, as _prime_discs does."""
+    if d % 4 == 1:
+        n = d
+    elif d % 16 in (8, 12):
+        n = d // 4
+    else:
+        return False
+    check_disc_bound(abs(n))
+    return _squarefree(abs(n))
+
+
 def _check_disc(d: int):
     if d >= 0:
         raise ValueError(f"imaginary quadratic oracle needs d < 0, got {d}")
-    if _prime_discs(d) is None:
+    if not _is_fundamental(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
     limit = _oracle_limit()
     if -d > limit:
@@ -332,39 +366,55 @@ def four_rank(d: int) -> int:
     return _exact_log(n, 2, f"ambiguous square count {n} is not a power of 2")
 
 
+def _window_pairs(lo: int, hi: int):
+    """(a, c, n, bs) for each pair (a, c) with a reduced form (a, b, c),
+    0 <= b <= a, of discriminant in [lo, hi): n = lo + 4ac, and bs are
+    those b, each giving the form of discriminant lo + b^2 - n."""
+    for a in range(1, isqrt(-lo // 3) + 1):
+        for c in range(max(a, -hi // (4 * a) + 1), (a * a - lo) // (4 * a) + 1):
+            # the b in [0, a] with n <= b^2 < n + hi - lo
+            n = lo + 4 * a * c
+            bmin = isqrt(n - 1) + 1 if n > 0 else 0
+            yield a, c, n, range(bmin, isqrt(min(a * a, n + hi - lo - 1)) + 1)
+
+
 def rank_sweep(lo: int, hi: int):
     """two_rank and four_rank for every fundamental discriminant in
-    [lo, hi), d < 0, via one enumeration of the reduced forms in range.
+    [lo, hi), d < 0, via two walks over the reduced forms in range.
 
-    Returns {d: (two_rank, four_rank)}, d ascending.  The enumeration runs
-    over (a, c) and takes from [lo, hi) the b with 0 <= b <= a, so every
-    b it visits gives a form in the window.  Only one form of each
-    inverse pair is squared: a reduced form with b < 0 is never
-    ambiguous, and it is the inverse of the reduced form (a, -b, c),
-    whose square has the same ambiguous reduced form.  An ambiguous form
-    squares to the principal form (a = 1), which is added directly.
+    Returns {d: (two_rank, four_rank)}, d ascending.  Both walks run over
+    (a, c) and take from [lo, hi) the b with 0 <= b <= a, so every b they
+    visit gives a form in the window.  The first counts, per d, the class
+    number h (a form with 0 < b < a < c stands for itself and its
+    inverse (a, -b, c), also reduced; an ambiguous form for itself) and
+    the ambiguous forms, 2^r2 by genus theory.  Cl[4] has order
+    2^(r2 + r4) and divides h, so r4 <= cap = min(r2, v2(h) - r2), and
+    the second walk squares forms only for the d with cap > 0, until the
+    ambiguous squares of d, the principal form among them, number
+    2^cap.
+    Only one form of each inverse pair is squared: a reduced form with
+    b < 0 is never ambiguous, and its square is the inverse of the square
+    of (a, -b, c), so it has the same ambiguous reduced form.
     two_rank/four_rank square every form and stay the reference.
 
     A d = 0, 1 mod 4 has an imprimitive reduced form exactly when
     d = k^2 d' for some k >= 2 and some discriminant d' <= -3: then
     k (1, b0, c0), k times the principal form of d', is reduced, and
     conversely k (a, b, c) reduced makes (a, b, c) reduced of
-    discriminant d / k^2.  So a first pass marks, for each k, the two
-    progressions k^2 d' (d' = 0 and 1 mod 4) with step 4 k^2, and every
-    d = 0, 1 mod 4 left unmarked is fundamental; no form of a
-    non-fundamental d is squared.  Raises ValueError, before any
-    enumeration, when the range holds a fundamental discriminant past the
-    oracle bound.
+    discriminant d / k^2.  So the progressions k^2 d' (d' = 0 and 1 mod
+    4) with step 4 k^2 are marked first, and every d = 0, 1 mod 4 left
+    unmarked is fundamental; no form of a non-fundamental d is squared.
+    Raises ValueError, before any enumeration, when the range holds a
+    fundamental discriminant past the oracle bound.
     """
     if lo >= hi or hi > 0:
         raise ValueError("need lo < hi <= 0")
     limit = _oracle_limit()
     for d in range(lo, min(hi, -limit)):
-        if _prime_discs(d) is not None:
+        if _is_fundamental(d):
             raise ValueError(f"|{d}| exceeds oracle bound {limit}")
-    amax = isqrt(-lo // 3)
     imprimitive = bytearray(hi - lo)  # index d - lo
-    for k in range(2, amax + 1):
+    for k in range(2, isqrt(-lo // 3) + 1):
         step = 4 * k * k
         # top = k^2 d' for d' = -4 and -3, the greatest d' = 0 and 1 mod 4;
         # mark the d = top mod step from the least d >= lo up to top
@@ -373,39 +423,52 @@ def rank_sweep(lo: int, hi: int):
             stop = min(top + 1, hi) - lo
             if start < stop:
                 imprimitive[start:stop:step] = b"\x01" * len(range(start, stop, step))
-    # per d - lo: None for a non-fundamental d, else its ambiguous count
-    # and its set of ambiguous squares
-    amb_count = [
-        None if d % 4 > 1 or imprimitive[d - lo] else 0 for d in range(lo, hi)
-    ]
-    amb_squares = [None if m is None else set() for m in amb_count]
-    for a in range(1, amax + 1):
-        for c in range(max(a, -hi // (4 * a) + 1), (a * a - lo) // (4 * a) + 1):
-            # the b in [0, a] with n <= b^2 < n + hi - lo, where n = lo + 4ac
-            # and b^2 - n = d - lo
-            n = lo + 4 * a * c
-            bmin = isqrt(n - 1) + 1 if n > 0 else 0
-            for b in range(bmin, isqrt(min(a * a, n + hi - lo - 1)) + 1):
-                i = b * b - n
-                squares = amb_squares[i]
-                if squares is None:
-                    continue
-                if b == 0 or b == a or a == c:
-                    amb_count[i] += 1
-                    if a == 1:
-                        squares.add((a, b, c))
-                    continue
-                sa, sb, sc = _square(a, b, c)
-                if sb == 0 or sa == sb or sa == sc:
-                    squares.add((sa, sb, sc))
+    # per d - lo: the ambiguous reduced forms and the inverse pairs of
+    # the other reduced forms, counted for every d of the window
+    amb = [0] * (hi - lo)
+    pairs = [0] * (hi - lo)
+    for a, c, n, bs in _window_pairs(lo, hi):
+        for b in bs:
+            if b == 0 or b == a or a == c:
+                amb[b * b - n] += 1
+            else:
+                pairs[b * b - n] += 1
+    # per fundamental d - lo: r2, and for the d with cap > 0 the ambiguous
+    # squares found; open_[i] is (those squares, 2^cap) while fewer than
+    # 2^cap are found, else None
+    two_ranks = {}
+    squares_of = {}
+    open_ = [None] * (hi - lo)
+    for i, count in enumerate(amb):
+        d = lo + i
+        if d % 4 > 1 or imprimitive[i]:
+            continue
+        r2 = two_ranks[i] = _exact_log(count, 2, f"non-power-of-2 ambiguous counts at {d}")
+        h = 2 * pairs[i] + count
+        cap = min(r2, (h & -h).bit_length() - 1 - r2)
+        if cap > 0:
+            # the principal form is its own square
+            squares = squares_of[i] = {(1, d & 1, ((d & 1) - d) // 4)}
+            open_[i] = squares, 1 << cap
+    for a, c, n, bs in _window_pairs(lo, hi):
+        if a == c:
+            continue
+        for b in bs:
+            i = b * b - n
+            slot = open_[i]
+            if slot is None or b == 0 or b == a:
+                continue
+            sa, sb, sc = _square(a, b, c)
+            if sb == 0 or sa == sb or sa == sc:
+                squares, target = slot
+                squares.add((sa, sb, sc))
+                if len(squares) == target:
+                    open_[i] = None
     out = {}
-    for i, m in enumerate(amb_count):
-        if m is not None:
-            message = f"non-power-of-2 ambiguous counts at {lo + i}"
-            out[lo + i] = (
-                _exact_log(m, 2, message),
-                _exact_log(len(amb_squares[i]), 2, message),
-            )
+    for i, r2 in two_ranks.items():
+        squares = squares_of.get(i)
+        message = f"non-power-of-2 ambiguous counts at {lo + i}"
+        out[lo + i] = r2, _exact_log(len(squares), 2, message) if squares else 0
     return out
 
 
@@ -430,6 +493,84 @@ def redei_matrix(d: int):
                 row |= 1 << j
         rows.append(row)
     return rows
+
+
+# redei_ranks factors its window in blocks of this many integers
+_REDEI_BLOCK = 1 << 14
+
+
+def _odd_part(d: int) -> int:
+    """|d|, |d/4| or |d/8| for d = 1 mod 4, 12 or 8 mod 16, the odd part
+    a fundamental d has squarefree; 0 for the other d."""
+    if d % 4 == 1:
+        return abs(d)
+    if d % 16 == 12:
+        return abs(d) >> 2
+    if d % 16 == 8:
+        return abs(d) >> 3
+    return 0
+
+
+def redei_ranks(lo: int, hi: int):
+    """(d, redei_rank(d)) for every fundamental discriminant d != 1 with
+    lo <= d < hi, d ascending.
+
+    Each block of _REDEI_BLOCK integers is factored by one trial division
+    run across it: each odd p up to isqrt(max |d| in the block) steps
+    through the d it divides and is divided out of their odd parts
+    (_odd_part).  The primes below p are out by then, so a composite p
+    divides no odd part it reaches, and a prime p that divides one twice
+    leaves d not fundamental.  What is left is 1 or one prime above the
+    rest.  Each symbol (p_j*/p_i) is read once per block.  The diagonal
+    entry of row i, the symbol of d/p_i* at p_i, is the product of the
+    row's other symbols, as the Kronecker symbol is multiplicative in its
+    top argument, so its bit is the parity of theirs.  The bound is
+    checked once, before any division.
+    """
+    check_disc_bound(max(abs(lo), abs(hi - 1)) if lo < hi else 0)
+    a = lo
+    while a < hi:
+        b = min(hi, (a // _REDEI_BLOCK + 1) * _REDEI_BLOCK)
+        # per d - a: the odd part left to divide, 0 once d is known not
+        # to be fundamental, and the p* divided out so far
+        odd = [_odd_part(d) for d in range(a, b)]
+        stars = [[] for _ in odd]
+        for p in range(3, isqrt(max(abs(a), abs(b - 1))) + 1, 2):
+            star = p if p % 4 == 1 else -p
+            for i in range(-a % p, b - a, p):
+                r = odd[i]
+                if r and r % p == 0:
+                    r //= p
+                    odd[i] = 0 if r % p == 0 else r
+                    stars[i].append(star)
+        symbol = {}
+        for i, r in enumerate(odd):
+            d = a + i
+            if not r or d == 1:
+                continue
+            parts = stars[i]
+            if r > 1:
+                parts.append(r if r % 4 == 1 else -r)
+            two = d // prod(parts)
+            if two != 1:
+                parts.append(two)
+                parts.sort(key=abs)
+            primes = [2 if v % 2 == 0 else abs(v) for v in parts]
+            rows = []
+            for k, p in enumerate(primes):
+                row = 0
+                for j, v in enumerate(parts):
+                    if j != k:
+                        sym = symbol.get((v, p))
+                        if sym is None:
+                            sym = symbol[v, p] = kronecker(v, p)
+                        if sym == -1:
+                            row |= 1 << j
+                if bin(row).count("1") % 2:
+                    row |= 1 << k
+                rows.append(row)
+            yield d, len(rows) - 1 - _f2_rank(rows)
+        a = b
 
 
 def _f2_rank(rows) -> int:

@@ -328,6 +328,26 @@ def test_survey_oracle_bound_fails_in_two_processes(capsys):
     assert err.count("\n") == 1 and err == run(capsys, "--jobs", "1", *argv)[2]
 
 
+@pytest.mark.parametrize(
+    "change,disputed",
+    [
+        (lambda rows: [r for r in rows if r[0] != -203], -203),  # drops a d
+        (lambda rows: rows[:-1], -3),  # drops the last d
+        (lambda rows: sorted(rows + [(-204, 0)]), -204),  # adds a d = 4 mod 16
+        (lambda rows: rows + [(-2, 0)], -2),  # adds a d past the last row
+    ],
+    ids=["drop", "drop-last", "add", "add-last"],
+)
+def test_survey_raises_where_oracle_and_sieve_disagree(capsys, monkeypatch, change, disputed):
+    redei_ranks = oracle.redei_ranks
+    monkeypatch.setattr(oracle, "redei_ranks", lambda lo, hi: iter(change(list(redei_ranks(lo, hi)))))
+    message = f"^oracle and sieve disagree on whether {disputed} is fundamental$"
+    with pytest.raises(AssertionError, match=message):
+        main(["survey", "--range=-300..-3", "--criterion", "c4", "--oracle"])
+    # without --oracle the survey reads no oracle rank
+    assert main(["survey", "--range=-300..-3", "--criterion", "c4"]) == 0
+
+
 def test_survey_bound_fails_before_rows(capsys, monkeypatch):
     monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
 

@@ -11,8 +11,10 @@ from lemfact.oracle import (
     QuadForm,
     _exact_log,
     _factor,
+    _is_fundamental,
     _prime_discs,
     _square,
+    _squarefree,
     class_group_structure,
     class_number,
     compose,
@@ -24,6 +26,7 @@ from lemfact.oracle import (
     rank_sweep,
     redei_matrix,
     redei_rank,
+    redei_ranks,
     reduce_form,
     reduced_forms,
     square,
@@ -304,6 +307,63 @@ def test_rank_sweep_enforces_oracle_bound(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+# one d for each shape of 2-Sylow subgroup, with the bound
+# m = min(r2, v2(h) - r2) on r4 that rank_sweep squares up to; m = r4 for
+# all but -399, so the sweep stops squaring those d early
+TWO_SYLOW_SHAPES = [
+    (-39, (4,), 1),
+    (-95, (8,), 1),
+    (-407, (16,), 1),
+    (-260, (2, 4), 1),
+    (-399, (2, 8), 2),
+    (-2379, (4, 4), 2),
+    (-1140, (2, 2, 4), 1),
+    (-25988, (8, 8), 2),
+]
+
+
+@pytest.mark.parametrize("d,shape,cap", TWO_SYLOW_SHAPES, ids=[str(t[0]) for t in TWO_SYLOW_SHAPES])
+def test_rank_sweep_matches_two_sylow(d, shape, cap):
+    group, h = class_group_structure(d)
+    assert tuple(m & -m for m in group.moduli if m % 2 == 0) == shape
+    r2 = len(shape)
+    v2 = (h & -h).bit_length() - 1
+    assert min(r2, v2 - r2) == cap
+    lo, hi = d - 30, min(d + 30, 0)
+    sweep = rank_sweep(lo, hi)
+    assert sweep[d] == (r2, sum(m % 4 == 0 for m in shape))
+    for e, ranks in sweep.items():
+        two_part = [m & -m for m in class_group_structure(e)[0].moduli if m % 2 == 0]
+        assert ranks == (two_rank(e), four_rank(e)), e
+        assert ranks == (len(two_part), sum(m % 4 == 0 for m in two_part)), e
+
+
+def test_rank_sweep_squares_within_the_lagrange_bound(monkeypatch):
+    squared = []
+
+    def counting_square(a, b, c):
+        squared.append((a, b, c))
+        return _square(a, b, c)
+
+    monkeypatch.setattr(lemfact.oracle, "_square", counting_square)
+    # Z/2 x Z/2 (h = 4 = 2^r2): no room for a 4-rank, nothing squared
+    assert rank_sweep(-84, -83) == {-84: (2, 0)}
+    assert squared == []
+    # Z/4 x Z/4 and Z/2 x Z/2 x Z/4: the sweep stops once the 4 and the 2
+    # ambiguous squares are found, after 4 of the 6 and 1 of the 4
+    # non-ambiguous forms with b > 0
+    for d, ranks, count, forms in ((-2379, (2, 2), 4, 6), (-1140, (3, 1), 1, 4)):
+        squared.clear()
+        assert rank_sweep(d, d + 1) == {d: ranks}
+        assert len(squared) == count
+        assert len([f for f in reduced_forms(d) if f.b > 0 and not f.is_ambiguous()]) == forms
+    # Z/2 x Z/8: the bound 2 is not reached, so every such form is squared
+    squared.clear()
+    forms = [f for f in reduced_forms(-399) if f.b > 0 and not f.is_ambiguous()]
+    assert rank_sweep(-399, -398) == {-399: (2, 1)}
+    assert sorted(squared) == sorted((f.a, f.b, f.c) for f in forms)
+
+
 def test_exact_log():
     assert [_exact_log(n, 2, "unused") for n in (1, 2, 4, 1024)] == [0, 1, 2, 10]
     assert [_exact_log(n, 3, "unused") for n in (1, 3, 9, 243)] == [0, 1, 2, 5]
@@ -333,6 +393,42 @@ def test_redei_positive_examples():
     assert redei_rank(65) == 0
 
 
+REDEI_WINDOWS = [
+    (-3000, -2000),
+    (2000, 3000),
+    (-200, 200),  # across 0 and 1
+    (0, 2),
+    (1, 2),
+    (-8, -7),
+    (-16384 - 300, -16384 + 300),  # across the edges of a block
+    (16384 - 300, 16384 + 300),
+    (-32768 - 500, -32768 + 100),
+    (32768 - 100, 32768 + 500),
+    (-49152 - 40, -16384 + 40),  # two whole blocks
+]
+
+
+def test_redei_ranks_match_per_disc():
+    residues, two_parts = set(), set()
+    for lo, hi in REDEI_WINDOWS:
+        expected = [
+            (d, redei_rank(d)) for d in range(lo, hi) if d != 1 and is_fundamental_discriminant(d)
+        ]
+        assert list(redei_ranks(lo, hi)) == expected, (lo, hi)
+        residues.update(d % 16 for d, _ in expected)
+        two_parts.update(v for d, _ in expected for v in _prime_discs(d) if v % 2 == 0)
+    assert {8, 12} <= residues and two_parts == {-4, 8, -8}
+
+
+def test_redei_ranks_check_the_bound_first(monkeypatch):
+    monkeypatch.setenv("LEMFACT_MAX_DISC", "1000")
+    ranks = redei_ranks(-500, 1002)
+    with pytest.raises(ValueError, match="^1001 exceeds discriminant bound 1000$"):
+        next(ranks)
+    # hi is excluded: the window -1000 <= d <= 1000 is within the bound
+    assert list(redei_ranks(-1000, 1001))[-1][0] == 997
+
+
 def test_oracle_rejects_bad_input():
     with pytest.raises(ValueError):
         reduced_forms(5)
@@ -342,6 +438,36 @@ def test_oracle_rejects_bad_input():
         two_rank(-(10**7))
     with pytest.raises(ValueError):
         redei_rank(45)
+
+
+def test_squarefree_and_is_fundamental():
+    for n in range(1, 20000):
+        assert _squarefree(n) == all(pp.e == 1 for pp in factorize(n)), n
+    # cofactors past the cube root: a prime square, a product of two
+    # primes, a prime, and a square of a prime times a small prime
+    p, q = 1000003, 999983
+    assert not _squarefree(p * p) and not _squarefree(3 * p * p)
+    assert _squarefree(p * q) and _squarefree(p) and _squarefree(7 * p * q)
+    for d in range(-30000, 30000):
+        assert _is_fundamental(d) == (_prime_discs(d) is not None), d
+
+
+@pytest.mark.parametrize("which", [two_rank, four_rank, class_group_structure, reduced_forms])
+def test_oracle_bound_error_is_quick_near_2_63(monkeypatch, which):
+    monkeypatch.delenv("LEMFACT_MAX_DISC", raising=False)
+    # -p for the prime p = 2^63 - 25 = 3 mod 4: fundamental, and its
+    # factorization would take 1.5e9 trial divisions
+    d = -(2**63 - 25)
+    for e, message in (
+        (d, f"|{d}| exceeds oracle bound 1000000"),
+        (-100000000000000003, "|-100000000000000003| exceeds oracle bound 1000000"),
+        (-(2**62), f"{-(2**62)} is not a fundamental discriminant"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            which(e)
+        assert str(info.value) == message
+        assert time.perf_counter() - start < 2
 
 
 def test_prime_discs_match_arith():
